@@ -9,8 +9,10 @@ All three place exponential kernels on both sides of each sample:
              spectra is a lossy but structured summary
 
 with t1 = 2 pi m1 k1 / N1 and t2 = 2 pi m2 k2 / N2.  The fast path
-splits the field into its two planes, embeds each into the complex
-numbers, and runs ordinary FFTs.
+rotates each sample into the context's orthonormal 4x4 frame, whose
+column pairs span the two planes, reads each pair of coordinates as
+one complex number, runs ordinary FFTs on the two grids, and rotates
+back.
 
 Run:  python3 demos/03_transform_families.py
 """

@@ -52,7 +52,6 @@ from .split import (
     split_arr,
     swapped_context,
 )
-from .embed import NotInPlane, Plane, PlaneEmbedding, embed, plane_embedding, unembed
 from .fftcore import AxisSigns, dft2_direct, fft1, fft2
 from .transform import (
     CommutationReport,
@@ -94,8 +93,6 @@ __all__ = [
     "make_context", "swapped_context", "determine_context",
     "split", "split_arr", "half_turn", "coefficients", "reconstruct",
     "rotate_split",
-    "Plane", "PlaneEmbedding", "NotInPlane",
-    "plane_embedding", "embed", "unembed",
     "AxisSigns", "fft1", "fft2", "dft2_direct",
     "Family", "TransformVariant", "Spectrum", "VariantMismatch",
     "CommutationReport",

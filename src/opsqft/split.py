@@ -11,14 +11,16 @@ The pair g = +-f is accepted and flagged degenerate: for g = f the
 minus plane is the complex subfield spanned by (1, f) and the plus
 plane is its orthogonal complement; for g = -f the roles swap.
 
-An ``OpsContext`` carries the pair plus the derived plane bases, unit
-anchors, and the orientation data the complex embedding needs.
+Right multiplication by g maps each plane onto itself for every pair,
+degenerate or not, so each plane is a copy of the complex numbers with
+g as the imaginary unit.  An ``OpsContext`` carries the pair, the
+paper's plane bases, and one orthonormal 4x4 frame realizing both
+copies at once.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Tuple
 
@@ -26,6 +28,9 @@ import numpy as np
 
 from .quat import (
     ONE,
+    QI,
+    QJ,
+    QK,
     PureUnitQuaternion,
     Quaternion,
     conj,
@@ -65,10 +70,12 @@ class OpsContext:
     """The pair (f, g) with its derived split geometry.
 
     degenerate_sign is 0 for a generic pair, +1 when g = f, -1 when
-    g = -f.  imaginary_unit is the pure unit whose right action rotates
-    within each plane (g, or f in the degenerate cases); orientation is
-    +1 when that action equals right multiplication by g and -1 when it
-    equals right multiplication by -g (the g = -f case).
+    g = -f; one element of each basis is then zero.  ``frame`` is the
+    orthonormal 4x4 matrix with columns (u+, u+ g, u-, u- g), where u+-
+    is a unit vector of the plus/minus plane: ``data @ frame`` gives the
+    coordinates (x+, y+, x-, y-) with q_pm = u_pm (x_pm + y_pm g), and
+    ``coords @ frame.T`` maps them back.  It is derived from (f, g) and
+    takes no part in equality or hashing.
     """
 
     f: Quaternion
@@ -77,10 +84,7 @@ class OpsContext:
     degenerate_sign: int
     basis_plus: Tuple[Quaternion, Quaternion]
     basis_minus: Tuple[Quaternion, Quaternion]
-    anchor_plus: Quaternion
-    anchor_minus: Quaternion
-    imaginary_unit: Quaternion
-    orientation: int
+    frame: np.ndarray = field(compare=False, repr=False)
 
 
 def _as_pure_unit(q: Quaternion, name: str) -> Quaternion:
@@ -92,24 +96,26 @@ def _as_pure_unit(q: Quaternion, name: str) -> Quaternion:
         raise ValueError(f"{name}: {e}") from None
 
 
-def _orthogonal_axis(f: Quaternion) -> Quaternion:
-    """Deterministic pure unit orthogonal to f.
+def _plane_frame(f: Quaternion, g: Quaternion) -> np.ndarray:
+    """Columns (u+, u+ g, u-, u- g) for the split along (f, g).
 
-    Takes the first of i, j, k whose projection orthogonal to f keeps
-    magnitude >= 0.5, then normalizes.  At most one axis can fail the
-    test, so the scan always succeeds.
+    u+- is P+- e normalized, P+- = (q -> (q +- f q g) / 2) the orthogonal
+    projector onto the plane and e the element of {1, i, j, k} with the
+    largest projection.  The four squared lengths sum to 2, so that
+    projection is at least 1/sqrt(2) long and the normalization is well
+    conditioned for every pair, g near +-f included.  Right
+    multiplication by the pure unit g keeps each plane and turns u into
+    an orthogonal unit vector.
     """
-    fv = np.array([f.x, f.y, f.z])
-    for basis in np.eye(3):
-        proj = basis - np.dot(basis, fv) * fv
-        m = math.sqrt(float(np.dot(proj, proj)))
-        if m >= 0.5:
-            return PureUnitQuaternion(proj[0], proj[1], proj[2])
-    raise AssertionError("unreachable: two coordinate axes always qualify")
-
-
-def _unit(q: Quaternion) -> Quaternion:
-    return q * (1.0 / norm(q))
+    columns = []
+    for s in (1.0, -1.0):
+        projections = [0.5 * (e + s * mul(mul(f, e), g)) for e in (ONE, QI, QJ, QK)]
+        u = max(projections, key=norm)
+        u = u * (1.0 / norm(u))
+        columns += [u.to_array(), mul(u, g).to_array()]
+    frame = np.column_stack(columns)
+    frame.setflags(write=False)
+    return frame
 
 
 def make_context(f: Quaternion, g: Quaternion) -> OpsContext:
@@ -119,35 +125,12 @@ def make_context(f: Quaternion, g: Quaternion) -> OpsContext:
 
     same = max(abs(g.x - f.x), abs(g.y - f.y), abs(g.z - f.z)) <= DEGENERACY_TOL
     opposite = max(abs(g.x + f.x), abs(g.y + f.y), abs(g.z + f.z)) <= DEGENERACY_TOL
-
-    if same or opposite:
-        p = _orthogonal_axis(f)
-        fp = mul(f, p)
-        if same:
-            basis_minus = (ONE, f)
-            basis_plus = (p, fp)
-            anchor_minus, anchor_plus = ONE, p
-            sign = 1
-        else:
-            basis_plus = (ONE, f)
-            basis_minus = (p, fp)
-            anchor_plus, anchor_minus = ONE, p
-            sign = -1
-        return OpsContext(
-            f=f, g=g, degenerate=True, degenerate_sign=sign,
-            basis_plus=basis_plus, basis_minus=basis_minus,
-            anchor_plus=anchor_plus, anchor_minus=anchor_minus,
-            imaginary_unit=f, orientation=sign,
-        )
-
     fg = mul(f, g)
-    basis_plus = (ONE + fg, f - g)
-    basis_minus = (ONE - fg, f + g)
     return OpsContext(
-        f=f, g=g, degenerate=False, degenerate_sign=0,
-        basis_plus=basis_plus, basis_minus=basis_minus,
-        anchor_plus=_unit(basis_plus[0]), anchor_minus=_unit(basis_minus[0]),
-        imaginary_unit=g, orientation=1,
+        f=f, g=g, degenerate=same or opposite,
+        degenerate_sign=1 if same else -1 if opposite else 0,
+        basis_plus=(ONE + fg, f - g), basis_minus=(ONE - fg, f + g),
+        frame=_plane_frame(f, g),
     )
 
 

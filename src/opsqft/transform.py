@@ -15,14 +15,16 @@ or keep them and swap the kernel axes around the conjugated spectrum
 
 ``forward_direct``/``inverse_direct`` evaluate the double sum per
 output sample and serve as the in-package reference.  The fast path
-splits the field, embeds each plane as a complex grid, and runs the
-signed-axis FFT engine; each plane picks its axis signs from the rule
-exp(a f) q_pm = q_pm exp(-+ a g), which moves both kernels to the same
-side.  The phase-angle family collapses one grid axis per part instead
-(its plus spectrum is constant along k1, its minus spectrum along k2),
-so its discrete inverse cannot restore a general field; the inverse is
-evaluated literally all the same and its round-trip defect is reported
-by the verification suite rather than asserted away.
+rotates every sample into the context's orthonormal frame, reads the
+plus and minus coordinates as two complex grids with g as the imaginary
+unit, runs the signed-axis FFT engine on each, and rotates back; each
+plane picks its axis signs from the rule exp(a f) q_pm = q_pm exp(-+ a g),
+which moves both kernels to the same side.  The phase-angle family
+collapses one grid axis per part instead (its plus spectrum is constant
+along k1, its minus spectrum along k2), so its discrete inverse cannot
+restore a general field; the inverse is evaluated literally all the
+same and its round-trip defect is reported by the verification suite
+rather than asserted away.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from enum import Enum
 
 import numpy as np
 
-from .embed import Plane, embed, unembed
 from .fftcore import TAU, AxisSigns, fft1, fft2
 from .fields import Domain, QuaternionField2D
 from .quat import Quaternion, conj_arr, exp_arr, mul_arr
@@ -195,6 +196,22 @@ def inverse_direct(variant: TransformVariant, spectrum: Spectrum) -> QuaternionF
 # ---------------------------------------------------------------------------
 # Fast path.
 
+def _to_planes(ctx, data):
+    """Plus and minus parts of each sample as complex grids x + iy.
+
+    ``data @ frame`` holds (x+, y+, x-, y-) per sample; read as complex
+    numbers, its adjacent pairs are the two planes, no copy needed.
+    """
+    z = (data @ ctx.frame).view(np.complex128)
+    return z[..., 0], z[..., 1]
+
+
+def _from_planes(ctx, plus, minus):
+    """Inverse of ``_to_planes``: the quaternion samples u+ z+ + u- z-."""
+    z = np.stack((plus, minus), axis=-1)
+    return z.view(np.float64) @ ctx.frame.T
+
+
 def _fast_twosided_apply(ctx, data, s_left, s_right, left_axis, right_axis, scale):
     """scale * sum_m exp(s_left f t_L) data[m] exp(s_right g t_R) via FFTs.
 
@@ -203,19 +220,14 @@ def _fast_twosided_apply(ctx, data, s_left, s_right, left_axis, right_axis, scal
     transform; the left kernel crosses the sample at the price of a
     sign that differs between the planes.
     """
-    plus, minus = split_arr(ctx, data)
-    cp = embed(ctx, plus, Plane.PLUS)
-    cm = embed(ctx, minus, Plane.MINUS)
-    sig = ctx.orientation
+    cp, cm = _to_planes(ctx, data)
     signs_p = [0, 0]
     signs_m = [0, 0]
-    signs_p[left_axis] = -sig * s_left
-    signs_p[right_axis] = sig * s_right
-    signs_m[left_axis] = sig * s_left
-    signs_m[right_axis] = sig * s_right
-    fp = fft2(cp, AxisSigns(*signs_p))
-    fm = fft2(cm, AxisSigns(*signs_m))
-    out = unembed(ctx, fp, Plane.PLUS) + unembed(ctx, fm, Plane.MINUS)
+    signs_p[left_axis] = -s_left
+    signs_p[right_axis] = s_right
+    signs_m[left_axis] = s_left
+    signs_m[right_axis] = s_right
+    out = _from_planes(ctx, fft2(cp, AxisSigns(*signs_p)), fft2(cm, AxisSigns(*signs_m)))
     if scale != 1.0:
         out *= scale
     return out
@@ -224,19 +236,16 @@ def _fast_twosided_apply(ctx, data, s_left, s_right, left_axis, right_axis, scal
 def _fast_phase_angle(ctx, data, forward):
     """Phase-angle family: each part collapses to a single-axis transform."""
     n1, n2 = data.shape[:2]
-    plus, minus = split_arr(ctx, data)
-    cp = embed(ctx, plus, Plane.PLUS)
-    cm = embed(ctx, minus, Plane.MINUS)
-    sig = ctx.orientation
+    cp, cm = _to_planes(ctx, data)
     if forward:
-        sign_plus, sign_minus, scale = sig, -sig, 1.0
+        sign_plus, sign_minus, scale = 1, -1, 1.0
     else:
-        sign_plus, sign_minus, scale = -sig, sig, 1.0 / (n1 * n2)
+        sign_plus, sign_minus, scale = -1, 1, 1.0 / (n1 * n2)
     line_plus = fft1(cp.sum(axis=0), sign_plus, axis=0)
     line_minus = fft1(cm.sum(axis=1), sign_minus, axis=0)
     fp = np.broadcast_to(line_plus[None, :], (n1, n2))
     fm = np.broadcast_to(line_minus[:, None], (n1, n2))
-    out = unembed(ctx, fp, Plane.PLUS) + unembed(ctx, fm, Plane.MINUS)
+    out = _from_planes(ctx, fp, fm)
     if scale != 1.0:
         out *= scale
     return out

@@ -109,12 +109,14 @@ def random_field(rng: np.random.Generator, n1: int, n2: int) -> QuaternionField2
 
 def sample_contexts(rng: np.random.Generator, count: int) -> List[OpsContext]:
     """At least ``count`` contexts: one g = f, one g = -f, one orthogonal
-    pair, the rest generic random pairs."""
+    pair, one pair with |g - f| = 1e-9, the rest generic random pairs."""
     f0 = random_pure_unit(rng)
+    p = random_orthogonal_pure_unit(rng, f0)
     ctxs = [
         make_context(f0, f0),
         make_context(f0, PureUnitQuaternion(-f0.x, -f0.y, -f0.z)),
-        make_context(f0, random_orthogonal_pure_unit(rng, f0)),
+        make_context(f0, p),
+        make_context(f0, f0 + 1e-9 * p),
     ]
     while len(ctxs) < count:
         ctxs.append(make_context(random_pure_unit(rng), random_pure_unit(rng)))

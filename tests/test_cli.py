@@ -28,6 +28,21 @@ def test_transform_round_trip_through_files(tmp_path, capsys):
     assert np.max(np.abs(read_field(r).data - field.data)) < 1e-10
 
 
+def test_transform_round_trip_of_large_samples(tmp_path):
+    # a valid field of magnitude 1e9 is ordinary input, not a usage error
+    rng = np.random.default_rng(SEED + 12)
+    a = tmp_path / "a.qf2d"
+    s = tmp_path / "s.qf2d"
+    r = tmp_path / "r.qf2d"
+    field = QuaternionField2D(1e9 * rng.standard_normal((5, 4, 4)))
+    write_field(field, a)
+    base = ["transform", "--variant", "twosided", "--f", "1,0,0", "--g", "0,1,0"]
+    assert main(base + ["--in", str(a), "--out", str(s)]) == 0
+    assert main(base + ["--inverse", "--in", str(s), "--out", str(r)]) == 0
+    scale = float(np.sqrt(np.mean(field.data ** 2)))
+    assert np.max(np.abs(read_field(r).data - field.data)) / scale < 1e-12
+
+
 def test_transform_fast_and_direct_agree(tmp_path):
     rng = np.random.default_rng(SEED + 1)
     a = tmp_path / "a.qf2d"

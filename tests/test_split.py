@@ -15,6 +15,7 @@ from opsqft.quat import (
     norm,
     scalar_part,
 )
+from opsqft.fields import QuaternionField2D
 from opsqft.split import (
     DegenerateContext,
     InvalidFrame,
@@ -29,6 +30,7 @@ from opsqft.split import (
     split_arr,
     swapped_context,
 )
+from opsqft.transform import Family, TransformVariant, forward_fast, inverse_fast
 
 SEED = 4117
 
@@ -226,6 +228,59 @@ def test_swapped_context():
     ctx = swapped_context(make_context(f, g))
     assert (ctx.f.x, ctx.f.y, ctx.f.z) == (g.x, g.y, g.z)
     assert (ctx.g.x, ctx.g.y, ctx.g.z) == (f.x, f.y, f.z)
+
+
+# ---------------------------------------------------------------------------
+# The orthonormal frame (u+, u+ g, u-, u- g) of a context.
+
+def context_zoo(rng):
+    """Generic, unit-axis, orthogonal, g = f, g = -f and |g - f| = 1e-9 pairs."""
+    f = rand_pure(rng)
+    fv = np.array([f.x, f.y, f.z])
+    v = rng.standard_normal(3)
+    v -= np.dot(v, fv) * fv
+    ortho = PureUnitQuaternion(*v)
+    near = PureUnitQuaternion(*(fv + 1e-9 * v / np.linalg.norm(v)))
+    return [
+        make_context(f, rand_pure(rng)),
+        make_context(QI, QJ),
+        make_context(f, ortho),
+        make_context(f, f),
+        make_context(f, PureUnitQuaternion(-f.x, -f.y, -f.z)),
+        make_context(f, near),
+    ]
+
+
+def test_frame_is_orthonormal_and_in_plane():
+    rng = np.random.default_rng(SEED + 17)
+    for ctx in context_zoo(rng):
+        w = ctx.frame
+        assert w.shape == (4, 4)
+        assert np.max(np.abs(w.T @ w - np.eye(4))) < 1e-15
+        for col, expect_plus in ((0, True), (1, True), (2, False), (3, False)):
+            assert wrong_part(ctx, Quaternion(*w[:, col]), expect_plus) < 1e-15
+
+
+def test_right_g_turns_each_plane_frame():
+    # u g is the second column of its plane, so R_g acts as i on x + iy
+    rng = np.random.default_rng(SEED + 18)
+    for ctx in context_zoo(rng):
+        w = ctx.frame
+        for col in (0, 2):
+            ug = mul(Quaternion(*w[:, col]), ctx.g).to_array()
+            assert np.max(np.abs(ug - w[:, col + 1])) < 1e-15
+
+
+def test_equal_contexts_are_interchangeable():
+    rng = np.random.default_rng(SEED + 19)
+    for ctx in context_zoo(rng):
+        twin = make_context(ctx.f, ctx.g)
+        assert twin is not ctx and twin.frame is not ctx.frame
+        assert twin == ctx and hash(twin) == hash(ctx)
+        h = QuaternionField2D(rng.standard_normal((3, 4, 4)))
+        spectrum = forward_fast(TransformVariant(Family.TWO_SIDED, ctx), h)
+        back = inverse_fast(TransformVariant(Family.TWO_SIDED, twin), spectrum)
+        assert np.max(np.abs(back.data - h.data)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opsqft.fields import Domain, QuaternionField2D
 from opsqft.quat import QI, QJ, PureUnitQuaternion
@@ -26,13 +28,26 @@ def axis_triple(u):
     return (u.x, u.y, u.z)
 
 
+NEAR_STEPS = (1e-4, 1e-7, 1e-9, 1e-11, 1e-13)
+
+
+def near_axis(f, sign, eps, rng):
+    """normalize(sign f + eps u) for a random unit u orthogonal to f."""
+    fv = np.array([f.x, f.y, f.z])
+    u = rng.standard_normal(3)
+    u -= np.dot(u, fv) * fv
+    return PureUnitQuaternion(*(sign * fv + eps * u / np.linalg.norm(u)))
+
+
 def context_zoo(rng):
+    """Generic, g = f and g = -f pairs, then pairs with |g -+ f| = eps."""
     f = PureUnitQuaternion(*rng.standard_normal(3))
     return [
         make_context(f, PureUnitQuaternion(*rng.standard_normal(3))),
         make_context(f, f),
         make_context(f, PureUnitQuaternion(-f.x, -f.y, -f.z)),
-    ]
+    ] + [make_context(f, near_axis(f, sign, eps, rng))
+         for eps in NEAR_STEPS for sign in (1, -1)]
 
 
 def rand_field(rng, n1, n2, domain=Domain.SPATIAL):
@@ -232,3 +247,28 @@ def test_phase_angle_part_spectra_are_lines():
         fm = forward_fast(variant, QuaternionField2D(minus)).data
         assert np.max(np.abs(fp - fp[:1, :, :])) < 1e-12
         assert np.max(np.abs(fm - fm[:, :1, :])) < 1e-12
+
+
+def rms(a):
+    return max(float(np.sqrt(np.mean(a ** 2))), 1e-300)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(k=st.integers(-150, 150), n1=st.integers(1, 9), n2=st.integers(1, 9),
+       sign=st.sampled_from((1, -1)), eps=st.sampled_from((0.0,) + NEAR_STEPS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fast_path_is_scale_and_pair_invariant(k, n1, n2, sign, eps, seed):
+    # the result depends on neither the magnitude of the field nor how
+    # close g is to +-f; every error is relative to the compared field
+    rng = np.random.default_rng(seed)
+    f = PureUnitQuaternion(*rng.standard_normal(3))
+    ctx = make_context(f, near_axis(f, sign, eps, rng))
+    h = QuaternionField2D(10.0 ** k * rng.standard_normal((n1, n2, 4)))
+    for family in Family:
+        variant = TransformVariant(family, ctx)
+        sd = forward_direct(variant, h)
+        sf = forward_fast(variant, h)
+        assert np.max(np.abs(sf.data - sd.data)) / rms(sd.data) < 1e-12
+        if family is not Family.PHASE_ANGLE:
+            back = inverse_fast(variant, sf)
+            assert np.max(np.abs(back.data - h.data)) / rms(h.data) < 1e-12
