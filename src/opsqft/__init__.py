@@ -72,6 +72,7 @@ from .formats import (
     FileFormatError,
     IoFailure,
     MalformedHeader,
+    TrailingBytes,
     TruncatedPayload,
     UnsupportedFormat,
     export_magnitude_pgm,
@@ -98,7 +99,7 @@ __all__ = [
     "CommutationReport",
     "forward_fast", "forward_direct", "inverse_fast", "inverse_direct",
     "split_spectra", "transform_commutes_with_split",
-    "FileFormatError", "BadMagic", "BadVersion", "TruncatedPayload",
+    "FileFormatError", "BadMagic", "BadVersion", "TruncatedPayload", "TrailingBytes",
     "MalformedHeader", "UnsupportedFormat", "IoFailure",
     "read_field", "write_field", "read_image_ppm", "export_magnitude_pgm",
     "CheckResult", "run_all",

@@ -6,18 +6,35 @@ so s1 = s2 = -1 reproduces the usual forward DFT.  Mixed signs are
 needed because the split transform kernels rotate the two planes in
 opposite directions.
 
-``fft2`` runs an iterative radix-2 decimation-in-time pass per axis for
-power-of-two lengths and falls back to a dense kernel-matrix product
-otherwise.  ``dft2_direct`` is the quadratic-cost reference evaluator.
+One kernel serves every length.  A length of at most 64 is one product
+with its DFT matrix.  A longer composite length n = a b, with a the
+largest divisor not above sqrt(n), runs Bailey's four-step
+factorization: length-b transforms, a twiddle pass, one transpose and
+length-a transforms, which leaves the output in natural order.  A
+longer prime length runs Bluestein's chirp-z transform, a circular
+convolution of power-of-two length evaluated by the same kernel.  The
+DFT matrices, twiddles and chirps are built on first use and cached per
+(length, sign); every angle is reduced exactly in integers before
+``exp``.  ``dft2_direct`` is the quadratic-cost reference evaluator.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 TAU = 2.0 * np.pi
+
+# Lengths up to this are a single dense DFT matrix product.
+_DENSE_MAX = 64
+# Most (length, sign) plans kept at once.
+_PLAN_CACHE = 64
+# Samples in one padded Bluestein buffer (4 MB): a prime-length pass over
+# many columns runs in column blocks, so its scratch memory stays bounded.
+_CHIRP_BLOCK = 1 << 18
 
 
 class AxisSigns(NamedTuple):
@@ -31,65 +48,76 @@ def _check_sign(s: int) -> int:
     return s
 
 
-def bit_reverse_indices(n: int) -> np.ndarray:
-    """Permutation sending index k to its bit-reversed value; n a power of 2."""
-    bits = n.bit_length() - 1
-    idx = np.zeros(n, dtype=np.intp)
-    for k in range(n):
-        r = 0
-        v = k
-        for _ in range(bits):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        idx[k] = r
-    return idx
+def _roots(j: np.ndarray, n: int, sign: int) -> np.ndarray:
+    """Read-only exp(sign * 2 pi i j / n) for integers j already reduced mod n."""
+    w = np.exp(sign * 1j * TAU * j / n)
+    w.flags.writeable = False
+    return w
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+@lru_cache(maxsize=_PLAN_CACHE)
+def _plan(n: int, sign: int):
+    """What ``_pass0`` needs for length n, tagged by the method.
+
+    ("dense", M, None): M[k, m] = w^(m k), w = exp(sign 2 pi i / n).
+    ("four-step", a, T): n = a b and T[m1, k2] = w^(m1 k2) for m1 < a, k2 < b.
+    ("chirp", c, K): c[m] = exp(sign pi i m^2 / n) as a column, and K the
+    power-of-two length transform of the conjugate chirp, divided by its
+    length, as a column.
+    """
+    if n <= _DENSE_MAX:
+        m = np.arange(n)
+        return "dense", _roots(np.outer(m, m) % n, n, sign), None
+    a = math.isqrt(n)
+    while n % a:
+        a -= 1
+    if a > 1:
+        m1, k2 = np.ogrid[:a, :n // a]
+        return "four-step", a, _roots(m1 * k2 % n, n, sign)
+    size = 1 << (2 * n - 2).bit_length()
+    m = np.arange(n, dtype=np.int64)
+    chirp = _roots(m * m % (2 * n), 2 * n, sign)
+    h = np.zeros((size, 1), dtype=np.complex128)
+    h[:n, 0] = chirp.conj()
+    h[size - n + 1:, 0] = chirp[:0:-1].conj()
+    kernel = _pass0(h, -1) / size
+    kernel.flags.writeable = False
+    return "chirp", chirp[:, None], kernel
 
 
-def _fft_pow2_last(x: np.ndarray, sign: int) -> np.ndarray:
-    """Radix-2 DIT along the last axis; length must be a power of two."""
-    n = x.shape[-1]
-    if n == 1:
-        return x.copy()
-    x = x[..., bit_reverse_indices(n)]
-    span = 2
-    while span <= n:
-        half = span // 2
-        # stage twiddles from the angle, recomputed per stage
-        w = np.exp(sign * 1j * TAU * np.arange(half) / span)
-        blocks = x.reshape(x.shape[:-1] + (n // span, span))
-        top = blocks[..., :half]
-        bot = blocks[..., half:] * w
-        upper = top + bot
-        lower = top - bot
-        blocks[..., :half] = upper
-        blocks[..., half:] = lower
-        span *= 2
-    return x
-
-
-def _dft_dense_last(x: np.ndarray, sign: int) -> np.ndarray:
-    """Dense kernel-matrix transform along the last axis, any length."""
-    n = x.shape[-1]
-    m = np.arange(n)
-    kernel = np.exp(sign * 1j * TAU * np.outer(m, m) / n)
-    return x @ kernel
+def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
+    """Signed transform along axis 0 of a C-contiguous (n, r) complex array."""
+    n, r = x.shape
+    kind, p, q = _plan(n, sign)
+    if kind == "dense":
+        return p @ x
+    if kind == "four-step":
+        # input index a m2 + m1, output index k2 + b k1
+        a, b = p, n // p
+        y = _pass0(x.reshape(b, a * r), sign).reshape(b, a, r)
+        z = np.empty((a, b, r), dtype=np.complex128)
+        np.multiply(y.transpose(1, 0, 2), q[:, :, None], out=z)
+        del y  # free the first pass before the second allocates its output
+        return _pass0(z.reshape(a, b * r), sign).reshape(n, r)
+    # w^(m k) = c[m] c[k] conj(c[k - m]): a convolution with the conjugate chirp
+    size = q.shape[0]
+    step = max(1, _CHIRP_BLOCK // size)
+    out = np.empty_like(x)
+    for j in range(0, r, step):
+        y = np.zeros((size, min(step, r - j)), dtype=np.complex128)
+        np.multiply(x[:, j:j + step], p, out=y[:n])
+        y = _pass0(y, -1)
+        y *= q
+        np.multiply(_pass0(y, 1)[:n], p, out=out[:, j:j + step])
+    return out
 
 
 def fft1(x: np.ndarray, sign: int, axis: int = -1) -> np.ndarray:
     """Signed 1D transform of a complex array along ``axis``."""
     _check_sign(sign)
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[axis]
-    moved = np.moveaxis(x, axis, -1)
-    if _is_pow2(n):
-        out = _fft_pow2_last(np.ascontiguousarray(moved), sign)
-    else:
-        out = _dft_dense_last(moved, sign)
-    return np.moveaxis(out, -1, axis)
+    moved = np.moveaxis(np.asarray(x, dtype=np.complex128), axis, 0)
+    flat = np.ascontiguousarray(moved).reshape(moved.shape[0], math.prod(moved.shape[1:]))
+    return np.moveaxis(_pass0(flat, sign).reshape(moved.shape), 0, axis)
 
 
 def fft2(field: np.ndarray, signs: AxisSigns) -> np.ndarray:

@@ -5,7 +5,8 @@ QF2D layout (little-endian):
     bytes 0..3    magic "QF2D"
     bytes 4..7    version, unsigned 32-bit, currently 1
     bytes 8..15   n1 then n2, unsigned 32-bit each
-    bytes 16..    n1*n2 records of four float64 (w, x, y, z), row-major
+    bytes 16..    n1*n2 records of four float64 (w, x, y, z), row-major,
+                  and nothing after them
 
 Color images come in as portable pixmaps (P3 or P6, maxval 255); each
 pixel becomes the pure quaternion (r/255) i + (g/255) j + (b/255) k,
@@ -16,7 +17,10 @@ peak value.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
+import uuid
 
 import numpy as np
 
@@ -57,6 +61,10 @@ class UnsupportedFormat(FileFormatError):
     pass
 
 
+class TrailingBytes(FileFormatError):
+    pass
+
+
 class IoFailure(FileFormatError):
     def __init__(self, path, cause):
         super().__init__(path, 0, f"I/O failure: {cause}")
@@ -64,12 +72,23 @@ class IoFailure(FileFormatError):
 
 
 def write_field(field: QuaternionField2D, path) -> None:
+    """Write ``field`` as QF2D; a file already at ``path`` is replaced whole or kept.
+
+    The bytes go to a temporary file beside the file ``path`` resolves to,
+    which is renamed over it (a symbolic link at ``path`` stays a link),
+    and the temporary file is removed if any step fails.
+    """
     payload = np.ascontiguousarray(field.data, dtype="<f8").tobytes()
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "xb") as fh:
             fh.write(HEADER.pack(MAGIC, VERSION, field.n1, field.n2))
             fh.write(payload)
+        os.replace(tmp, target)
     except OSError as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise IoFailure(path, e) from e
 
 
@@ -90,12 +109,15 @@ def read_field(path, domain: Domain = Domain.SPATIAL) -> QuaternionField2D:
     if n1 < 1 or n2 < 1:
         raise MalformedHeader(path, 8, f"grid {n1}x{n2} is not positive")
     expected = 32 * n1 * n2
-    payload = raw[HEADER.size:HEADER.size + expected]
-    if len(payload) < expected:
-        raise TruncatedPayload(path, HEADER.size + len(payload),
-                               f"payload needs {expected} bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype="<f8").reshape(n1, n2, 4)
-    return QuaternionField2D(data.astype(np.float64), domain)
+    end = HEADER.size + expected
+    if len(raw) < end:
+        raise TruncatedPayload(path, len(raw),
+                               f"payload needs {expected} bytes, got {len(raw) - HEADER.size}")
+    if len(raw) > end:
+        raise TrailingBytes(path, end,
+                            f"{len(raw) - end} bytes after the {expected}-byte payload")
+    data = np.frombuffer(raw, dtype="<f8", count=4 * n1 * n2, offset=HEADER.size)
+    return QuaternionField2D(data.reshape(n1, n2, 4).astype(np.float64), domain)
 
 
 # ---------------------------------------------------------------------------

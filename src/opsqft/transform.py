@@ -72,7 +72,11 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class CommutationReport:
-    """Residuals of split-then-transform against transform-then-split."""
+    """Residuals of split-then-transform against transform-then-split.
+
+    Each residual is the largest deviation of one split part, relative to
+    the RMS sample norm of the full spectrum.
+    """
 
     residual_plus: float
     residual_minus: float
@@ -309,13 +313,16 @@ def transform_commutes_with_split(variant: TransformVariant,
 
     The spectrum side splits with respect to (f, g) for the two-sided
     and phase-angle families and with respect to the reversed pair for
-    the conjugation family.
+    the conjugation family.  Residuals and ``tolerance`` are relative to
+    the RMS sample norm of the full spectrum, so the verdict does not
+    depend on the scale of the field.
     """
     full = forward_fast(variant, field)
     spectrum_ctx = (swapped_context(variant.ctx)
                     if variant.family is Family.CONJUGATE else variant.ctx)
     spectrum_plus, spectrum_minus = split_arr(spectrum_ctx, full.data)
     part_plus, part_minus = split_spectra(variant, field)
-    residual_plus = float(np.max(np.abs(spectrum_plus - part_plus.data)))
-    residual_minus = float(np.max(np.abs(spectrum_minus - part_minus.data)))
+    scale = max(float(np.sqrt(np.mean(np.sum(full.data ** 2, axis=-1)))), 1e-300)
+    residual_plus = float(np.max(np.abs(spectrum_plus - part_plus.data))) / scale
+    residual_minus = float(np.max(np.abs(spectrum_minus - part_minus.data))) / scale
     return CommutationReport(residual_plus, residual_minus, tolerance)

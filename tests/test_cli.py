@@ -207,6 +207,15 @@ def test_io_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_trailing_bytes_exit_3(tmp_path, capsys):
+    a = tmp_path / "a.qf2d"
+    write_random_field(a, np.random.default_rng(SEED + 13))
+    with a.open("ab") as fh:
+        fh.write(b"extra")
+    assert main(["info", "--in", str(a)]) == 3
+    assert "byte 528" in capsys.readouterr().err
+
+
 def test_invalid_frame_exit_2(capsys):
     rc = main(["planes", "--a", "1,0,0", "--b", "1,0,0", "--c", "0,0,1",
                "--d", "scalar"])

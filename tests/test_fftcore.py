@@ -1,26 +1,20 @@
 """The hand-rolled DFT kernels against numpy's FFT."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from opsqft.fftcore import AxisSigns, bit_reverse_indices, dft2_direct, fft1, fft2
+import opsqft
+from opsqft.fftcore import AxisSigns, dft2_direct, fft1, fft2
 
 SEED = 77103
 
 
 def rand_c(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def test_bit_reverse_indices():
-    assert bit_reverse_indices(1).tolist() == [0]
-    assert bit_reverse_indices(2).tolist() == [0, 1]
-    assert bit_reverse_indices(4).tolist() == [0, 2, 1, 3]
-    assert bit_reverse_indices(8).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
-    # involution
-    for n in (2, 8, 32, 128):
-        idx = bit_reverse_indices(n)
-        assert np.array_equal(idx[idx], np.arange(n))
 
 
 def test_fft1_matches_numpy_both_signs():
@@ -60,8 +54,8 @@ def test_fft2_mixed_signs():
 
 
 def test_power_of_two_and_dense_paths_agree():
-    # 16 exercises the radix-2 pass, 12 the kernel-matrix fallback;
-    # a 16x12 grid goes through both in one call
+    # 16 and 12 are both single DFT matrices of the one kernel; a 16x12
+    # grid transforms a power-of-two and a non-power-of-two axis in one call
     rng = np.random.default_rng(SEED + 4)
     x = rand_c(rng, (16, 12))
     got = fft2(x, AxisSigns(-1, -1))
@@ -104,3 +98,42 @@ def test_rejects_bad_signs():
         fft2(x, AxisSigns(0, -1))
     with pytest.raises(ValueError):
         fft1(np.ones(4, dtype=complex), 2)
+
+
+# Dense matrices up to 64, four-step splits above, Bluestein for primes
+# above 64 (67..127, 1021, 4093), and both nested (2042 = 2 * 1021).
+KERNEL_LENGTHS = list(range(1, 131)) + [1000, 1021, 2042, 2310, 4093, 4096]
+
+
+def rel_err(got, want):
+    """Largest deviation relative to the peak of the reference."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+def test_fft1_every_length_both_signs(n):
+    rng = np.random.default_rng(SEED + 7 + n)
+    x = rand_c(rng, n)
+    assert rel_err(fft1(x, -1), np.fft.fft(x)) < 1e-14
+    assert rel_err(fft1(x, +1), n * np.fft.ifft(x)) < 1e-14
+    # the same length as the middle axis of a 3D array
+    x = rand_c(rng, (2, n, 3))
+    assert rel_err(fft1(x, -1, axis=1), np.fft.fft(x, axis=1)) < 1e-14
+    assert rel_err(fft1(x, +1, axis=1), n * np.fft.ifft(x, axis=1)) < 1e-14
+
+
+def test_fft2_prime_by_composite_mixed_signs():
+    rng = np.random.default_rng(SEED + 9)
+    x = rand_c(rng, (1021, 1000))
+    want = np.fft.fft(1000 * np.fft.ifft(x, axis=1), axis=0)
+    assert rel_err(fft2(x, AxisSigns(-1, 1)), want) < 1e-14
+    want = 1021 * np.fft.ifft(np.fft.fft(x, axis=1), axis=0)
+    assert rel_err(fft2(x, AxisSigns(1, -1)), want) < 1e-14
+
+
+def test_import_builds_no_plan():
+    src = os.path.dirname(os.path.dirname(opsqft.__file__))
+    code = "import opsqft.cli, opsqft.fftcore as f; print(f._plan.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "0"

@@ -1,14 +1,17 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from opsqft import formats
 from opsqft.fields import Domain, QuaternionField2D
 from opsqft.formats import (
     BadMagic,
     BadVersion,
     IoFailure,
     MalformedHeader,
+    TrailingBytes,
     TruncatedPayload,
     UnsupportedFormat,
     export_magnitude_pgm,
@@ -79,6 +82,49 @@ def test_read_errors_name_offsets(tmp_path):
 
     with pytest.raises(IoFailure):
         read_field(tmp_path / "absent.qf2d")
+
+
+def test_read_rejects_bytes_after_payload(tmp_path):
+    p = tmp_path / "long.qf2d"
+    write_field(QuaternionField2D(np.ones((2, 3, 4))), p)
+    with p.open("ab") as fh:
+        fh.write(b"\x00")
+    # the payload ends at 16 + 32 * 2 * 3
+    with pytest.raises(TrailingBytes, match="byte 208"):
+        read_field(p)
+
+
+def test_failed_write_keeps_target_and_leaves_no_temporary(tmp_path, monkeypatch):
+    p = tmp_path / "kept.qf2d"
+    write_field(QuaternionField2D(np.ones((2, 2, 4))), p)
+    before = p.read_bytes()
+
+    def no_space(src, dst):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(formats.os, "replace", no_space)
+        with pytest.raises(IoFailure):
+            write_field(QuaternionField2D(np.zeros((3, 3, 4))), p)
+    assert p.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["kept.qf2d"]
+
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(IoFailure):
+        write_field(QuaternionField2D(np.zeros((3, 3, 4))), tmp_path / "taken")
+    assert (tmp_path / "taken").is_dir()
+    assert sorted(os.listdir(tmp_path)) == ["kept.qf2d", "taken"]
+
+
+def test_write_through_symlink_keeps_link(tmp_path):
+    real = tmp_path / "real.qf2d"
+    link = tmp_path / "link.qf2d"
+    write_field(QuaternionField2D(np.zeros((1, 1, 4))), real)
+    link.symlink_to(real)
+    field = QuaternionField2D(np.ones((2, 1, 4)))
+    write_field(field, link)
+    assert link.is_symlink()
+    assert np.array_equal(read_field(real).data, field.data)
 
 
 def test_error_message_names_file(tmp_path):

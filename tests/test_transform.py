@@ -215,15 +215,18 @@ def test_part_spectra_stay_plane_aligned():
 
 
 def test_transform_commutes_with_split():
+    # residuals are relative to the spectrum, so the verdict ignores scale
     rng = np.random.default_rng(SEED + 12)
     for ctx in context_zoo(rng):
         h = rand_field(rng, 4, 6)
-        for family in Family:
-            report = transform_commutes_with_split(
-                TransformVariant(family, ctx), h)
-            assert report.passed
-            assert max(report.residual_plus, report.residual_minus) < 1e-12
-            assert report.tolerance == 1e-10
+        for scale in (1.0, 1e8, 1e-150):
+            scaled = QuaternionField2D(scale * h.data)
+            for family in Family:
+                report = transform_commutes_with_split(
+                    TransformVariant(family, ctx), scaled)
+                assert report.passed
+                assert max(report.residual_plus, report.residual_minus) < 1e-12
+                assert report.tolerance == 1e-10
 
 
 def test_two_sided_energy_preserved():
