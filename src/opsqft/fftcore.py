@@ -60,6 +60,9 @@ def _plan(n: int, sign: int):
     """What ``_pass0`` needs for length n, tagged by the method.
 
     ("dense", M, None): M[k, m] = w^(m k), w = exp(sign 2 pi i / n).
+    ("fused", a, F): n = a b with b <= _DENSE_MAX, and the stack
+    F[m1, k2, m2] = w^(k2 (a m2 + m1)) = w^(m1 k2) w_b^(m2 k2): the
+    length-b DFT matrix with the twiddles of row m1 folded in.
     ("four-step", a, T): n = a b and T[m1, k2] = w^(m1 k2) for m1 < a, k2 < b.
     ("chirp", c, K): c[m] = exp(sign pi i m^2 / n) as a column, and K the
     power-of-two length transform of the conjugate chirp, divided by its
@@ -71,8 +74,12 @@ def _plan(n: int, sign: int):
     a = math.isqrt(n)
     while n % a:
         a -= 1
+    b = n // a
+    if b <= _DENSE_MAX:
+        m1, k2, m2 = np.ogrid[:a, :b, :b]
+        return "fused", a, _roots(k2 * (a * m2 + m1) % n, n, sign)
     if a > 1:
-        m1, k2 = np.ogrid[:a, :n // a]
+        m1, k2 = np.ogrid[:a, :b]
         return "four-step", a, _roots(m1 * k2 % n, n, sign)
     size = 1 << (2 * n - 2).bit_length()
     m = np.arange(n, dtype=np.int64)
@@ -91,13 +98,16 @@ def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
     kind, p, q = _plan(n, sign)
     if kind == "dense":
         return p @ x
-    if kind == "four-step":
+    if kind != "chirp":
         # input index a m2 + m1, output index k2 + b k1
         a, b = p, n // p
-        y = _pass0(x.reshape(b, a * r), sign).reshape(b, a, r)
-        z = np.empty((a, b, r), dtype=np.complex128)
-        np.multiply(y.transpose(1, 0, 2), q[:, :, None], out=z)
-        del y  # free the first pass before the second allocates its output
+        if kind == "fused":
+            z = q @ x.reshape(b, a, r).transpose(1, 0, 2)
+        else:
+            y = _pass0(x.reshape(b, a * r), sign).reshape(b, a, r)
+            z = np.empty((a, b, r), dtype=np.complex128)
+            np.multiply(y.transpose(1, 0, 2), q[:, :, None], out=z)
+            del y  # free the first pass before the second allocates its output
         return _pass0(z.reshape(a, b * r), sign).reshape(n, r)
     # w^(m k) = c[m] c[k] conj(c[k - m]): a convolution with the conjugate chirp
     size = q.shape[0]
@@ -121,9 +131,12 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1) -> np.ndarray:
 
 
 def fft2(field: np.ndarray, signs: AxisSigns) -> np.ndarray:
-    """Signed 2D transform: axis 0 with signs.s1, then axis 1 with signs.s2."""
+    """Signed 2D transform: axis 0 with signs.s1, then axis 1 with signs.s2.
+
+    The result is C-contiguous.
+    """
     out = fft1(field, signs.s1, axis=0)
-    return fft1(out, signs.s2, axis=1)
+    return np.ascontiguousarray(fft1(out, signs.s2, axis=1))
 
 
 def dft2_direct(field: np.ndarray, signs: AxisSigns) -> np.ndarray:

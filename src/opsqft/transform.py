@@ -198,74 +198,89 @@ def inverse_direct(variant: TransformVariant, spectrum: Spectrum) -> QuaternionF
 
 
 # ---------------------------------------------------------------------------
-# Fast path.
+# Fast path: data @ A, two complex FFTs, @ B, with A and B 4x4 matrices.
 
-def _to_planes(ctx, data):
-    """Plus and minus parts of each sample as complex grids x + iy.
+# conj(q) = q @ _CONJ for a row (w, x, y, z)
+_CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
 
-    ``data @ frame`` holds (x+, y+, x-, y-) per sample; read as complex
-    numbers, its adjacent pairs are the two planes, no copy needed.
+
+def _to_planes(data, A):
+    """Plus and minus coordinates of ``data @ A`` as complex grids x + iy.
+
+    ``data @ A`` holds (x+, y+, x-, y-) per sample; each adjacent pair
+    is written straight into its own C-contiguous complex grid.
     """
-    z = (data @ ctx.frame).view(np.complex128)
-    return z[..., 0], z[..., 1]
+    n1, n2 = data.shape[:2]
+    flat = data.reshape(n1 * n2, 4)
+    planes = []
+    for p in (0, 2):
+        z = np.empty((n1, n2), dtype=np.complex128)
+        np.matmul(flat, A[:, p:p + 2], out=z.view(np.float64).reshape(n1 * n2, 2))
+        planes.append(z)
+    return planes
 
 
-def _from_planes(ctx, plus, minus):
-    """Inverse of ``_to_planes``: the quaternion samples u+ z+ + u- z-."""
-    z = np.stack((plus, minus), axis=-1)
-    return z.view(np.float64) @ ctx.frame.T
+def _from_planes(plus, minus, B):
+    """(x+, y+, x-, y-) @ B per sample, from the plus and minus grids."""
+    n1, n2 = plus.shape
+    z = np.empty((n1, n2, 2), dtype=np.complex128)
+    z[..., 0] = plus
+    z[..., 1] = minus
+    return (z.view(np.float64).reshape(n1 * n2, 4) @ B).reshape(n1, n2, 4)
 
 
-def _fast_twosided_apply(ctx, data, s_left, s_right, left_axis, right_axis, scale):
-    """scale * sum_m exp(s_left f t_L) data[m] exp(s_right g t_R) via FFTs.
+def _fast_twosided_apply(data, A, B, s_left, s_right, left_axis, right_axis):
+    """B-rotated sum_m exp(s_left f t_L) (data[m] @ A) exp(s_right g t_R) via FFTs.
 
-    t_L and t_R are the full-angle phases of the grid axes named by
-    left_axis/right_axis.  Each split part turns into one complex
-    transform; the left kernel crosses the sample at the price of a
-    sign that differs between the planes.
+    ``A`` maps each sample to frame coordinates (x+, y+, x-, y-) and ``B``
+    maps the transformed coordinates back; any conjugation and weight
+    ride in the two 4x4 matrices.  t_L and t_R are the full-angle phases
+    of the grid axes named by left_axis/right_axis.  Each split part
+    turns into one complex transform; the left kernel crosses the sample
+    at the price of a sign that differs between the planes.
     """
-    cp, cm = _to_planes(ctx, data)
+    plus, minus = _to_planes(data, A)
     signs_p = [0, 0]
     signs_m = [0, 0]
     signs_p[left_axis] = -s_left
     signs_p[right_axis] = s_right
     signs_m[left_axis] = s_left
     signs_m[right_axis] = s_right
-    out = _from_planes(ctx, fft2(cp, AxisSigns(*signs_p)), fft2(cm, AxisSigns(*signs_m)))
-    if scale != 1.0:
-        out *= scale
-    return out
+    plus = fft2(plus, AxisSigns(*signs_p))
+    minus = fft2(minus, AxisSigns(*signs_m))
+    return _from_planes(plus, minus, B)
 
 
-def _fast_phase_angle(ctx, data, forward):
-    """Phase-angle family: each part collapses to a single-axis transform."""
+def _fast_phase_angle(data, A, B, forward):
+    """Phase-angle family: each part collapses to a single-axis transform.
+
+    The plus part only needs the sums of its plane over m1 and the minus
+    part its sums over m2, which are the sums of the samples times A.
+    The spectrum is the broadcast sum of the two transformed lines times B.
+    """
     n1, n2 = data.shape[:2]
-    cp, cm = _to_planes(ctx, data)
-    if forward:
-        sign_plus, sign_minus, scale = 1, -1, 1.0
-    else:
-        sign_plus, sign_minus, scale = -1, 1, 1.0 / (n1 * n2)
-    line_plus = fft1(cp.sum(axis=0), sign_plus, axis=0)
-    line_minus = fft1(cm.sum(axis=1), sign_minus, axis=0)
-    fp = np.broadcast_to(line_plus[None, :], (n1, n2))
-    fm = np.broadcast_to(line_minus[:, None], (n1, n2))
-    out = _from_planes(ctx, fp, fm)
-    if scale != 1.0:
-        out *= scale
-    return out
+    sign = 1 if forward else -1
+    # the sum over m2 as a BLAS product: numpy's reduction over a middle
+    # axis runs a strided loop that is many times slower
+    line_plus = (data.sum(axis=0) @ A[:, 0:2]).view(np.complex128)[:, 0]
+    line_minus = (np.ones(n2) @ data @ A[:, 2:4]).view(np.complex128)[:, 0]
+    line_plus = fft1(line_plus, sign, axis=0).view(np.float64).reshape(n2, 2) @ B[0:2]
+    line_minus = fft1(line_minus, -sign, axis=0).view(np.float64).reshape(n1, 2) @ B[2:4]
+    return line_minus[:, None, :] + line_plus[None, :, :]
 
 
 def forward_fast(variant: TransformVariant, field: QuaternionField2D) -> Spectrum:
     """FFT-backed forward transform; agrees with ``forward_direct``."""
     ctx = variant.ctx
     data = field.data
+    W = ctx.frame
     if variant.family is Family.TWO_SIDED:
-        out = _fast_twosided_apply(ctx, data, -1, -1, 0, 1, 1.0)
+        out = _fast_twosided_apply(data, W, W.T, -1, -1, 0, 1)
     elif variant.family is Family.PHASE_ANGLE:
-        out = _fast_phase_angle(ctx, data, forward=True)
+        out = _fast_phase_angle(data, W, W.T, forward=True)
     elif variant.family is Family.CONJUGATE:
-        out = _fast_twosided_apply(swapped_context(ctx), conj_arr(data),
-                                   -1, -1, 0, 1, 1.0)
+        W = swapped_context(ctx).frame
+        out = _fast_twosided_apply(data, _CONJ @ W, W.T, -1, -1, 0, 1)
     else:
         raise ValueError(f"unknown family {variant.family!r}")
     return Spectrum(QuaternionField2D(out, Domain.FREQUENCY), variant)
@@ -277,14 +292,16 @@ def inverse_fast(variant: TransformVariant, spectrum: Spectrum) -> QuaternionFie
     ctx = variant.ctx
     data = spectrum.data
     n1, n2 = data.shape[:2]
-    scale = 1.0 / (n1 * n2)
+    W = ctx.frame
+    back = W.T / (n1 * n2)
     if variant.family is Family.TWO_SIDED:
-        out = _fast_twosided_apply(ctx, data, +1, +1, 0, 1, scale)
+        out = _fast_twosided_apply(data, W, back, +1, +1, 0, 1)
     elif variant.family is Family.PHASE_ANGLE:
-        out = _fast_phase_angle(ctx, data, forward=False)
+        out = _fast_phase_angle(data, W, back, forward=False)
     elif variant.family is Family.CONJUGATE:
-        out = _fast_twosided_apply(ctx, conj_arr(data), -1, -1,
-                                   left_axis=1, right_axis=0, scale=scale)
+        # forward-signed kernels around the conjugated spectrum, axes swapped
+        out = _fast_twosided_apply(data, _CONJ @ W, back, -1, -1,
+                                   left_axis=1, right_axis=0)
     else:
         raise ValueError(f"unknown family {variant.family!r}")
     return QuaternionField2D(out, Domain.SPATIAL)
