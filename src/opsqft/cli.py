@@ -31,6 +31,7 @@ from .split import (
     InvalidFrame,
     PlaneAssignment,
     coefficients,
+    coefficients_arr,
     determine_context,
     make_context,
     split_arr,
@@ -144,13 +145,11 @@ def _cmd_coeffs(args) -> int:
     if (args.q is None) == (args.infile is None):
         raise UsageError("coeffs: give exactly one of --q or --in")
     if args.q is not None:
-        qs = [parse_full_quaternion(args.q, "--q")]
+        rows = [coefficients(ctx, parse_full_quaternion(args.q, "--q"))]
     else:
-        field = read_field(args.infile)
-        qs = [Quaternion(*field.data[m1, m2])
-              for m1 in range(field.n1) for m2 in range(field.n2)]
-    for q in qs:
-        print(" ".join(_fmt(c) for c in coefficients(ctx, q)))
+        rows = coefficients_arr(ctx, read_field(args.infile).data).reshape(-1, 4)
+    for row in rows:
+        print(" ".join(_fmt(c) for c in row))
     return 0
 
 

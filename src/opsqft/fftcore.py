@@ -9,13 +9,19 @@ opposite directions.
 One kernel serves every length.  A length of at most 64 is one product
 with its DFT matrix.  A longer composite length n = a b, with a the
 largest divisor not above sqrt(n), runs Bailey's four-step
-factorization: length-b transforms, a twiddle pass, one transpose and
-length-a transforms, which leaves the output in natural order.  A
-longer prime length runs Bluestein's chirp-z transform, a circular
-convolution of power-of-two length evaluated by the same kernel.  The
-DFT matrices, twiddles and chirps are built on first use and cached per
-(length, sign); every angle is reduced exactly in integers before
-``exp``.  ``dft2_direct`` is the quadratic-cost reference evaluator.
+factorization: length-b transforms, the twiddles w^(m1 k2), one
+transpose and length-a transforms, which leaves the output in natural
+order.  When b is at most 64 (so n is at most 4096) the twiddles are
+folded into the length-b matrices: row m1 of the input meets its own
+matrix diag(w^(m1 k2)) M_b, and one batched product writes the
+transposed, twiddled first stage.  A longer prime length runs
+Bluestein's chirp-z transform, a circular convolution of power-of-two
+length evaluated by the same kernel.  The DFT matrices, twiddles and
+chirps are built on first use and cached per (length, sign); every
+angle is reduced exactly in integers before ``exp``.  A folded stack
+holds n b <= 2^18 complex numbers (4 MiB), the other plans O(n), so the
+cache holds at most 256 MiB of folded stacks.  ``dft2_direct`` is the
+quadratic-cost reference evaluator.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ TAU = 2.0 * np.pi
 
 # Lengths up to this are a single dense DFT matrix product.
 _DENSE_MAX = 64
-# Most (length, sign) plans kept at once.
+# Most (length, sign) plans kept at once.  Worst case: 64 folded stacks
+# of at most 4 MiB each (n = 4096, b = 64), 256 MiB, plus the O(n) tables
+# of the other plans.
 _PLAN_CACHE = 64
 # Samples in one padded Bluestein buffer (4 MB): a prime-length pass over
 # many columns runs in column blocks, so its scratch memory stays bounded.

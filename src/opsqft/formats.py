@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import struct
 import uuid
 
@@ -78,7 +79,7 @@ def write_field(field: QuaternionField2D, path) -> None:
     which is renamed over it (a symbolic link at ``path`` stays a link),
     and the temporary file is removed if any step fails.
     """
-    payload = np.ascontiguousarray(field.data, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(field.data, dtype="<f8")
     target = os.path.realpath(path)
     tmp = f"{target}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
     try:
@@ -93,31 +94,41 @@ def write_field(field: QuaternionField2D, path) -> None:
 
 
 def read_field(path, domain: Domain = Domain.SPATIAL) -> QuaternionField2D:
+    """Read a QF2D file into one writable float64 array.
+
+    The header is checked from its 16 bytes and the payload size from the
+    file's size before the payload is read, once, into the array.
+    """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(HEADER.size)
+            if len(head) < HEADER.size:
+                raise TruncatedPayload(path, len(head),
+                                       f"header needs {HEADER.size} bytes, file has {len(head)}")
+            magic, version, n1, n2 = HEADER.unpack(head)
+            if magic != MAGIC:
+                raise BadMagic(path, 0, f"magic {magic!r}, expected {MAGIC!r}")
+            if version != VERSION:
+                raise BadVersion(path, 4, f"version {version}, expected {VERSION}")
+            if n1 < 1 or n2 < 1:
+                raise MalformedHeader(path, 8, f"grid {n1}x{n2} is not positive")
+            expected = 32 * n1 * n2
+            end = HEADER.size + expected
+            if size < end:
+                raise TruncatedPayload(path, size,
+                                       f"payload needs {expected} bytes, got {size - HEADER.size}")
+            if size > end:
+                raise TrailingBytes(path, end,
+                                    f"{size - end} bytes after the {expected}-byte payload")
+            data = np.empty((n1, n2, 4), dtype="<f8")
+            got = fh.readinto(data)
     except OSError as e:
         raise IoFailure(path, e) from e
-    if len(raw) < HEADER.size:
-        raise TruncatedPayload(path, len(raw),
-                               f"header needs {HEADER.size} bytes, file has {len(raw)}")
-    magic, version, n1, n2 = HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise BadMagic(path, 0, f"magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise BadVersion(path, 4, f"version {version}, expected {VERSION}")
-    if n1 < 1 or n2 < 1:
-        raise MalformedHeader(path, 8, f"grid {n1}x{n2} is not positive")
-    expected = 32 * n1 * n2
-    end = HEADER.size + expected
-    if len(raw) < end:
-        raise TruncatedPayload(path, len(raw),
-                               f"payload needs {expected} bytes, got {len(raw) - HEADER.size}")
-    if len(raw) > end:
-        raise TrailingBytes(path, end,
-                            f"{len(raw) - end} bytes after the {expected}-byte payload")
-    data = np.frombuffer(raw, dtype="<f8", count=4 * n1 * n2, offset=HEADER.size)
-    return QuaternionField2D(data.reshape(n1, n2, 4).astype(np.float64), domain)
+    if got < expected:
+        raise TruncatedPayload(path, HEADER.size + got,
+                               f"payload needs {expected} bytes, got {got}")
+    return QuaternionField2D(data, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +150,51 @@ def _tokens(raw: bytes):
             while i < n and raw[i:i + 1] not in b" \t\r\n":
                 i += 1
             yield start, raw[start:i]
+
+
+# A '#' that starts a word comments out the rest of its line.
+_COMMENT = re.compile(rb"(?<![^ \t\r\n])#[^\n]*")
+_WHITESPACE = np.frombuffer(b" \t\r\n", dtype=np.uint8)
+
+
+def _p3_values(path, raw: bytes, start: int, count: int) -> np.ndarray:
+    """The first ``count`` words of ``raw[start:]`` as pixel values 0..255.
+
+    Reads the same words as ``_tokens`` and raises the same errors at the
+    same offsets: the first word that is not an integer or is out of
+    range, else the end of the file when words are missing.  Words of up
+    to three decimal digits are decoded in bulk; any other word goes
+    through ``int`` on its own.
+    """
+    body = _COMMENT.sub(lambda m: b" " * len(m[0]), raw[start:])
+    b = np.frombuffer(body, dtype=np.uint8)
+    ws = np.concatenate(([True], np.isin(b, _WHITESPACE), [True]))
+    edge = np.diff(ws.astype(np.int8))
+    starts = np.flatnonzero(edge == -1)[:count]
+    ends = np.flatnonzero(edge == 1)[:count]
+    length = ends - starts
+    value = np.zeros(len(starts), dtype=np.int64)
+    plain = length <= 3
+    for place in range(3):
+        present = length > place
+        digit = b[np.where(present, ends - 1 - place, 0)].astype(np.int64) - ord("0")
+        plain &= ~present | ((digit >= 0) & (digit <= 9))
+        value += np.where(present, digit, 0) * 10 ** place
+    plain &= value <= 255
+    values = value.astype(np.float64)
+    for j in np.flatnonzero(~plain):
+        off = start + int(starts[j])
+        tok = raw[off:start + int(ends[j])]
+        try:
+            v = int(tok)
+        except ValueError:
+            raise MalformedHeader(path, off, f"pixel value is not an integer: {tok!r}") from None
+        if not 0 <= v <= 255:
+            raise MalformedHeader(path, off, f"pixel value {v} out of range 0..255")
+        values[j] = v
+    if len(starts) < count:
+        raise MalformedHeader(path, len(raw), "missing pixel value")
+    return values
 
 
 def read_image_ppm(path) -> QuaternionField2D:
@@ -185,17 +241,7 @@ def read_image_ppm(path) -> QuaternionField2D:
                                   f"pixel data needs {count} bytes, got {len(pixels)}")
         rgb = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64)
     else:
-        values = np.empty(count, dtype=np.float64)
-        for idx in range(count):
-            off, tok = next_token("pixel value")
-            try:
-                v = int(tok)
-            except ValueError:
-                raise MalformedHeader(path, off, f"pixel value is not an integer: {tok!r}") from None
-            if not 0 <= v <= maxval:
-                raise MalformedHeader(path, off, f"pixel value {v} out of range 0..{maxval}")
-            values[idx] = v
-        rgb = values
+        rgb = _p3_values(path, raw, maxval_end, count)
 
     rgb = rgb.reshape(height, width, 3) / 255.0
     data = np.zeros((height, width, 4))

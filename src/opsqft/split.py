@@ -179,6 +179,19 @@ def coefficients(ctx: OpsContext, q: Quaternion):
     return q1, q2, q3, q4
 
 
+def coefficients_arr(ctx: OpsContext, data: np.ndarray) -> np.ndarray:
+    """Vectorized ``coefficients`` of a (..., 4) array; returns (..., 4).
+
+    The scalar part of q inv(b) is <q, b> / |b|^2, so the coordinates are
+    ``data @ C`` with column i of C the basis element b_i over its
+    squared norm.
+    """
+    if ctx.degenerate:
+        raise DegenerateContext("coefficients need g != +-f")
+    basis = ctx.basis_plus + ctx.basis_minus
+    return data @ np.column_stack([b.to_array() / norm(b) ** 2 for b in basis])
+
+
 def reconstruct(ctx: OpsContext, q1: float, q2: float, q3: float, q4: float) -> Quaternion:
     """Inverse of ``coefficients``: assemble q from its four coordinates."""
     if ctx.degenerate:

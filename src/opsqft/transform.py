@@ -14,17 +14,22 @@ or keep them and swap the kernel axes around the conjugated spectrum
 (conjugation family); all inverses carry the 1/(N1 N2) weight.
 
 ``forward_direct``/``inverse_direct`` evaluate the double sum per
-output sample and serve as the in-package reference.  The fast path
-rotates every sample into the context's orthonormal frame, reads the
-plus and minus coordinates as two complex grids with g as the imaginary
-unit, runs the signed-axis FFT engine on each, and rotates back; each
-plane picks its axis signs from the rule exp(a f) q_pm = q_pm exp(-+ a g),
+output sample and serve as the in-package reference.  The fast path is
+``data @ A``, two complex FFTs, ``@ B`` with A and B 4x4 matrices.  A
+rotates every sample into the context's orthonormal frame W, so the
+plus and minus coordinates become two C-contiguous complex grids with g
+as the imaginary unit; the signed-axis FFT engine transforms each, and
+B rotates back.  The conjugation family's conjugation rides in A
+(diag(1, -1, -1, -1) W) and every inverse's 1/(N1 N2) weight in B
+(W^T / (N1 N2)), so neither costs a pass over the data.  Each plane
+picks its axis signs from the rule exp(a f) q_pm = q_pm exp(-+ a g),
 which moves both kernels to the same side.  The phase-angle family
 collapses one grid axis per part instead (its plus spectrum is constant
-along k1, its minus spectrum along k2), so its discrete inverse cannot
-restore a general field; the inverse is evaluated literally all the
-same and its round-trip defect is reported by the verification suite
-rather than asserted away.
+along k1, its minus spectrum along k2): it transforms the two axis
+sums of ``data @ A`` and returns the sum of the two rotated lines.  So
+its discrete inverse cannot restore a general field; the inverse is
+evaluated literally all the same and its round-trip defect is reported
+by the verification suite rather than asserted away.
 """
 
 from __future__ import annotations

@@ -114,6 +114,22 @@ def test_coeffs_from_file(tmp_path, capsys):
         [0.5 * (w + z), 0.5 * (x - y), 0.5 * (w - z), 0.5 * (x + y)], abs=1e-15)
 
 
+def test_coeffs_file_matches_inline_for_every_sample(tmp_path, capsys):
+    # the file path's one 4x4 product gives the --q path's values
+    rng = np.random.default_rng(SEED + 13)
+    a = tmp_path / "a.qf2d"
+    field = write_random_field(a, rng, 5, 7)
+    axes = ["--f", "0.3,-1,0.5", "--g", "0.2,0.7,-1.1"]
+    assert main(["coeffs"] + axes + ["--in", str(a)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 35
+    for line, q in zip(lines, field.data.reshape(-1, 4)):
+        assert main(["coeffs"] + axes + ["--q=" + ",".join("%.17g" % c for c in q)]) == 0
+        want = np.array([float(t) for t in capsys.readouterr().out.split()])
+        got = np.array([float(t) for t in line.split()])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_coeffs_requires_exactly_one_source(tmp_path, capsys):
     assert main(["coeffs", "--f", "1,0,0", "--g", "0,1,0"]) == 2
     a = tmp_path / "a.qf2d"

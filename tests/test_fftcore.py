@@ -131,6 +131,24 @@ def test_fft2_prime_by_composite_mixed_signs():
     assert rel_err(fft2(x, AxisSigns(1, -1)), want) < 1e-14
 
 
+def test_fft2_unfused_by_fused_mixed_signs():
+    # 2042 = 2 * 1021 runs the twiddle pass, 1024 = 32 * 32 the fused stack
+    rng = np.random.default_rng(SEED + 10)
+    x = rand_c(rng, (2042, 1024))
+    want = np.fft.fft(1024 * np.fft.ifft(x, axis=1), axis=0)
+    assert rel_err(fft2(x, AxisSigns(-1, 1)), want) < 1e-14
+    want = 2042 * np.fft.ifft(np.fft.fft(x, axis=1), axis=0)
+    assert rel_err(fft2(x, AxisSigns(1, -1)), want) < 1e-14
+
+
+def test_fft2_returns_c_contiguous():
+    rng = np.random.default_rng(SEED + 11)
+    for shape in ((1, 1), (3, 5), (70, 9), (128, 96)):
+        x = rand_c(rng, shape)
+        for source in (x, np.asfortranarray(x), x.T.copy().T):
+            assert fft2(source, AxisSigns(-1, 1)).flags.c_contiguous
+
+
 def test_import_builds_no_plan():
     src = os.path.dirname(os.path.dirname(opsqft.__file__))
     code = "import opsqft.cli, opsqft.fftcore as f; print(f._plan.cache_info().currsize)"

@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,34 @@ def test_write_through_symlink_keeps_link(tmp_path):
     assert np.array_equal(read_field(real).data, field.data)
 
 
+def test_read_field_returns_one_writable_buffer(tmp_path):
+    p = tmp_path / "f.qf2d"
+    field = QuaternionField2D(np.arange(48.0).reshape(3, 4, 4))
+    write_field(field, p)
+    data = read_field(p).data
+    assert data.flags.writeable
+    assert data.flags.c_contiguous
+    base = data
+    while base.base is not None:
+        base = base.base
+    assert isinstance(base, np.ndarray)
+    data[0, 0, 0] = -1.0
+    assert np.array_equal(data.reshape(-1)[1:], field.data.reshape(-1)[1:])
+
+
+def test_read_field_holds_the_payload_once(tmp_path):
+    p = tmp_path / "big.qf2d"
+    write_field(QuaternionField2D(np.ones((64, 64, 4))), p)
+    payload = 32 * 64 * 64
+    tracemalloc.start()
+    try:
+        read_field(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload <= peak < 1.5 * payload
+
+
 def test_error_message_names_file(tmp_path):
     p = tmp_path / "named.qf2d"
     p.write_bytes(b"JUNKJUNKJUNKJUNK")
@@ -169,6 +198,35 @@ def test_p3_matches_p6(tmp_path):
     a = read_image_ppm(p6)
     b = read_image_ppm(p3)
     assert np.array_equal(a.data, b.data)
+
+
+def test_p3_matches_p6_with_comments_in_body(tmp_path):
+    rng = np.random.default_rng(SEED + 2)
+    pix = rng.integers(0, 256, size=(48, 64, 3), dtype=np.uint8)
+    p6 = tmp_path / "a.ppm"
+    p6.write_bytes(b"P6\n64 48\n255\n" + pix.tobytes())
+    rows = [" ".join(str(v) for v in row.reshape(-1)) for row in pix]
+    rows[3] += " # a comment 1 2 3"
+    rows[7] = "#" + "\n" + rows[7]
+    p3 = tmp_path / "b.ppm"
+    p3.write_text("P3\n64 48 255\n" + "\n".join(rows) + "\n")
+    assert np.array_equal(read_image_ppm(p6).data, read_image_ppm(p3).data)
+
+
+P3_BODY = b"P3\n3 1\n255\n10 20 30\n# 999 x\n40\t50 "
+
+
+@pytest.mark.parametrize("tail, offset, message", [
+    (b"6x\n", len(P3_BODY), "not an integer: b'6x'"),
+    (b"256 0 #c\n", len(P3_BODY), "pixel value 256 out of range"),
+    (b"\n# 1 2 3", len(P3_BODY) + 8, "missing pixel value"),
+])
+def test_p3_body_errors_name_offsets(tmp_path, tail, offset, message):
+    # the comment holds an out-of-range and a non-integer word, both skipped
+    p = tmp_path / "img.ppm"
+    p.write_bytes(P3_BODY + tail)
+    with pytest.raises(MalformedHeader, match=f"byte {offset}: .*{message}"):
+        read_image_ppm(p)
 
 
 def test_ppm_header_comments_and_whitespace(tmp_path):

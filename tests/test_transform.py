@@ -113,6 +113,33 @@ def test_round_trip_invertible_families():
                     - h.data)) < 1e-12
 
 
+def layouts(data):
+    """The same samples read-only, Fortran-ordered and as a transposed view."""
+    frozen = data.copy()
+    frozen.flags.writeable = False
+    return [frozen, np.asfortranarray(data),
+            np.ascontiguousarray(data.transpose(1, 0, 2)).transpose(1, 0, 2)]
+
+
+def test_fast_path_accepts_any_memory_layout():
+    rng = np.random.default_rng(SEED + 15)
+    ctx = context_zoo(rng)[0]
+    data = rng.standard_normal((6, 5, 4))
+    for family in Family:
+        variant = TransformVariant(family, ctx)
+        want_fwd = forward_fast(variant, QuaternionField2D(data)).data
+        want_inv = inverse_fast(variant, Spectrum(
+            QuaternionField2D(data, Domain.FREQUENCY), variant)).data
+        for view in layouts(data):
+            before = view.copy()
+            got = forward_fast(variant, QuaternionField2D(view)).data
+            assert np.max(np.abs(got - want_fwd)) <= 1e-14 * rms(want_fwd)
+            got = inverse_fast(variant, Spectrum(
+                QuaternionField2D(view, Domain.FREQUENCY), variant)).data
+            assert np.max(np.abs(got - want_inv)) <= 1e-14 * rms(want_inv)
+            assert np.array_equal(view, before)
+
+
 def test_one_sample_grid():
     # every phase is zero on a 1x1 grid
     rng = np.random.default_rng(SEED + 4)
