@@ -235,14 +235,15 @@ def _from_planes(plus, minus, B):
 
 
 def _fast_twosided_apply(data, A, B, s_left, s_right, left_axis, right_axis):
-    """B-rotated sum_m exp(s_left f t_L) (data[m] @ A) exp(s_right g t_R) via FFTs.
+    """A two-sided sum through FFTs: ``data @ A``, one fft2 per plane, ``@ B``.
 
-    ``A`` maps each sample to frame coordinates (x+, y+, x-, y-) and ``B``
-    maps the transformed coordinates back; any conjugation and weight
-    ride in the two 4x4 matrices.  t_L and t_R are the full-angle phases
-    of the grid axes named by left_axis/right_axis.  Each split part
-    turns into one complex transform; the left kernel crosses the sample
-    at the price of a sign that differs between the planes.
+    With A = W (the frame) and B = W^T this is
+    sum_m exp(s_left f t_L) data[m] exp(s_right g t_R); A may also
+    conjugate the samples and B weight the result.  t_L and t_R are the
+    full-angle phases of the grid axes named by left_axis/right_axis.
+    Each split part turns into one complex transform; the left kernel
+    crosses the sample at the price of a sign that differs between the
+    planes.
     """
     plus, minus = _to_planes(data, A)
     signs_p = [0, 0]
@@ -265,8 +266,9 @@ def _fast_phase_angle(data, A, B, forward):
     """
     n1, n2 = data.shape[:2]
     sign = 1 if forward else -1
-    # the sum over m2 as a BLAS product: numpy's reduction over a middle
-    # axis runs a strided loop that is many times slower
+    # the sum over m2 as a BLAS product: numpy's strided reduction over the
+    # middle axis is several times slower, and far slower right after a
+    # complex BLAS call
     line_plus = (data.sum(axis=0) @ A[:, 0:2]).view(np.complex128)[:, 0]
     line_minus = (np.ones(n2) @ data @ A[:, 2:4]).view(np.complex128)[:, 0]
     line_plus = fft1(line_plus, sign, axis=0).view(np.float64).reshape(n2, 2) @ B[0:2]

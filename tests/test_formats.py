@@ -128,32 +128,26 @@ def test_write_through_symlink_keeps_link(tmp_path):
     assert np.array_equal(read_field(real).data, field.data)
 
 
-def test_read_field_returns_one_writable_buffer(tmp_path):
-    p = tmp_path / "f.qf2d"
-    field = QuaternionField2D(np.arange(48.0).reshape(3, 4, 4))
-    write_field(field, p)
-    data = read_field(p).data
-    assert data.flags.writeable
-    assert data.flags.c_contiguous
-    base = data
-    while base.base is not None:
-        base = base.base
-    assert isinstance(base, np.ndarray)
-    data[0, 0, 0] = -1.0
-    assert np.array_equal(data.reshape(-1)[1:], field.data.reshape(-1)[1:])
-
-
 def test_read_field_holds_the_payload_once(tmp_path):
+    # one writable array, not a bytes object plus a converted copy
     p = tmp_path / "big.qf2d"
-    write_field(QuaternionField2D(np.ones((64, 64, 4))), p)
+    field = QuaternionField2D(np.arange(64 * 64 * 4.0).reshape(64, 64, 4))
+    write_field(field, p)
     payload = 32 * 64 * 64
     tracemalloc.start()
     try:
-        read_field(p)
+        data = read_field(p).data
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert payload <= peak < 1.5 * payload
+    base = data
+    while base.base is not None:
+        base = base.base
+    assert isinstance(base, np.ndarray)
+    assert data.flags.writeable and data.flags.c_contiguous
+    data[0, 0, 0] = -1.0
+    assert np.array_equal(data.reshape(-1)[1:], field.data.reshape(-1)[1:])
 
 
 def test_error_message_names_file(tmp_path):
