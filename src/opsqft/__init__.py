@@ -52,7 +52,7 @@ from .split import (
     split_arr,
     swapped_context,
 )
-from .fftcore import AxisSigns, dft2_direct, fft1, fft2
+from .fftcore import AxisSigns, fft1, fft2
 from .transform import (
     CommutationReport,
     Family,
@@ -72,6 +72,7 @@ from .formats import (
     FileFormatError,
     IoFailure,
     MalformedHeader,
+    NonFiniteSample,
     TrailingBytes,
     TruncatedPayload,
     UnsupportedFormat,
@@ -94,13 +95,13 @@ __all__ = [
     "make_context", "swapped_context", "determine_context",
     "split", "split_arr", "half_turn", "coefficients", "reconstruct",
     "rotate_split",
-    "AxisSigns", "fft1", "fft2", "dft2_direct",
+    "AxisSigns", "fft1", "fft2",
     "Family", "TransformVariant", "Spectrum", "VariantMismatch",
     "CommutationReport",
     "forward_fast", "forward_direct", "inverse_fast", "inverse_direct",
     "split_spectra", "transform_commutes_with_split",
     "FileFormatError", "BadMagic", "BadVersion", "TruncatedPayload", "TrailingBytes",
-    "MalformedHeader", "UnsupportedFormat", "IoFailure",
+    "MalformedHeader", "NonFiniteSample", "UnsupportedFormat", "IoFailure",
     "read_field", "write_field", "read_image_ppm", "export_magnitude_pgm",
     "CheckResult", "run_all",
     "__version__",

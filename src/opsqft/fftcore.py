@@ -20,8 +20,7 @@ length evaluated by the same kernel.  The DFT matrices, twiddles and
 chirps are built on first use and cached per (length, sign); every
 angle is reduced exactly in integers before ``exp``.  A folded stack
 holds n b <= 2^18 complex numbers (4 MiB), the other plans O(n), so the
-cache holds at most 256 MiB of folded stacks.  ``dft2_direct`` is the
-quadratic-cost reference evaluator.
+cache holds at most 256 MiB of folded stacks.
 """
 
 from __future__ import annotations
@@ -146,18 +145,3 @@ def fft2(field: np.ndarray, signs: AxisSigns) -> np.ndarray:
     out = fft1(field, signs.s1, axis=0)
     return np.ascontiguousarray(fft1(out, signs.s2, axis=1))
 
-
-def dft2_direct(field: np.ndarray, signs: AxisSigns) -> np.ndarray:
-    """Literal double-sum reference for ``fft2``; cost (N1 N2)^2."""
-    _check_sign(signs.s1)
-    _check_sign(signs.s2)
-    field = np.asarray(field, dtype=np.complex128)
-    n1, n2 = field.shape
-    m1 = np.arange(n1)[:, None]
-    m2 = np.arange(n2)[None, :]
-    out = np.empty((n1, n2), dtype=np.complex128)
-    for k1 in range(n1):
-        for k2 in range(n2):
-            phase = signs.s1 * TAU * m1 * k1 / n1 + signs.s2 * TAU * m2 * k2 / n2
-            out[k1, k2] = np.sum(field * np.exp(1j * phase))
-    return out

@@ -66,6 +66,10 @@ class TrailingBytes(FileFormatError):
     pass
 
 
+class NonFiniteSample(FileFormatError):
+    pass
+
+
 class IoFailure(FileFormatError):
     def __init__(self, path, cause):
         super().__init__(path, 0, f"I/O failure: {cause}")
@@ -97,7 +101,8 @@ def read_field(path, domain: Domain = Domain.SPATIAL) -> QuaternionField2D:
     """Read a QF2D file into one writable float64 array.
 
     The header is checked from its 16 bytes and the payload size from the
-    file's size before the payload is read, once, into the array.
+    file's size before the payload is read, once, into the array.  A NaN
+    or infinite component raises ``NonFiniteSample`` at its byte offset.
     """
     try:
         with open(path, "rb") as fh:
@@ -128,6 +133,12 @@ def read_field(path, domain: Domain = Domain.SPATIAL) -> QuaternionField2D:
     if got < expected:
         raise TruncatedPayload(path, HEADER.size + got,
                                f"payload needs {expected} bytes, got {got}")
+    if not np.isfinite(data).all():
+        i = int(np.argmin(np.isfinite(data)))
+        n, c = divmod(i, 4)
+        raise NonFiniteSample(path, HEADER.size + 8 * i,
+                              f"sample [{n // n2}, {n % n2}] component {c} "
+                              f"is {data.reshape(-1)[i]}")
     return QuaternionField2D(data, domain)
 
 

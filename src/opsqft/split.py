@@ -70,21 +70,25 @@ class OpsContext:
     """The pair (f, g) with its derived split geometry.
 
     degenerate_sign is 0 for a generic pair, +1 when g = f, -1 when
-    g = -f; one element of each basis is then zero.  ``frame`` is the
-    orthonormal 4x4 matrix with columns (u+, u+ g, u-, u- g), where u+-
-    is a unit vector of the plus/minus plane: ``data @ frame`` gives the
-    coordinates (x+, y+, x-, y-) with q_pm = u_pm (x_pm + y_pm g), and
+    g = -f; ``degenerate`` says it is not 0, and one element of each
+    basis is then zero.  ``frame`` is the orthonormal 4x4 matrix with
+    columns (u+, u+ g, u-, u- g), where u+- is a unit vector of the
+    plus/minus plane: ``data @ frame`` gives the coordinates
+    (x+, y+, x-, y-) with q_pm = u_pm (x_pm + y_pm g), and
     ``coords @ frame.T`` maps them back.  It is derived from (f, g) and
     takes no part in equality or hashing.
     """
 
     f: Quaternion
     g: Quaternion
-    degenerate: bool
     degenerate_sign: int
     basis_plus: Tuple[Quaternion, Quaternion]
     basis_minus: Tuple[Quaternion, Quaternion]
     frame: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.degenerate_sign != 0
 
 
 def _as_pure_unit(q: Quaternion, name: str) -> Quaternion:
@@ -127,8 +131,7 @@ def make_context(f: Quaternion, g: Quaternion) -> OpsContext:
     opposite = max(abs(g.x + f.x), abs(g.y + f.y), abs(g.z + f.z)) <= DEGENERACY_TOL
     fg = mul(f, g)
     return OpsContext(
-        f=f, g=g, degenerate=same or opposite,
-        degenerate_sign=1 if same else -1 if opposite else 0,
+        f=f, g=g, degenerate_sign=1 if same else -1 if opposite else 0,
         basis_plus=(ONE + fg, f - g), basis_minus=(ONE - fg, f + g),
         frame=_plane_frame(f, g),
     )

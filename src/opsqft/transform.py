@@ -1,33 +1,41 @@
-"""Discrete two-sided quaternion Fourier transforms over split planes.
+"""Discrete quaternion Fourier transforms over split planes.
 
-Three families, each with a forward and an inverse realization:
+Every transform here is one formula on an N1 x N2 grid,
 
-* ``TWO_SIDED``   F[k] = sum_m exp(-f t1) h[m] exp(-g t2)
-* ``PHASE_ANGLE`` kernels carry the half-sum/half-difference phases
-                  (t1 + t2)/2 on the left (unit f) and (t1 - t2)/2 on
-                  the right (unit g)
-* ``CONJUGATE``   F[k] = sum_m exp(-g t1) conj(h[m]) exp(-f t2)
+    F[k] = w sum_m exp(L cl.t) h'[m] exp(R cr.t),
+    t = (t1, t2) = (2 pi m1 k1 / N1, 2 pi m2 k2 / N2),
 
-with t1 = 2 pi m1 k1 / N1 and t2 = 2 pi m2 k2 / N2 on an N1 x N2 grid.
-Inverses flip the exponent signs (two-sided and phase-angle families)
-or keep them and swap the kernel axes around the conjugated spectrum
-(conjugation family); all inverses carry the 1/(N1 N2) weight.
+where h' is h or conj(h), L and R are the context units f and g in some
+order, cl and cr are the coefficients of (t1, t2) in the two phases,
+and w is 1 forward and 1/(N1 N2) for an inverse.  ``KERNELS`` holds the
+six rows:
 
-``forward_direct``/``inverse_direct`` evaluate the double sum per
-output sample and serve as the in-package reference.  The fast path is
-``data @ A``, two complex FFTs, ``@ B`` with A and B 4x4 matrices.  A
-rotates every sample into the context's orthonormal frame W, so the
-plus and minus coordinates become two C-contiguous complex grids with g
-as the imaginary unit; the signed-axis FFT engine transforms each, and
-B rotates back.  The conjugation family's conjugation rides in A
-(diag(1, -1, -1, -1) W) and every inverse's 1/(N1 N2) weight in B
-(W^T / (N1 N2)), so neither costs a pass over the data.  Each plane
-picks its axis signs from the rule exp(a f) q_pm = q_pm exp(-+ a g),
-which moves both kernels to the same side.  The phase-angle family
-collapses one grid axis per part instead (its plus spectrum is constant
-along k1, its minus spectrum along k2): it transforms the two axis
-sums of ``data @ A`` and returns the sum of the two rotated lines.  So
-its discrete inverse cannot restore a general field; the inverse is
+    family        direction  conj  L  R  cl            cr
+    TWO_SIDED     forward    no    f  g  (-1, 0)       (0, -1)
+    TWO_SIDED     inverse    no    f  g  (1, 0)        (0, 1)
+    PHASE_ANGLE   forward    no    f  g  (-1/2, -1/2)  (-1/2, 1/2)
+    PHASE_ANGLE   inverse    no    f  g  (1/2, 1/2)    (1/2, -1/2)
+    CONJUGATE     forward    yes   g  f  (-1, 0)       (0, -1)
+    CONJUGATE     inverse    yes   f  g  (0, -1)       (-1, 0)
+
+``direct_sum`` evaluates the formula literally; ``forward_direct`` and
+``inverse_direct`` are the in-package reference built on it.
+
+The fast path is ``data @ A``, one complex FFT per split part, ``@ B``,
+with A and B 4x4 matrices.  In the orthonormal frame W of the pair
+(L, R) each part is q_pm = u_pm (x_pm + y_pm R), a complex number with
+R as imaginary unit, and exp(a L) q_pm exp(b R) = q_pm exp((b -+ a) R)
+moves both kernels to the right.  So plane +- sees the coefficients
+cr -+ cl alone, each -1, 0 or +1: a +-1 is a signed FFT along that
+axis, and a 0 makes the plane's spectrum constant along that axis, so
+the axis is summed first and transformed at length 1.  A is W, or
+diag(1, -1, -1, -1) W when h is conjugated; B is W^T times w.  Neither
+the conjugation nor the weight costs a pass over the data.
+
+The phase-angle family is where the zeros fall: forward, its plus plane
+gets (0, 1) and its minus plane (-1, 0), so the plus spectrum is
+constant along k1 and the minus spectrum along k2.  Its discrete
+inverse therefore cannot restore a general field; the inverse is
 evaluated literally all the same and its round-trip defect is reported
 by the verification suite rather than asserted away.
 """
@@ -36,10 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .fftcore import TAU, AxisSigns, fft1, fft2
+from .fftcore import TAU, AxisSigns, fft2
 from .fields import Domain, QuaternionField2D
 from .quat import Quaternion, conj_arr, exp_arr, mul_arr
 from .split import OpsContext, split_arr, swapped_context
@@ -101,217 +110,144 @@ def _require_same_variant(requested: TransformVariant, spectrum: Spectrum) -> No
 
 
 # ---------------------------------------------------------------------------
-# Direct evaluation.  One batched row of outputs at a time: for a fixed
-# output row t1, the phase builders return arrays broadcastable to
-# (n2, n1, n2) indexed (t2, m1, m2), and the quaternion triple product
-# is summed over the full input grid for every t2 at once.  Work per
-# output sample stays proportional to the grid size; no factorization
-# of the kernels is used.
+# The kernel table.
 
-def _direct_apply(H, left_unit, right_unit, lphase, rphase, scale):
+class Kernel(NamedTuple):
+    """One row of the table: h or conj(h) between exp(L cl.t) and exp(R cr.t).
+
+    ``left``/``right`` name the context unit ("f" or "g") on each side;
+    ``cl``/``cr`` are the coefficients of (t1, t2) in each phase.
+    """
+
+    conjugate: bool
+    left: str
+    right: str
+    cl: Tuple[float, float]
+    cr: Tuple[float, float]
+
+
+KERNELS = {
+    (Family.TWO_SIDED, False): Kernel(False, "f", "g", (-1, 0), (0, -1)),
+    (Family.TWO_SIDED, True): Kernel(False, "f", "g", (1, 0), (0, 1)),
+    (Family.PHASE_ANGLE, False): Kernel(False, "f", "g", (-0.5, -0.5), (-0.5, 0.5)),
+    (Family.PHASE_ANGLE, True): Kernel(False, "f", "g", (0.5, 0.5), (0.5, -0.5)),
+    (Family.CONJUGATE, False): Kernel(True, "g", "f", (-1, 0), (0, -1)),
+    (Family.CONJUGATE, True): Kernel(True, "f", "g", (0, -1), (-1, 0)),
+}
+
+
+def _kernel(variant: TransformVariant, inverse: bool):
+    """The table row and the context of its pair (L, R): L is ctx.f, R is ctx.g."""
+    k = KERNELS[variant.family, inverse]
+    ctx = variant.ctx if k.left == "f" else swapped_context(variant.ctx)
+    return k, ctx
+
+
+# ---------------------------------------------------------------------------
+# Direct evaluation.
+
+def direct_sum(H: np.ndarray, left_unit: Quaternion, right_unit: Quaternion,
+               cl, cr) -> np.ndarray:
+    """sum_m exp(left_unit cl.t) H[m] exp(right_unit cr.t) for every output k.
+
+    t = (2 pi m1 k1 / N1, 2 pi m2 k2 / N2).  A one-sided sum is the case
+    where one side's coefficients are (0, 0).  One output row k1 at a
+    time: the phases broadcast to (k2, m1, m2) and the quaternion triple
+    product is summed over the full input grid for every k2 at once, so
+    the work per output sample stays proportional to the grid size and
+    no factorization of the kernels is used.  A term with a zero
+    coefficient is a plain 0, so a kernel without t2 stays (1, m1, 1).
+    """
     n1, n2 = H.shape[:2]
+
+    def phase_terms(c):
+        """c.t = k1 * first + second, each broadcastable to (k2, m1, m2)."""
+        first = (c[0] * TAU * np.arange(n1) / n1)[None, :, None] if c[0] else 0.0
+        second = (np.outer(np.arange(n2), c[1] * TAU * np.arange(n2) / n2)[:, None, :]
+                  if c[1] else 0.0)
+        return first, second
+
+    l1, l2 = phase_terms(cl)
+    r1, r2 = phase_terms(cr)
     out = np.empty((n1, n2, 4))
     Hb = H[None, :, :, :]
-    for t1 in range(n1):
-        L = exp_arr(left_unit, lphase(t1))
-        R = exp_arr(right_unit, rphase(t1))
-        term = mul_arr(mul_arr(L, Hb), R)
-        out[t1] = term.sum(axis=(1, 2))
-    if scale != 1.0:
-        out *= scale
+    for k1 in range(n1):
+        L = exp_arr(left_unit, k1 * l1 + l2)
+        R = exp_arr(right_unit, k1 * r1 + r2)
+        out[k1] = mul_arr(mul_arr(L, Hb), R).sum(axis=(1, 2))
     return out
 
 
-def _direct_twosided(H, left_unit, right_unit, sign, scale, swap_axes=False):
-    """Separable full-angle kernels.
-
-    ``swap_axes`` pairs the left kernel with the second grid axis and
-    the right kernel with the first (the conjugation family's inverse).
-    """
-    n1, n2 = H.shape[:2]
-    a1 = sign * TAU * np.arange(n1) / n1
-    a2 = sign * TAU * np.arange(n2) / n2
-    t2r = np.arange(n2)
-    axis2_grid = np.outer(t2r, a2)[:, None, :]        # (t2, 1, m2)
-
-    if not swap_axes:
-        def lphase(t1):
-            return (t1 * a1)[None, :, None]           # (1, m1, 1)
-
-        def rphase(t1):
-            return axis2_grid
-    else:
-        def lphase(t1):
-            return axis2_grid
-
-        def rphase(t1):
-            return (t1 * a1)[None, :, None]
-
-    return _direct_apply(H, left_unit, right_unit, lphase, rphase, scale)
-
-
-def _direct_phase_angle(H, left_unit, right_unit, sign, scale):
-    """Half-sum / half-difference kernels; phases are not separable."""
-    n1, n2 = H.shape[:2]
-    h1 = sign * TAU / 2.0 * np.arange(n1) / n1
-    h2 = sign * TAU / 2.0 * np.arange(n2) / n2
-    t2r = np.arange(n2)
-    cross = np.outer(t2r, h2)[:, None, :]             # (t2, 1, m2)
-
-    def lphase(t1):
-        return (t1 * h1)[None, :, None] + cross
-
-    def rphase(t1):
-        return (t1 * h1)[None, :, None] - cross
-
-    return _direct_apply(H, left_unit, right_unit, lphase, rphase, scale)
+def _direct(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndarray:
+    k, ctx = _kernel(variant, inverse)
+    out = direct_sum(conj_arr(data) if k.conjugate else data, ctx.f, ctx.g, k.cl, k.cr)
+    n1, n2 = data.shape[:2]
+    if inverse:
+        out *= 1.0 / (n1 * n2)
+    return out
 
 
 def forward_direct(variant: TransformVariant, field: QuaternionField2D) -> Spectrum:
     """Reference forward transform by explicit summation."""
-    ctx = variant.ctx
-    data = field.data
-    if variant.family is Family.TWO_SIDED:
-        out = _direct_twosided(data, ctx.f, ctx.g, -1, 1.0)
-    elif variant.family is Family.PHASE_ANGLE:
-        out = _direct_phase_angle(data, ctx.f, ctx.g, -1, 1.0)
-    elif variant.family is Family.CONJUGATE:
-        out = _direct_twosided(conj_arr(data), ctx.g, ctx.f, -1, 1.0)
-    else:
-        raise ValueError(f"unknown family {variant.family!r}")
+    out = _direct(variant, field.data, inverse=False)
     return Spectrum(QuaternionField2D(out, Domain.FREQUENCY), variant)
 
 
 def inverse_direct(variant: TransformVariant, spectrum: Spectrum) -> QuaternionField2D:
     """Reference inverse transform by explicit summation."""
     _require_same_variant(variant, spectrum)
-    ctx = variant.ctx
-    data = spectrum.data
-    n1, n2 = data.shape[:2]
-    scale = 1.0 / (n1 * n2)
-    if variant.family is Family.TWO_SIDED:
-        out = _direct_twosided(data, ctx.f, ctx.g, +1, scale)
-    elif variant.family is Family.PHASE_ANGLE:
-        out = _direct_phase_angle(data, ctx.f, ctx.g, +1, scale)
-    elif variant.family is Family.CONJUGATE:
-        # forward-signed kernels around the conjugated spectrum, axes swapped
-        out = _direct_twosided(conj_arr(data), ctx.f, ctx.g, -1, scale,
-                               swap_axes=True)
-    else:
-        raise ValueError(f"unknown family {variant.family!r}")
-    return QuaternionField2D(out, Domain.SPATIAL)
+    return QuaternionField2D(_direct(variant, spectrum.data, inverse=True), Domain.SPATIAL)
 
 
 # ---------------------------------------------------------------------------
-# Fast path: data @ A, two complex FFTs, @ B, with A and B 4x4 matrices.
+# Fast path: data @ A, one fft2 per plane, @ B, with A and B 4x4 matrices.
 
 # conj(q) = q @ _CONJ for a row (w, x, y, z)
 _CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-def _to_planes(data, A):
-    """Plus and minus coordinates of ``data @ A`` as complex grids x + iy.
+def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndarray:
+    """The table row through its frame W: plane +- gets signs cr -+ cl.
 
-    ``data @ A`` holds (x+, y+, x-, y-) per sample; each adjacent pair
-    is written straight into its own C-contiguous complex grid.
+    A zero coefficient leaves the plane's spectrum constant along that
+    axis, so the axis is summed first and transformed at length 1.
     """
+    k, ctx = _kernel(variant, inverse)
     n1, n2 = data.shape[:2]
-    flat = data.reshape(n1 * n2, 4)
-    planes = []
-    for p in (0, 2):
-        z = np.empty((n1, n2), dtype=np.complex128)
-        np.matmul(flat, A[:, p:p + 2], out=z.view(np.float64).reshape(n1 * n2, 2))
-        planes.append(z)
-    return planes
-
-
-def _from_planes(plus, minus, B):
-    """(x+, y+, x-, y-) @ B per sample, from the plus and minus grids."""
-    n1, n2 = plus.shape
+    W = ctx.frame
+    A = _CONJ @ W if k.conjugate else W
+    B = W.T / (n1 * n2) if inverse else W.T
+    spectra = []
+    # plane + (columns 0, 1 of A) gets cr - cl, plane - (columns 2, 3) cr + cl
+    for p, s in ((0, -1), (1, 1)):
+        c1, c2 = (int(r + s * l) for l, r in zip(k.cl, k.cr))
+        x = data
+        if c1 == 0:
+            x = x.sum(axis=0, keepdims=True)
+        if c2 == 0:
+            # the sum over m2 as a BLAS product: numpy's strided reduction over
+            # the middle axis is several times slower, and far slower right
+            # after a complex BLAS call
+            x = (np.ones(x.shape[1]) @ x)[:, None, :]
+        plane = (x.reshape(-1, 4) @ A[:, 2 * p:2 * p + 2]).view(np.complex128)
+        spectra.append(fft2(plane.reshape(x.shape[:2]), AxisSigns(c1 or 1, c2 or 1)))
+        # held through the interleave below, a plane would raise the peak memory
+        del plane
     z = np.empty((n1, n2, 2), dtype=np.complex128)
-    z[..., 0] = plus
-    z[..., 1] = minus
+    z[..., 0], z[..., 1] = spectra
     return (z.view(np.float64).reshape(n1 * n2, 4) @ B).reshape(n1, n2, 4)
-
-
-def _fast_twosided_apply(data, A, B, s_left, s_right, left_axis, right_axis):
-    """A two-sided sum through FFTs: ``data @ A``, one fft2 per plane, ``@ B``.
-
-    With A = W (the frame) and B = W^T this is
-    sum_m exp(s_left f t_L) data[m] exp(s_right g t_R); A may also
-    conjugate the samples and B weight the result.  t_L and t_R are the
-    full-angle phases of the grid axes named by left_axis/right_axis.
-    Each split part turns into one complex transform; the left kernel
-    crosses the sample at the price of a sign that differs between the
-    planes.
-    """
-    plus, minus = _to_planes(data, A)
-    signs_p = [0, 0]
-    signs_m = [0, 0]
-    signs_p[left_axis] = -s_left
-    signs_p[right_axis] = s_right
-    signs_m[left_axis] = s_left
-    signs_m[right_axis] = s_right
-    plus = fft2(plus, AxisSigns(*signs_p))
-    minus = fft2(minus, AxisSigns(*signs_m))
-    return _from_planes(plus, minus, B)
-
-
-def _fast_phase_angle(data, A, B, forward):
-    """Phase-angle family: each part collapses to a single-axis transform.
-
-    The plus part only needs the sums of its plane over m1 and the minus
-    part its sums over m2, which are the sums of the samples times A.
-    The spectrum is the broadcast sum of the two transformed lines times B.
-    """
-    n1, n2 = data.shape[:2]
-    sign = 1 if forward else -1
-    # the sum over m2 as a BLAS product: numpy's strided reduction over the
-    # middle axis is several times slower, and far slower right after a
-    # complex BLAS call
-    line_plus = (data.sum(axis=0) @ A[:, 0:2]).view(np.complex128)[:, 0]
-    line_minus = (np.ones(n2) @ data @ A[:, 2:4]).view(np.complex128)[:, 0]
-    line_plus = fft1(line_plus, sign, axis=0).view(np.float64).reshape(n2, 2) @ B[0:2]
-    line_minus = fft1(line_minus, -sign, axis=0).view(np.float64).reshape(n1, 2) @ B[2:4]
-    return line_minus[:, None, :] + line_plus[None, :, :]
 
 
 def forward_fast(variant: TransformVariant, field: QuaternionField2D) -> Spectrum:
     """FFT-backed forward transform; agrees with ``forward_direct``."""
-    ctx = variant.ctx
-    data = field.data
-    W = ctx.frame
-    if variant.family is Family.TWO_SIDED:
-        out = _fast_twosided_apply(data, W, W.T, -1, -1, 0, 1)
-    elif variant.family is Family.PHASE_ANGLE:
-        out = _fast_phase_angle(data, W, W.T, forward=True)
-    elif variant.family is Family.CONJUGATE:
-        W = swapped_context(ctx).frame
-        out = _fast_twosided_apply(data, _CONJ @ W, W.T, -1, -1, 0, 1)
-    else:
-        raise ValueError(f"unknown family {variant.family!r}")
+    out = _fast(variant, field.data, inverse=False)
     return Spectrum(QuaternionField2D(out, Domain.FREQUENCY), variant)
 
 
 def inverse_fast(variant: TransformVariant, spectrum: Spectrum) -> QuaternionField2D:
     """FFT-backed inverse transform; agrees with ``inverse_direct``."""
     _require_same_variant(variant, spectrum)
-    ctx = variant.ctx
-    data = spectrum.data
-    n1, n2 = data.shape[:2]
-    W = ctx.frame
-    back = W.T / (n1 * n2)
-    if variant.family is Family.TWO_SIDED:
-        out = _fast_twosided_apply(data, W, back, +1, +1, 0, 1)
-    elif variant.family is Family.PHASE_ANGLE:
-        out = _fast_phase_angle(data, W, back, forward=False)
-    elif variant.family is Family.CONJUGATE:
-        # forward-signed kernels around the conjugated spectrum, axes swapped
-        out = _fast_twosided_apply(data, _CONJ @ W, back, -1, -1,
-                                   left_axis=1, right_axis=0)
-    else:
-        raise ValueError(f"unknown family {variant.family!r}")
-    return QuaternionField2D(out, Domain.SPATIAL)
+    return QuaternionField2D(_fast(variant, spectrum.data, inverse=True), Domain.SPATIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -335,16 +271,14 @@ def transform_commutes_with_split(variant: TransformVariant,
                                   tolerance: float = 1e-10) -> CommutationReport:
     """Check that transforming and splitting can be done in either order.
 
-    The spectrum side splits with respect to (f, g) for the two-sided
-    and phase-angle families and with respect to the reversed pair for
-    the conjugation family.  Residuals and ``tolerance`` are relative to
+    The spectrum side splits with respect to the forward kernel's pair
+    (L, R): (f, g) for the two-sided and phase-angle families and the
+    reversed pair for the conjugation family.  Residuals and ``tolerance`` are relative to
     the RMS sample norm of the full spectrum, so the verdict does not
     depend on the scale of the field.
     """
     full = forward_fast(variant, field)
-    spectrum_ctx = (swapped_context(variant.ctx)
-                    if variant.family is Family.CONJUGATE else variant.ctx)
-    spectrum_plus, spectrum_minus = split_arr(spectrum_ctx, full.data)
+    spectrum_plus, spectrum_minus = split_arr(_kernel(variant, False)[1], full.data)
     part_plus, part_minus = split_spectra(variant, field)
     scale = max(float(np.sqrt(np.mean(np.sum(full.data ** 2, axis=-1)))), 1e-300)
     residual_plus = float(np.max(np.abs(spectrum_plus - part_plus.data))) / scale

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .fields import Domain, QuaternionField2D
+from .fields import QuaternionField2D
 from .quat import (
     ONE,
     QI,
@@ -31,11 +31,8 @@ from .quat import (
     Quaternion,
     conj,
     conj_arr,
-    exp_arr,
     exp_pure,
-    inner,
     mul,
-    mul_arr,
     norm,
     scalar_part,
 )
@@ -53,6 +50,7 @@ from .transform import (
     Family,
     Spectrum,
     TransformVariant,
+    direct_sum,
     forward_direct,
     forward_fast,
     inverse_direct,
@@ -267,37 +265,6 @@ def check_phase_factor_commutation(rng, samples=1000) -> CheckResult:
     return CheckResult("split/phase-commutation", worst, 1e-12)
 
 
-def _direct_right_sum(part: np.ndarray, unit: Quaternion, phase_sign_axis1,
-                      phase_sign_axis2) -> np.ndarray:
-    """sum_m part[m] exp(unit * (s1 t1 + s2 t2)) with ti the full angles."""
-    n1, n2 = part.shape[:2]
-    out = np.empty((n1, n2, 4))
-    m1 = np.arange(n1)[:, None]
-    m2 = np.arange(n2)[None, :]
-    for k1 in range(n1):
-        for k2 in range(n2):
-            phase = (phase_sign_axis1 * TAU * m1 * k1 / n1
-                     + phase_sign_axis2 * TAU * m2 * k2 / n2)
-            kern = exp_arr(unit, phase)
-            out[k1, k2] = mul_arr(part, kern).sum(axis=(0, 1))
-    return out
-
-
-def _direct_left_sum(part: np.ndarray, unit: Quaternion, phase_sign_axis1,
-                     phase_sign_axis2) -> np.ndarray:
-    n1, n2 = part.shape[:2]
-    out = np.empty((n1, n2, 4))
-    m1 = np.arange(n1)[:, None]
-    m2 = np.arange(n2)[None, :]
-    for k1 in range(n1):
-        for k2 in range(n2):
-            phase = (phase_sign_axis1 * TAU * m1 * k1 / n1
-                     + phase_sign_axis2 * TAU * m2 * k2 / n2)
-            kern = exp_arr(unit, phase)
-            out[k1, k2] = mul_arr(kern, part).sum(axis=(0, 1))
-    return out
-
-
 def check_split_part_forms(rng, sizes=((4, 4), (8, 8)), n_fields=2) -> List[CheckResult]:
     """Each part spectrum has equal one-sided left and right evaluations.
 
@@ -319,6 +286,7 @@ def check_split_part_forms(rng, sizes=((4, 4), (8, 8)), n_fields=2) -> List[Chec
     results = []
     for label, family, ctx in cases:
         variant = TransformVariant(family, ctx)
+        L, R = (ctx.f, ctx.g) if family is Family.TWO_SIDED else (ctx.g, ctx.f)
         worst = 0.0
         for n1, n2 in sizes:
             for _ in range(n_fields):
@@ -327,13 +295,9 @@ def check_split_part_forms(rng, sizes=((4, 4), (8, 8)), n_fields=2) -> List[Chec
                 full = forward_direct(variant, h).data
                 part_spectra = []
                 for part, s in ((plus, +1), (minus, -1)):
-                    if family is Family.TWO_SIDED:
-                        right = _direct_right_sum(part, ctx.g, s * 1, -1)
-                        left = _direct_left_sum(part, ctx.f, -1, s * 1)
-                    else:
-                        cpart = conj_arr(part)
-                        right = _direct_right_sum(cpart, ctx.f, s * 1, -1)
-                        left = _direct_left_sum(cpart, ctx.g, -1, s * 1)
+                    kernel_part = part if family is Family.TWO_SIDED else conj_arr(part)
+                    right = direct_sum(kernel_part, L, R, (0, 0), (s, -1))
+                    left = direct_sum(kernel_part, L, R, (-1, s), (0, 0))
                     via_transform = forward_direct(
                         variant, QuaternionField2D(part)).data
                     worst = max(worst,
@@ -371,10 +335,10 @@ def check_phase_angle_structure(rng, sizes=((4, 4), (8, 8)), n_fields=2) -> List
             worst_const = max(worst_const,
                               _max_abs(fplus - fplus[:1, :, :]),
                               _max_abs(fminus - fminus[:, :1, :]))
-            right_plus = _direct_right_sum(plus, ctx.g, 0, +1)
-            left_plus = _direct_left_sum(plus, ctx.f, 0, -1)
-            right_minus = _direct_right_sum(minus, ctx.g, -1, 0)
-            left_minus = _direct_left_sum(minus, ctx.f, -1, 0)
+            right_plus = direct_sum(plus, ctx.f, ctx.g, (0, 0), (0, +1))
+            left_plus = direct_sum(plus, ctx.f, ctx.g, (0, -1), (0, 0))
+            right_minus = direct_sum(minus, ctx.f, ctx.g, (0, 0), (-1, 0))
+            left_minus = direct_sum(minus, ctx.f, ctx.g, (-1, 0), (0, 0))
             worst_forms = max(worst_forms,
                               _max_abs(right_plus - left_plus),
                               _max_abs(right_minus - left_minus),

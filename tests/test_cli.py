@@ -232,6 +232,20 @@ def test_trailing_bytes_exit_3(tmp_path, capsys):
     assert "byte 528" in capsys.readouterr().err
 
 
+def test_non_finite_sample_exit_3(tmp_path, capsys):
+    a = tmp_path / "a.qf2d"
+    s = tmp_path / "s.qf2d"
+    data = np.random.default_rng(SEED + 14).standard_normal((4, 6, 4))
+    data[1, 2, 3] = np.nan
+    write_field(QuaternionField2D(data), a)
+    assert main(["transform", "--variant", "twosided", "--f", "1,0,0",
+                 "--g", "0,1,0", "--in", str(a), "--out", str(s)]) == 3
+    assert "byte 296" in capsys.readouterr().err
+    assert not s.exists()
+    assert main(["info", "--in", str(a)]) == 3
+    assert "byte 296" in capsys.readouterr().err
+
+
 def test_invalid_frame_exit_2(capsys):
     rc = main(["planes", "--a", "1,0,0", "--b", "1,0,0", "--c", "0,0,1",
                "--d", "scalar"])

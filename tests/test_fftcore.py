@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import opsqft
-from opsqft.fftcore import AxisSigns, dft2_direct, fft1, fft2
+from opsqft.fftcore import AxisSigns, fft1, fft2
 
 SEED = 77103
 
@@ -44,13 +44,22 @@ def test_fft2_matches_numpy():
         assert np.max(np.abs(got - n1 * n2 * np.fft.ifft2(x))) < 1e-11
 
 
+def signed_numpy(x, sign, axis):
+    """numpy's transform along ``axis`` with exponent sign ``sign``."""
+    if sign < 0:
+        return np.fft.fft(x, axis=axis)
+    return x.shape[axis] * np.fft.ifft(x, axis=axis)
+
+
 def test_fft2_mixed_signs():
     rng = np.random.default_rng(SEED + 3)
-    x = rand_c(rng, (8, 6))
-    want = np.fft.fft(6 * np.fft.ifft(x, axis=1), axis=0)
-    assert np.max(np.abs(fft2(x, AxisSigns(-1, 1)) - want)) < 1e-11
-    want = 8 * np.fft.ifft(np.fft.fft(x, axis=1), axis=0)
-    assert np.max(np.abs(fft2(x, AxisSigns(1, -1)) - want)) < 1e-11
+    cases = [(rand_c(rng, (8, 6)), ((-1, 1), (1, -1)))]
+    cases += [(rand_c(rng, shape), ((-1, -1), (1, 1), (-1, 1)))
+              for shape in ((2, 3), (4, 4), (5, 8))]
+    for x, sign_pairs in cases:
+        for s1, s2 in sign_pairs:
+            want = signed_numpy(signed_numpy(x, s2, axis=1), s1, axis=0)
+            assert np.max(np.abs(fft2(x, AxisSigns(s1, s2)) - want)) < 1e-11
 
 
 def test_power_of_two_and_dense_paths_agree():
@@ -80,16 +89,6 @@ def test_delta_and_constant_inputs():
     want = np.zeros((4, 4), dtype=complex)
     want[0, 0] = 2.5 * 16
     assert np.max(np.abs(got - want)) < 1e-13
-
-
-def test_dft2_direct_agrees_with_fft2():
-    rng = np.random.default_rng(SEED + 6)
-    for shape in ((2, 3), (4, 4), (5, 8)):
-        x = rand_c(rng, shape)
-        for signs in ((-1, -1), (1, 1), (-1, 1)):
-            a = dft2_direct(x, AxisSigns(*signs))
-            b = fft2(x, AxisSigns(*signs))
-            assert np.max(np.abs(a - b)) < 1e-11
 
 
 def test_rejects_bad_signs():

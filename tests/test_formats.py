@@ -12,6 +12,7 @@ from opsqft.formats import (
     BadVersion,
     IoFailure,
     MalformedHeader,
+    NonFiniteSample,
     TrailingBytes,
     TruncatedPayload,
     UnsupportedFormat,
@@ -93,6 +94,20 @@ def test_read_rejects_bytes_after_payload(tmp_path):
     # the payload ends at 16 + 32 * 2 * 3
     with pytest.raises(TrailingBytes, match="byte 208"):
         read_field(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_rejects_non_finite_samples(tmp_path, bad):
+    p = tmp_path / "nonfinite.qf2d"
+    data = np.ones((4, 6, 4))
+    data[1, 2, 3] = bad
+    data[3, 5, 0] = bad
+    write_field(QuaternionField2D(data), p)
+    # the first one is float64 number (1 * 6 + 2) * 4 + 3 = 35 of the payload
+    with pytest.raises(NonFiniteSample, match="byte 296") as err:
+        read_field(p)
+    assert err.value.offset == 16 + 8 * 35
+    assert "sample [1, 2] component 3" in str(err.value)
 
 
 def test_failed_write_keeps_target_and_leaves_no_temporary(tmp_path, monkeypatch):

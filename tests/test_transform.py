@@ -83,7 +83,8 @@ def test_inverse_direct_matches_scalar_reference():
 def test_fast_matches_direct():
     rng = np.random.default_rng(SEED + 2)
     for ctx in context_zoo(rng):
-        for n1, n2 in ((1, 1), (2, 3), (4, 4), (4, 6), (5, 5), (8, 8)):
+        for n1, n2 in ((1, 1), (1, 5), (5, 1), (2, 3), (4, 4), (4, 6), (5, 5),
+                       (7, 12), (8, 8)):
             h = rand_field(rng, n1, n2)
             for family in Family:
                 variant = TransformVariant(family, ctx)
