@@ -13,8 +13,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .fields import Domain, QuaternionField2D
 from .formats import (
     HEADER,
@@ -25,12 +23,11 @@ from .formats import (
     export_magnitude_pgm,
     write_field,
 )
-from .quat import ONE, PureUnitQuaternion, Quaternion
+from .quat import ONE, PureUnitQuaternion, Quaternion, norm_arr
 from .split import (
     DegenerateContext,
     InvalidFrame,
     PlaneAssignment,
-    coefficients,
     coefficients_arr,
     determine_context,
     make_context,
@@ -144,11 +141,9 @@ def _cmd_coeffs(args) -> int:
     ctx = make_context(parse_pure_unit(args.f, "--f"), parse_pure_unit(args.g, "--g"))
     if (args.q is None) == (args.infile is None):
         raise UsageError("coeffs: give exactly one of --q or --in")
-    if args.q is not None:
-        rows = [coefficients(ctx, parse_full_quaternion(args.q, "--q"))]
-    else:
-        rows = coefficients_arr(ctx, read_field(args.infile).data).reshape(-1, 4)
-    for row in rows:
+    data = (parse_full_quaternion(args.q, "--q").to_array() if args.q is not None
+            else read_field(args.infile).data)
+    for row in coefficients_arr(ctx, data).reshape(-1, 4):
         print(" ".join(_fmt(c) for c in row))
     return 0
 
@@ -194,8 +189,7 @@ def _cmd_info(args) -> int:
     print(f"n1 = {field.n1}")
     print(f"n2 = {field.n2}")
     print(f"samples = {field.n1 * field.n2}")
-    mags = np.sqrt(np.sum(field.data * field.data, axis=-1))
-    print(f"max_norm = {_fmt(float(mags.max()))}")
+    print(f"max_norm = {_fmt(float(norm_arr(field.data).max()))}")
     return 0
 
 

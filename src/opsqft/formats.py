@@ -76,14 +76,28 @@ class IoFailure(FileFormatError):
         self.cause = cause
 
 
+def _require_finite(path, data: np.ndarray) -> None:
+    """Raise ``NonFiniteSample`` at the first NaN or infinite component."""
+    finite = np.isfinite(data)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        n, c = divmod(i, 4)
+        n2 = data.shape[1]
+        raise NonFiniteSample(path, HEADER.size + 8 * i,
+                              f"sample [{n // n2}, {n % n2}] component {c} "
+                              f"is {data.reshape(-1)[i]}")
+
+
 def write_field(field: QuaternionField2D, path) -> None:
     """Write ``field`` as QF2D; a file already at ``path`` is replaced whole or kept.
 
     The bytes go to a temporary file beside the file ``path`` resolves to,
     which is renamed over it (a symbolic link at ``path`` stays a link),
-    and the temporary file is removed if any step fails.
+    and the temporary file is removed if any step fails.  A non-finite
+    sample raises ``NonFiniteSample`` before anything is written.
     """
     payload = np.ascontiguousarray(field.data, dtype="<f8")
+    _require_finite(path, payload)
     target = os.path.realpath(path)
     tmp = f"{target}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
     try:
@@ -133,12 +147,7 @@ def read_field(path, domain: Domain = Domain.SPATIAL) -> QuaternionField2D:
     if got < expected:
         raise TruncatedPayload(path, HEADER.size + got,
                                f"payload needs {expected} bytes, got {got}")
-    if not np.isfinite(data).all():
-        i = int(np.argmin(np.isfinite(data)))
-        n, c = divmod(i, 4)
-        raise NonFiniteSample(path, HEADER.size + 8 * i,
-                              f"sample [{n // n2}, {n % n2}] component {c} "
-                              f"is {data.reshape(-1)[i]}")
+    _require_finite(path, data)
     return QuaternionField2D(data, domain)
 
 

@@ -185,13 +185,11 @@ def conj_arr(q: np.ndarray) -> np.ndarray:
 
 
 def norm_arr(q: np.ndarray) -> np.ndarray:
-    """Per-sample Euclidean length; shape (...,)."""
-    return np.sqrt(np.sum(q * q, axis=-1))
-
-
-def dot_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-sample R^4 inner product; shape (...,)."""
-    return np.sum(p * q, axis=-1)
+    """Per-sample Euclidean length, shape (...,); finite wherever it fits,
+    as each sample is scaled by its largest component before squaring."""
+    peak = np.max(np.abs(q), axis=-1)
+    unit = q / np.where(peak > 0.0, peak, 1.0)[..., None]
+    return peak * np.sqrt(np.sum(unit * unit, axis=-1))
 
 
 def exp_arr(f: Quaternion, angles: np.ndarray) -> np.ndarray:

@@ -14,8 +14,13 @@ plane is its orthogonal complement; for g = -f the roles swap.
 Right multiplication by g maps each plane onto itself for every pair,
 degenerate or not, so each plane is a copy of the complex numbers with
 g as the imaginary unit.  An ``OpsContext`` carries the pair, the
-paper's plane bases, and one orthonormal 4x4 frame realizing both
+paper's plane bases, and one orthonormal 4x4 frame W realizing both
 copies at once.
+
+The split parts are the projections q P+- onto the planes, with
+P+ = W[:, :2] W[:, :2]^T and P- = W[:, 2:] W[:, 2:]^T.  Each map here is
+one 4x4 product on (..., 4) arrays, finite wherever the data is; each
+scalar function is its one-sample case, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,9 +41,7 @@ from .quat import (
     conj,
     exp_pure,
     inner,
-    inverse,
     mul,
-    mul_arr,
     norm,
     scalar_part,
 )
@@ -147,60 +150,53 @@ def swapped_context(ctx: OpsContext) -> OpsContext:
     return make_context(ctx.g, ctx.f)
 
 
-def split(ctx: OpsContext, q: Quaternion) -> SplitParts:
-    """q_pm = (q +- f q g) / 2; plus + minus restores q."""
-    h = mul(mul(ctx.f, q), ctx.g)
-    return SplitParts(0.5 * (q + h), 0.5 * (q - h))
+def _times(data: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``data @ m`` for a (..., 4) array, with bits that do not depend on
+    the batch a sample sits in (``matmul``'s do)."""
+    return np.einsum("...i,ij->...j", data, m)
+
+
+def _basis_rows(ctx: OpsContext, message: str) -> np.ndarray:
+    """Rows 1+fg, f-g, 1-fg, f+g; g = +-f makes one vanish and raises."""
+    if ctx.degenerate:
+        raise DegenerateContext(message)
+    return np.array([b.to_array() for b in ctx.basis_plus + ctx.basis_minus])
 
 
 def split_arr(ctx: OpsContext, data: np.ndarray):
-    """Vectorized split of a (..., 4) array; returns (plus, minus)."""
-    f4 = ctx.f.to_array()
-    g4 = ctx.g.to_array()
-    h = mul_arr(mul_arr(f4, data), g4)
-    return 0.5 * (data + h), 0.5 * (data - h)
+    """(plus, minus) of a (..., 4) array: ``data @ P+`` and ``data @ P-``."""
+    w = ctx.frame
+    return _times(data, w[:, :2] @ w[:, :2].T), _times(data, w[:, 2:] @ w[:, 2:].T)
+
+
+def split(ctx: OpsContext, q: Quaternion) -> SplitParts:
+    """q_pm = (q +- f q g) / 2; plus + minus restores q."""
+    plus, minus = split_arr(ctx, q.to_array())
+    return SplitParts(Quaternion.from_array(plus), Quaternion.from_array(minus))
 
 
 def half_turn(ctx: OpsContext, q: Quaternion) -> Quaternion:
-    """f q g: fixes the plus plane, negates the minus plane; an involution."""
-    return mul(mul(ctx.f, q), ctx.g)
+    """f q g = q_plus - q_minus; an involution."""
+    plus, minus = split_arr(ctx, q.to_array())
+    return Quaternion.from_array(plus - minus)
 
 
 def coefficients(ctx: OpsContext, q: Quaternion):
-    """Coordinates (q1, q2, q3, q4) of q in the split basis.
-
-    q = q1 (1+fg) + q2 (f-g) + q3 (1-fg) + q4 (f+g), each coordinate
-    obtained as the scalar part of q times the inverse basis element.
-    Undefined for degenerate contexts, where 1+fg or 1-fg vanishes.
-    """
-    if ctx.degenerate:
-        raise DegenerateContext("coefficients need g != +-f")
-    q1 = scalar_part(mul(q, inverse(ctx.basis_plus[0])))
-    q2 = scalar_part(mul(q, inverse(ctx.basis_plus[1])))
-    q3 = scalar_part(mul(q, inverse(ctx.basis_minus[0])))
-    q4 = scalar_part(mul(q, inverse(ctx.basis_minus[1])))
-    return q1, q2, q3, q4
+    """(q1, q2, q3, q4) with q = q1 (1+fg) + q2 (f-g) + q3 (1-fg) + q4 (f+g)."""
+    return tuple(float(c) for c in coefficients_arr(ctx, q.to_array()))
 
 
 def coefficients_arr(ctx: OpsContext, data: np.ndarray) -> np.ndarray:
-    """Vectorized ``coefficients`` of a (..., 4) array; returns (..., 4).
-
-    The scalar part of q inv(b) is <q, b> / |b|^2, so the coordinates are
-    ``data @ C`` with column i of C the basis element b_i over its
-    squared norm.
-    """
-    if ctx.degenerate:
-        raise DegenerateContext("coefficients need g != +-f")
-    basis = ctx.basis_plus + ctx.basis_minus
-    return data @ np.column_stack([b.to_array() / norm(b) ** 2 for b in basis])
+    """``coefficients`` of a (..., 4) array: ``data @ C``, column i of C
+    being b_i / |b_i|^2 for the orthogonal basis b."""
+    rows = _basis_rows(ctx, "coefficients need g != +-f")
+    return _times(data, rows.T / np.sum(rows * rows, axis=1))
 
 
 def reconstruct(ctx: OpsContext, q1: float, q2: float, q3: float, q4: float) -> Quaternion:
-    """Inverse of ``coefficients``: assemble q from its four coordinates."""
-    if ctx.degenerate:
-        raise DegenerateContext("reconstruct needs g != +-f")
-    return (q1 * ctx.basis_plus[0] + q2 * ctx.basis_plus[1]
-            + q3 * ctx.basis_minus[0] + q4 * ctx.basis_minus[1])
+    """Inverse of ``coefficients``: (q1, q2, q3, q4) @ B, B's rows the basis."""
+    rows = _basis_rows(ctx, "reconstruct needs g != +-f")
+    return Quaternion.from_array(_times(np.array([q1, q2, q3, q4], dtype=np.float64), rows))
 
 
 def rotate_split(ctx: OpsContext, q: Quaternion, alpha: float, beta: float) -> Quaternion:

@@ -1,5 +1,8 @@
 """Drives the CLI in-process through cli.main(argv)."""
 
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -59,16 +62,21 @@ def test_transform_fast_and_direct_agree(tmp_path):
 
 
 def test_split_writes_complementary_parts(tmp_path):
-    rng = np.random.default_rng(SEED + 2)
-    a = tmp_path / "a.qf2d"
-    field = write_random_field(a, rng)
-    plus = tmp_path / "p.qf2d"
-    minus = tmp_path / "m.qf2d"
-    rc = main(["split", "--f", "1,0,0", "--g", "0,0,1",
-               "--in", str(a), "--out-plus", str(plus), "--out-minus", str(minus)])
-    assert rc == 0
-    total = read_field(plus).data + read_field(minus).data
-    assert np.max(np.abs(total - field.data)) < 1e-14
+    # near the top of the doubles q +- f q g overflows though both parts fit:
+    # at 1e308 the draws are scaled so that the largest component is 1.7e308
+    for scale in (1.0, 1e308):
+        rng = np.random.default_rng(SEED + 2)
+        a = tmp_path / f"a{scale:g}.qf2d"
+        data = rng.standard_normal((4, 4, 4))
+        data *= min(scale, 1.7e308 / np.max(np.abs(data)))
+        write_field(QuaternionField2D(data), a)
+        plus = tmp_path / f"p{scale:g}.qf2d"
+        minus = tmp_path / f"m{scale:g}.qf2d"
+        rc = main(["split", "--f", "1,0,0", "--g", "0,0,1",
+                   "--in", str(a), "--out-plus", str(plus), "--out-minus", str(minus)])
+        assert rc == 0
+        total = read_field(plus).data + read_field(minus).data
+        assert np.max(np.abs(total - data)) < 1e-14 * scale
 
 
 def test_planes_hand_frame_output(capsys):
@@ -183,13 +191,19 @@ def test_import_export_images(tmp_path):
 
 
 def test_info_prints_header(tmp_path, capsys):
-    a = tmp_path / "a.qf2d"
-    write_random_field(a, np.random.default_rng(SEED + 5), 5, 7)
-    assert main(["info", "--in", str(a)]) == 0
-    out = capsys.readouterr().out
-    assert "magic = QF2D" in out
-    assert "n1 = 5" in out
-    assert "n2 = 7" in out
+    unit = np.random.default_rng(SEED + 5).standard_normal((5, 7, 4))
+    peak = np.max(np.sqrt(np.sum(unit * unit, axis=-1)))
+    # at 1e307 the largest norm fits a double but its square does not
+    for scale in (1.0, 1e307):
+        a = tmp_path / f"a{scale:g}.qf2d"
+        write_field(QuaternionField2D(scale * unit), a)
+        assert main(["info", "--in", str(a)]) == 0
+        out = capsys.readouterr().out
+        assert "magic = QF2D" in out
+        assert "n1 = 5" in out
+        assert "n2 = 7" in out
+        max_norm = float(out.split("max_norm = ")[1].split()[0])
+        assert max_norm == pytest.approx(scale * peak, rel=1e-14)
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -237,13 +251,25 @@ def test_non_finite_sample_exit_3(tmp_path, capsys):
     s = tmp_path / "s.qf2d"
     data = np.random.default_rng(SEED + 14).standard_normal((4, 6, 4))
     data[1, 2, 3] = np.nan
-    write_field(QuaternionField2D(data), a)
+    a.write_bytes(b"QF2D" + struct.pack("<III", 1, 4, 6) + data.astype("<f8").tobytes())
     assert main(["transform", "--variant", "twosided", "--f", "1,0,0",
                  "--g", "0,1,0", "--in", str(a), "--out", str(s)]) == 3
     assert "byte 296" in capsys.readouterr().err
     assert not s.exists()
     assert main(["info", "--in", str(a)]) == 3
     assert "byte 296" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_transform_overflow_exit_3(tmp_path, capsys):
+    # a finite field whose spectrum overflows: the writer refuses it, the file is never made
+    a = tmp_path / "a.qf2d"
+    s = tmp_path / "s.qf2d"
+    write_field(QuaternionField2D(np.full((4, 4, 4), 1e308)), a)
+    assert main(["transform", "--variant", "twosided", "--f", "1,0,0",
+                 "--g", "0,1,0", "--in", str(a), "--out", str(s)]) == 3
+    assert "byte 16" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["a.qf2d"]
 
 
 def test_invalid_frame_exit_2(capsys):

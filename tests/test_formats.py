@@ -102,12 +102,23 @@ def test_read_rejects_non_finite_samples(tmp_path, bad):
     data = np.ones((4, 6, 4))
     data[1, 2, 3] = bad
     data[3, 5, 0] = bad
-    write_field(QuaternionField2D(data), p)
+    p.write_bytes(b"QF2D" + struct.pack("<III", 1, 4, 6) + data.astype("<f8").tobytes())
     # the first one is float64 number (1 * 6 + 2) * 4 + 3 = 35 of the payload
     with pytest.raises(NonFiniteSample, match="byte 296") as err:
         read_field(p)
     assert err.value.offset == 16 + 8 * 35
     assert "sample [1, 2] component 3" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_rejects_non_finite_samples(tmp_path, bad):
+    # the writer refuses what the reader would refuse, before any file exists
+    data = np.ones((4, 6, 4))
+    data[1, 2, 3] = bad
+    with pytest.raises(NonFiniteSample, match="byte 296") as err:
+        write_field(QuaternionField2D(data), tmp_path / "nonfinite.qf2d")
+    assert "sample [1, 2] component 3" in str(err.value)
+    assert os.listdir(tmp_path) == []
 
 
 def test_failed_write_keeps_target_and_leaves_no_temporary(tmp_path, monkeypatch):
@@ -301,15 +312,17 @@ def test_export_zero_field(tmp_path):
 
 
 def test_export_normalizes_to_peak(tmp_path):
-    data = np.zeros((2, 2, 4))
-    data[0, 0, 1] = 3.0
-    data[1, 1, 2] = 1.5
-    p = tmp_path / "m.pgm"
-    export_magnitude_pgm(QuaternionField2D(data), p)
-    img = read_pgm(p)
-    assert img[0, 0] == 255
-    assert img[1, 1] == 128  # 1.5 / 3 * 255 rounded
-    assert img[0, 1] == 0
+    # at 5e307 the peak norm 1.5e308 fits a double but its square does not
+    for scale in (1.0, 5e307):
+        data = np.zeros((2, 2, 4))
+        data[0, 0, 1] = 3.0 * scale
+        data[1, 1, 2] = 1.5 * scale
+        p = tmp_path / f"m{scale:g}.pgm"
+        export_magnitude_pgm(QuaternionField2D(data), p)
+        img = read_pgm(p)
+        assert img[0, 0] == 255
+        assert img[1, 1] == 128  # 1.5 / 3 * 255 rounded
+        assert img[0, 1] == 0
 
 
 def test_export_centered_moves_origin(tmp_path):

@@ -14,7 +14,6 @@ from opsqft.quat import (
     ZeroQuaternion,
     conj,
     conj_arr,
-    dot_arr,
     exp_arr,
     exp_pure,
     inner,
@@ -185,11 +184,9 @@ def test_mul_arr_broadcasts():
 def test_conj_norm_dot_arr():
     rng = np.random.default_rng(SEED + 9)
     p = rng.standard_normal((6, 4))
-    q = rng.standard_normal((6, 4))
     assert np.array_equal(conj_arr(p), p * np.array([1.0, -1, -1, -1]))
     assert norm_arr(p).shape == (6,)
     assert np.allclose(norm_arr(p), np.sqrt((p * p).sum(axis=-1)), atol=1e-15)
-    assert np.allclose(dot_arr(p, q), (p * q).sum(axis=-1), atol=1e-13)
 
 
 def test_exp_arr_matches_exp_pure():
