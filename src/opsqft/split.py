@@ -182,7 +182,8 @@ def half_turn(ctx: OpsContext, q: Quaternion) -> Quaternion:
 
 
 def coefficients(ctx: OpsContext, q: Quaternion):
-    """(q1, q2, q3, q4) with q = q1 (1+fg) + q2 (f-g) + q3 (1-fg) + q4 (f+g)."""
+    """(q1, q2, q3, q4) with q = q1 (1+fg) + q2 (f-g) + q3 (1-fg) + q4 (f+g);
+    raises ``DegenerateContext`` for g = +-f, where 1+fg or 1-fg vanishes."""
     return tuple(float(c) for c in coefficients_arr(ctx, q.to_array()))
 
 

@@ -187,6 +187,9 @@ def test_conj_norm_dot_arr():
     assert np.array_equal(conj_arr(p), p * np.array([1.0, -1, -1, -1]))
     assert norm_arr(p).shape == (6,)
     assert np.allclose(norm_arr(p), np.sqrt((p * p).sum(axis=-1)), atol=1e-15)
+    # the squares of 1e300-sized components overflow; the norms do not
+    assert np.allclose(norm_arr(1e300 * p), 1e300 * norm_arr(p), rtol=1e-15, atol=0.0)
+    assert norm_arr(np.zeros(4)) == 0.0
 
 
 def test_exp_arr_matches_exp_pure():
