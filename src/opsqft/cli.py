@@ -13,6 +13,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .fields import Domain, QuaternionField2D
 from .formats import (
     HEADER,
@@ -114,17 +116,20 @@ def _variant(args) -> TransformVariant:
 
 def _cmd_transform(args) -> int:
     variant = _variant(args)
-    if args.inverse:
-        field = read_field(args.infile, domain=Domain.FREQUENCY)
-        spectrum = Spectrum(field, variant)
-        apply_ = inverse_direct if args.direct else inverse_fast
-        out = apply_(variant, spectrum)
-        write_field(out, args.outfile)
-    else:
-        field = read_field(args.infile, domain=Domain.SPATIAL)
-        apply_ = forward_direct if args.direct else forward_fast
-        out = apply_(variant, field)
-        write_field(out.field, args.outfile)
+    # numpy stays quiet on overflow: write_field refuses a non-finite result
+    # with the command's one diagnostic
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.inverse:
+            field = read_field(args.infile, domain=Domain.FREQUENCY)
+            spectrum = Spectrum(field, variant)
+            apply_ = inverse_direct if args.direct else inverse_fast
+            out = apply_(variant, spectrum)
+            write_field(out, args.outfile)
+        else:
+            field = read_field(args.infile, domain=Domain.SPATIAL)
+            apply_ = forward_direct if args.direct else forward_fast
+            out = apply_(variant, field)
+            write_field(out.field, args.outfile)
     return 0
 
 

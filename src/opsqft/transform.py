@@ -26,18 +26,19 @@ with A and B 4x4 matrices.  In the orthonormal frame W of the pair
 (L, R) each part is q_pm = u_pm (x_pm + y_pm R), a complex number with
 R as imaginary unit, and exp(a L) q_pm exp(b R) = q_pm exp((b -+ a) R)
 moves both kernels to the right.  So plane +- sees the coefficients
-cr -+ cl alone, each -1, 0 or +1: a +-1 is a signed FFT along that
-axis, and a 0 makes the plane's spectrum constant along that axis, so
-the axis is summed first and transformed at length 1.  A is W, or
-diag(1, -1, -1, -1) W when h is conjugated; B is W^T times w.  Neither
-the conjugation nor the weight costs a pass over the data.
+cr -+ cl alone (``Kernel.planes``), each -1, 0 or +1: a +-1 is a signed
+FFT along that axis, and a 0 makes the plane's spectrum constant along
+that axis, so the axis is summed first and transformed at length 1.
+A is W, or diag(1, -1, -1, -1) W when h is conjugated; B is W^T times
+w.  Neither the conjugation nor the weight costs a pass over the data.
 
 The phase-angle family is where the zeros fall: forward, its plus plane
 gets (0, 1) and its minus plane (-1, 0), so the plus spectrum is
 constant along k1 and the minus spectrum along k2.  Its discrete
 inverse therefore cannot restore a general field; the inverse is
 evaluated literally all the same and its round-trip defect is reported
-by the verification suite rather than asserted away.
+by the verification suite (``roundtrip/phased``) rather than asserted
+away.
 """
 
 from __future__ import annotations
@@ -125,6 +126,19 @@ class Kernel(NamedTuple):
     cl: Tuple[float, float]
     cr: Tuple[float, float]
 
+    @property
+    def planes(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """Coefficients of (t1, t2) left on plane + and plane -: cr - cl, cr + cl.
+
+        With a = cl.t and b = cr.t, a part h_pm of the (L, R) split obeys
+        exp(L a) h_pm exp(R b) = h_pm exp(R (b -+ a)) = exp(L (a -+ b)) h_pm.
+
+        >>> KERNELS[Family.PHASE_ANGLE, False].planes
+        ((0, 1), (-1, 0))
+        """
+        return tuple(tuple(int(r + s * l) for l, r in zip(self.cl, self.cr))
+                     for s in (-1, 1))
+
 
 KERNELS = {
     (Family.TWO_SIDED, False): Kernel(False, "f", "g", (-1, 0), (0, -1)),
@@ -207,7 +221,7 @@ _CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndarray:
-    """The table row through its frame W: plane +- gets signs cr -+ cl.
+    """The table row through its frame W: each plane gets its signs from ``planes``.
 
     A zero coefficient leaves the plane's spectrum constant along that
     axis, so the axis is summed first and transformed at length 1.
@@ -218,9 +232,8 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
     A = _CONJ @ W if k.conjugate else W
     B = W.T / (n1 * n2) if inverse else W.T
     spectra = []
-    # plane + (columns 0, 1 of A) gets cr - cl, plane - (columns 2, 3) cr + cl
-    for p, s in ((0, -1), (1, 1)):
-        c1, c2 = (int(r + s * l) for l, r in zip(k.cl, k.cr))
+    # plane + is columns 0, 1 of A, plane - columns 2, 3
+    for p, (c1, c2) in enumerate(k.planes):
         x = data
         if c1 == 0:
             x = x.sum(axis=0, keepdims=True)

@@ -2,11 +2,14 @@
 
 Every suite draws its own data from a ``numpy.random.Generator``,
 evaluates one family of identities, and returns ``CheckResult`` rows
-with the worst residual seen.  A result with ``gated=False`` is
-informational: the phase-angle family's discrete round-trip defect is
-reported this way because its collapsed spectra cannot determine a
-general field (each part spectrum is constant along one axis, so one
-axis worth of information per part is averaged away).
+with the worst residual seen.  The split-form rows take their
+coefficients from ``transform.KERNELS`` and its ``Kernel.planes`` rule,
+so they test the table the transforms run on rather than a second copy
+of it.  A result with ``gated=False`` is informational: the phase-angle
+family's discrete round-trip defect (``roundtrip/phased``) is reported
+this way because its collapsed spectra cannot determine a general field
+(each part spectrum is constant along one axis, so one axis worth of
+information per part is averaged away).
 
 Tolerances follow the two-tier policy: 1e-12 for pointwise algebraic
 identities, 1e-10 for summed transform identities, 1e-9 relative for
@@ -47,9 +50,11 @@ from .split import (
     split_arr,
 )
 from .transform import (
+    KERNELS,
     Family,
     Spectrum,
     TransformVariant,
+    _kernel,
     direct_sum,
     forward_direct,
     forward_fast,
@@ -167,10 +172,15 @@ def _wrong_plane_residual(ctx: OpsContext, q: Quaternion, keep_plus: bool) -> fl
 # Suites.
 
 def check_roundtrips(rng, sizes=DEFAULT_SIZES, n_contexts=20, n_fields=5) -> List[CheckResult]:
-    """Fast-path inverse(forward(h)) = h for the invertible families."""
+    """Fast-path inverse(forward(h)) = h for every family.
+
+    Gated for the invertible families.  The phase-angle row is reported,
+    not gated: each of its part spectra is constant along one axis, so
+    its inverse cannot restore a general field.
+    """
     ctxs = sample_contexts(rng, n_contexts)
     results = []
-    for family in (Family.TWO_SIDED, Family.CONJUGATE):
+    for family in Family:
         worst = 0.0
         for ctx in ctxs:
             variant = TransformVariant(family, ctx)
@@ -179,7 +189,8 @@ def check_roundtrips(rng, sizes=DEFAULT_SIZES, n_contexts=20, n_fields=5) -> Lis
                     h = random_field(rng, n1, n2)
                     back = inverse_fast(variant, forward_fast(variant, h))
                     worst = max(worst, _max_abs(back.data - h.data))
-        results.append(CheckResult(f"roundtrip/{family.value}", worst, 1e-10))
+        results.append(CheckResult(f"roundtrip/{family.value}", worst, 1e-10,
+                                   gated=family is not Family.PHASE_ANGLE))
     return results
 
 
@@ -265,95 +276,51 @@ def check_phase_factor_commutation(rng, samples=1000) -> CheckResult:
     return CheckResult("split/phase-commutation", worst, 1e-12)
 
 
-def check_split_part_forms(rng, sizes=((4, 4), (8, 8)), n_fields=2) -> List[CheckResult]:
-    """Each part spectrum has equal one-sided left and right evaluations.
+def check_split_forms(rng, sizes=((4, 4), (8, 8)), n_fields=2) -> List[CheckResult]:
+    """Every kernel row collapses on each split part as ``Kernel.planes`` says.
 
-    Two-sided family: F_pm = sum h_pm exp(-g (t2 -+ t1))
-                           = sum exp(-f (t1 -+ t2)) h_pm.
-    Conjugation family: F_pm = sum conj(h_pm) exp(-f (t2 -+ t1))
-                             = sum exp(-g (t1 -+ t2)) conj(h_pm),
-    also exercised with g = f.  Both must sum to the full spectrum.
+    For a row with pair (L, R), h' = h or conj(h), and c_pm its
+    ``planes`` pair, each part of the (L, R) split of h' satisfies
+
+        sum exp(L cl.t) h'_pm exp(R cr.t) = sum h'_pm exp(R c_pm.t)
+                                          = sum exp(-+ L c_pm.t) h'_pm,
+
+    the two part spectra sum to the spectrum of h', and a part spectrum
+    is constant along every axis whose coefficient in c_pm is 0.  All
+    six rows run at a generic pair, at g = f and at g = -f.
     """
-    cases = [
-        ("twosided", Family.TWO_SIDED,
-         make_context(random_pure_unit(rng), random_pure_unit(rng))),
-        ("conjc", Family.CONJUGATE,
-         make_context(random_pure_unit(rng), random_pure_unit(rng))),
-    ]
-    f_eq = random_pure_unit(rng)
-    cases.append(("conjc-equal-axes", Family.CONJUGATE, make_context(f_eq, f_eq)))
-
+    f = random_pure_unit(rng)
+    ctxs = [make_context(f, random_pure_unit(rng)), make_context(f, f),
+            make_context(f, PureUnitQuaternion(-f.x, -f.y, -f.z))]
     results = []
-    for label, family, ctx in cases:
-        variant = TransformVariant(family, ctx)
-        L, R = (ctx.f, ctx.g) if family is Family.TWO_SIDED else (ctx.g, ctx.f)
-        worst = 0.0
-        for n1, n2 in sizes:
-            for _ in range(n_fields):
-                h = random_field(rng, n1, n2)
-                plus, minus = split_arr(ctx, h.data)
-                full = forward_direct(variant, h).data
-                part_spectra = []
-                for part, s in ((plus, +1), (minus, -1)):
-                    kernel_part = part if family is Family.TWO_SIDED else conj_arr(part)
-                    right = direct_sum(kernel_part, L, R, (0, 0), (s, -1))
-                    left = direct_sum(kernel_part, L, R, (-1, s), (0, 0))
-                    via_transform = forward_direct(
-                        variant, QuaternionField2D(part)).data
-                    worst = max(worst,
-                                _max_abs(right - left),
-                                _max_abs(right - via_transform))
-                    part_spectra.append(right)
-                worst = max(worst, _max_abs(part_spectra[0] + part_spectra[1] - full))
-        results.append(CheckResult(f"split-forms/{label}", worst, 1e-10))
-    return results
-
-
-def check_phase_angle_structure(rng, sizes=((4, 4), (8, 8)), n_fields=2) -> List[CheckResult]:
-    """Part spectra of the phase-angle family and its round-trip defect.
-
-    The plus part spectrum is constant along the first frequency axis
-    and equals sum h_plus exp(+g t2) = sum exp(-f t2) h_plus; the minus
-    part is constant along the second axis with kernel exp(-g t1).  The
-    round-trip residual is reported, not gated: the collapsed spectra
-    cannot determine a general field.
-    """
     worst_const = 0.0
-    worst_forms = 0.0
-    worst_sum = 0.0
-    worst_trip = 0.0
-    for n1, n2 in sizes:
-        ctx = make_context(random_pure_unit(rng), random_pure_unit(rng))
-        variant = TransformVariant(Family.PHASE_ANGLE, ctx)
-        for _ in range(n_fields):
-            h = random_field(rng, n1, n2)
-            plus, minus = split_arr(ctx, h.data)
-            full = forward_direct(variant, h).data
-            fplus = forward_direct(variant, QuaternionField2D(plus)).data
-            fminus = forward_direct(variant, QuaternionField2D(minus)).data
-
-            worst_const = max(worst_const,
-                              _max_abs(fplus - fplus[:1, :, :]),
-                              _max_abs(fminus - fminus[:, :1, :]))
-            right_plus = direct_sum(plus, ctx.f, ctx.g, (0, 0), (0, +1))
-            left_plus = direct_sum(plus, ctx.f, ctx.g, (0, -1), (0, 0))
-            right_minus = direct_sum(minus, ctx.f, ctx.g, (0, 0), (-1, 0))
-            left_minus = direct_sum(minus, ctx.f, ctx.g, (-1, 0), (0, 0))
-            worst_forms = max(worst_forms,
-                              _max_abs(right_plus - left_plus),
-                              _max_abs(right_minus - left_minus),
-                              _max_abs(right_plus - fplus),
-                              _max_abs(right_minus - fminus))
-            worst_sum = max(worst_sum, _max_abs(fplus + fminus - full))
-
-            back = inverse_direct(variant, forward_direct(variant, h))
-            worst_trip = max(worst_trip, _max_abs(back.data - h.data))
-    return [
-        CheckResult("phase-angle/axis-constancy", worst_const, 1e-10),
-        CheckResult("phase-angle/part-forms", worst_forms, 1e-10),
-        CheckResult("phase-angle/part-sum", worst_sum, 1e-10),
-        CheckResult("phase-angle/roundtrip-defect", worst_trip, 1e-10, gated=False),
-    ]
+    for (family, inverse), k in KERNELS.items():
+        worst = 0.0
+        for ctx0 in ctxs:
+            _, ctx = _kernel(TransformVariant(family, ctx0), inverse)
+            L, R = ctx.f, ctx.g
+            for n1, n2 in sizes:
+                for _ in range(n_fields):
+                    h = random_field(rng, n1, n2).data
+                    h = conj_arr(h) if k.conjugate else h
+                    spectra = []
+                    for part, c, s in zip(split_arr(ctx, h), k.planes, (-1, 1)):
+                        spectrum = direct_sum(part, L, R, k.cl, k.cr)
+                        right = direct_sum(part, L, R, (0, 0), c)
+                        left = direct_sum(part, L, R, (s * c[0], s * c[1]), (0, 0))
+                        worst = max(worst, _max_abs(right - spectrum),
+                                    _max_abs(left - spectrum))
+                        for axis in (0, 1):
+                            if c[axis] == 0:
+                                worst_const = max(worst_const, _max_abs(
+                                    spectrum - spectrum.take([0], axis=axis)))
+                        spectra.append(spectrum)
+                    full = direct_sum(h, L, R, k.cl, k.cr)
+                    worst = max(worst, _max_abs(spectra[0] + spectra[1] - full))
+        direction = "inverse" if inverse else "forward"
+        results.append(CheckResult(f"split-forms/{family.value}-{direction}", worst, 1e-10))
+    results.append(CheckResult("phase-angle/axis-constancy", worst_const, 1e-10))
+    return results
 
 
 def check_coefficients(rng, samples=200) -> List[CheckResult]:
@@ -392,19 +359,26 @@ def check_simplex_perplex(rng, samples=200) -> CheckResult:
     return CheckResult("split/simplex-perplex", 0.0 if exact else 1.0, 0.0)
 
 
-def check_energy(rng, n1=16, n2=16, n_contexts=5, n_fields=3) -> CheckResult:
-    """Two-sided spectral energy equals grid energy after 1/(N1 N2)."""
-    worst = 0.0
-    for _ in range(n_contexts):
-        ctx = make_context(random_pure_unit(rng), random_pure_unit(rng))
-        variant = TransformVariant(Family.TWO_SIDED, ctx)
-        for _ in range(n_fields):
-            h = random_field(rng, n1, n2)
-            spectrum = forward_fast(variant, h)
-            e_spatial = float(np.sum(h.data * h.data))
-            e_spectral = float(np.sum(spectrum.data * spectrum.data)) / (n1 * n2)
-            worst = max(worst, abs(e_spatial - e_spectral) / e_spatial)
-    return CheckResult("energy/twosided", worst, 1e-9)
+def check_energy(rng, n1=16, n2=16, n_contexts=5, n_fields=3) -> List[CheckResult]:
+    """Spectral energy equals grid energy after 1/(N1 N2).
+
+    Two-sided and conjugation families: the frame is orthonormal and
+    conjugation keeps the norm.
+    """
+    results = []
+    for family in (Family.TWO_SIDED, Family.CONJUGATE):
+        worst = 0.0
+        for _ in range(n_contexts):
+            ctx = make_context(random_pure_unit(rng), random_pure_unit(rng))
+            variant = TransformVariant(family, ctx)
+            for _ in range(n_fields):
+                h = random_field(rng, n1, n2)
+                spectrum = forward_fast(variant, h)
+                e_spatial = float(np.sum(h.data * h.data))
+                e_spectral = float(np.sum(spectrum.data * spectrum.data)) / (n1 * n2)
+                worst = max(worst, abs(e_spatial - e_spectral) / e_spatial)
+        results.append(CheckResult(f"energy/{family.value}", worst, 1e-9))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +400,8 @@ def run_all(seed: int, profile: str = "quick") -> List[CheckResult]:
     results.append(check_mixed_plane_products(rng, cfg["pointwise"]))
     results += check_plane_determination(rng, cfg["frames"])
     results.append(check_phase_factor_commutation(rng, cfg["pointwise"]))
-    results += check_split_part_forms(rng)
-    results += check_phase_angle_structure(rng)
+    results += check_split_forms(rng)
     results += check_coefficients(rng)
     results.append(check_simplex_perplex(rng))
-    results.append(check_energy(rng))
+    results += check_energy(rng)
     return results

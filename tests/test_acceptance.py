@@ -12,6 +12,7 @@ import numpy as np
 from opsqft import verify
 from opsqft.cli import main
 from opsqft.formats import read_field
+from opsqft.transform import Kernel
 
 SEED = 42
 
@@ -66,16 +67,28 @@ def test_phase_factor_commutation():
 
 def test_split_part_spectrum_forms():
     rng = np.random.default_rng(SEED + 5)
-    _settle(verify.check_split_part_forms(rng, sizes=((4, 4), (8, 8))))
+    results = _settle(verify.check_split_forms(rng, sizes=((4, 4), (8, 8))))
+    assert len([r for r in results if r.name.startswith("split-forms/")]) == 6
+
+
+def test_split_forms_fail_on_swapped_plane_rule(monkeypatch):
+    # plane + given cr + cl and plane - given cr - cl: every row must notice
+    rule = Kernel.planes.fget
+    monkeypatch.setattr(Kernel, "planes", property(lambda k: rule(k)[::-1]))
+    rng = np.random.default_rng(SEED + 5)
+    forms = [r for r in verify.check_split_forms(rng)
+             if r.name.startswith("split-forms/")]
+    assert len(forms) == 6
+    assert not any(r.passed for r in forms), [r.line() for r in forms]
 
 
 def test_collapsed_family_structure():
     rng = np.random.default_rng(SEED + 6)
-    results = verify.check_phase_angle_structure(rng, sizes=((4, 4), (8, 8)))
-    _settle(results)
-    reported = [r for r in results if not r.gated]
-    assert len(reported) == 1
-    assert "roundtrip" in reported[0].name
+    results = _settle(verify.check_split_forms(rng, sizes=((4, 4), (8, 8))))
+    assert [r.name for r in results if r.name.startswith("phase-angle/")] == [
+        "phase-angle/axis-constancy"]
+    reported = [r.name for r in verify.run_all(SEED) if not r.gated]
+    assert reported == ["roundtrip/phased"]
 
 
 def test_coefficient_formulas():

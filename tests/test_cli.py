@@ -1,11 +1,15 @@
-"""Drives the CLI in-process through cli.main(argv)."""
+"""Drives the CLI in-process through cli.main(argv), and as a fresh process
+where its whole stderr is checked."""
 
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import opsqft
 from opsqft.cli import main
 from opsqft.fields import QuaternionField2D
 from opsqft.formats import read_field, write_field
@@ -260,7 +264,6 @@ def test_non_finite_sample_exit_3(tmp_path, capsys):
     assert "byte 296" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_transform_overflow_exit_3(tmp_path, capsys):
     # a finite field whose spectrum overflows: the writer refuses it, the file is never made
     a = tmp_path / "a.qf2d"
@@ -270,6 +273,24 @@ def test_transform_overflow_exit_3(tmp_path, capsys):
                  "--g", "0,1,0", "--in", str(a), "--out", str(s)]) == 3
     assert "byte 16" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["a.qf2d"]
+
+
+def test_transform_overflow_prints_one_diagnostic(tmp_path):
+    # a fresh process with the default warning filters, where numpy would print
+    # its overflow warnings on stderr
+    a = tmp_path / "a.qf2d"
+    s = tmp_path / "s.qf2d"
+    write_field(QuaternionField2D(np.full((4, 4, 4), 1e308)), a)
+    src = os.path.dirname(os.path.dirname(opsqft.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    out = subprocess.run(
+        [sys.executable, "-m", "opsqft", "transform", "--variant", "twosided",
+         "--f", "1,0,0", "--g", "0,1,0", "--in", str(a), "--out", str(s)],
+        capture_output=True, text=True, env={**env, "PYTHONPATH": src})
+    assert out.returncode == 3
+    assert os.listdir(tmp_path) == ["a.qf2d"]
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("opsqft:"), out.stderr
 
 
 def test_invalid_frame_exit_2(capsys):
