@@ -6,21 +6,29 @@ so s1 = s2 = -1 reproduces the usual forward DFT.  Mixed signs are
 needed because the split transform kernels rotate the two planes in
 opposite directions.
 
-One kernel serves every length.  A length of at most 64 is one product
-with its DFT matrix.  A longer composite length n = a b, with a the
-largest divisor not above sqrt(n), runs Bailey's four-step
-factorization: length-b transforms, the twiddles w^(m1 k2), one
-transpose and length-a transforms, which leaves the output in natural
-order.  When b is at most 64 (so n is at most 4096) the twiddles are
-folded into the length-b matrices: row m1 of the input meets its own
-matrix diag(w^(m1 k2)) M_b, and one batched product writes the
-transposed, twiddled first stage.  A longer prime length runs
-Bluestein's chirp-z transform, a circular convolution of power-of-two
-length evaluated by the same kernel.  The DFT matrices, twiddles and
-chirps are built on first use and cached per (length, sign); every
-angle is reduced exactly in integers before ``exp``.  A folded stack
-holds n b <= 2^18 complex numbers (4 MiB), the other plans O(n), so the
-cache holds at most 256 MiB of folded stacks.
+One kernel serves every length; it transforms the columns of a
+contiguous block.  A length of at most 64 is one product with its DFT
+matrix.  A longer composite length n = a b, with a the largest divisor
+not above sqrt(n), runs Bailey's four-step factorization: length-b
+transforms, the twiddles w^(m1 k2), a transpose within the block and
+length-a transforms, which leaves the output in natural order.  When b
+is at most 64 (so n is at most 4096) the twiddles are folded into the
+length-b matrices: row m1 of the input meets its own matrix
+diag(w^(m1 k2)) M_b, and one batched product writes the transposed,
+twiddled first stage.  A longer prime length runs Bluestein's chirp-z
+transform, a circular convolution of power-of-two length evaluated by
+the same kernel.  The DFT matrices, twiddles and chirps are built on
+first use and cached per (length, sign); every angle is reduced exactly
+in integers before ``exp``.  A folded stack holds n b <= 2^18 complex
+numbers (4 MiB), the other plans O(n), so the cache holds at most
+256 MiB of folded stacks.
+
+An axis pass gathers blocks of about 2^15 samples along the axis, runs
+the kernel on each and writes it straight into a C-contiguous output, so
+no array is ever transposed whole.  A 2D transform holds two planes, the
+axis-0 result and the output, plus the scratch of a few blocks: 1.5 MiB,
+or up to about 4.5 MiB on a Bluestein axis, whose padded buffer is two to
+four times the block.
 """
 
 from __future__ import annotations
@@ -39,9 +47,10 @@ _DENSE_MAX = 64
 # of at most 4 MiB each (n = 4096, b = 64), 256 MiB, plus the O(n) tables
 # of the other plans.
 _PLAN_CACHE = 64
-# Samples in one padded Bluestein buffer (4 MB): a prime-length pass over
-# many columns runs in column blocks, so its scratch memory stays bounded.
-_CHIRP_BLOCK = 1 << 18
+# Samples in one block of an axis pass (512 KiB): enough columns for
+# BLAS-sized products, few enough that the block and the kernel's scratch
+# stay in cache and the pass needs no transposed copy of the array.
+_BLOCK = 1 << 15
 
 
 class AxisSigns(NamedTuple):
@@ -117,31 +126,52 @@ def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
             del y  # free the first pass before the second allocates its output
         return _pass0(z.reshape(a, b * r), sign).reshape(n, r)
     # w^(m k) = c[m] c[k] conj(c[k - m]): a convolution with the conjugate chirp
-    size = q.shape[0]
-    step = max(1, _CHIRP_BLOCK // size)
-    out = np.empty_like(x)
-    for j in range(0, r, step):
-        y = np.zeros((size, min(step, r - j)), dtype=np.complex128)
-        np.multiply(x[:, j:j + step], p, out=y[:n])
-        y = _pass0(y, -1)
-        y *= q
-        np.multiply(_pass0(y, 1)[:n], p, out=out[:, j:j + step])
-    return out
+    y = np.zeros((q.shape[0], r), dtype=np.complex128)
+    np.multiply(x, p, out=y[:n])
+    y = _pass0(y, -1)
+    y *= q
+    y = _pass0(y, 1)[:n]
+    y *= p
+    return y
 
 
 def fft1(x: np.ndarray, sign: int, axis: int = -1) -> np.ndarray:
-    """Signed 1D transform of a complex array along ``axis``."""
+    """Signed 1D transform of a complex array along ``axis``.
+
+    The result is a new C-contiguous array of the input's shape.  The
+    pass runs in blocks of about ``_BLOCK`` samples: each block of
+    columns along ``axis`` is gathered into contiguous scratch,
+    transformed by ``_pass0`` and written straight to its place in the
+    output.  Besides the output it holds a few blocks of scratch (see
+    the module docstring; O(n) once n exceeds a block), never a
+    transposed copy of the whole array.
+    """
     _check_sign(sign)
-    moved = np.moveaxis(np.asarray(x, dtype=np.complex128), axis, 0)
-    flat = np.ascontiguousarray(moved).reshape(moved.shape[0], math.prod(moved.shape[1:]))
-    return np.moveaxis(_pass0(flat, sign).reshape(moved.shape), 0, axis)
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[axis]
+    axis %= x.ndim
+    pre, post = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
+    out = np.empty(x.shape, dtype=np.complex128)
+    src, dst = x.reshape(pre, n, post), out.reshape(pre, n, post)
+    # A block is k leading by w trailing indices, k w = cols columns of
+    # length n.  A power-of-two column count keeps BLAS on its full-width
+    # kernels, so each column gets the bits of one product over all columns.
+    cols = 1 << max(1, _BLOCK // max(n, 1)).bit_length() - 1
+    w = min(post, cols) or 1
+    k = cols // w
+    for i in range(0, pre, k):
+        for j in range(0, post, w):
+            part = src[i:i + k, :, j:j + w].transpose(1, 0, 2)
+            block = np.ascontiguousarray(part).reshape(n, part.shape[1] * part.shape[2])
+            dst[i:i + k, :, j:j + w] = _pass0(block, sign).reshape(part.shape).transpose(1, 0, 2)
+    return out
 
 
 def fft2(field: np.ndarray, signs: AxisSigns) -> np.ndarray:
     """Signed 2D transform: axis 0 with signs.s1, then axis 1 with signs.s2.
 
-    The result is C-contiguous.
+    The result is C-contiguous.  Besides the input the transform holds
+    two planes, the axis-0 result and the output, plus ``fft1``'s
+    block scratch.
     """
-    out = fft1(field, signs.s1, axis=0)
-    return np.ascontiguousarray(fft1(out, signs.s2, axis=1))
-
+    return fft1(fft1(field, signs.s1, axis=0), signs.s2, axis=1)

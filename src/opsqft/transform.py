@@ -244,10 +244,12 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
             x = (np.ones(x.shape[1]) @ x)[:, None, :]
         plane = (x.reshape(-1, 4) @ A[:, 2 * p:2 * p + 2]).view(np.complex128)
         spectra.append(fft2(plane.reshape(x.shape[:2]), AxisSigns(c1 or 1, c2 or 1)))
-        # held through the interleave below, a plane would raise the peak memory
-        del plane
+        del plane  # freed before the next plane's fft2
+    # no step holds more than two full-size arrays (a field is two planes):
+    # the spectra are dropped once interleaved, before the product
     z = np.empty((n1, n2, 2), dtype=np.complex128)
     z[..., 0], z[..., 1] = spectra
+    del spectra
     return (z.view(np.float64).reshape(n1 * n2, 4) @ B).reshape(n1, n2, 4)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import opsqft
-from opsqft.fftcore import AxisSigns, fft1, fft2
+from opsqft.fftcore import _BLOCK, AxisSigns, fft1, fft2
 
 SEED = 77103
 
@@ -121,6 +121,23 @@ def test_fft1_every_length_both_signs(n):
     assert rel_err(fft1(x, +1, axis=1), n * np.fft.ifft(x, axis=1)) < 1e-14
 
 
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+def test_fft1_every_length_in_blocks_on_both_axes(n):
+    # m columns of length n span at least two blocks of fft1's pass and end
+    # in a ragged one: a block holds a power of two of at most _BLOCK // n
+    # columns, and m is odd
+    m = 2 * (_BLOCK // n) + 3
+    rng = np.random.default_rng(SEED + 12 + n)
+    x = rand_c(rng, (n, m))
+    y = x.T.copy()
+    # C-contiguous and transposed views, each with the length on both axes
+    for source, axis in ((x, 0), (x.T, 1), (y, 1), (y.T, 0)):
+        for sign in (-1, 1):
+            got = fft1(source, sign, axis=axis)
+            assert got.flags.c_contiguous
+            assert rel_err(got, signed_numpy(source, sign, axis)) < 1e-14
+
+
 def test_fft2_prime_by_composite_mixed_signs():
     rng = np.random.default_rng(SEED + 9)
     x = rand_c(rng, (1021, 1000))
@@ -146,6 +163,18 @@ def test_fft2_returns_c_contiguous():
         x = rand_c(rng, shape)
         for source in (x, np.asfortranarray(x), x.T.copy().T):
             assert fft2(source, AxisSigns(-1, 1)).flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])
+def test_zero_length_axes_give_empty_results(shape):
+    x = np.zeros(shape)
+    for axis in range(len(shape)):
+        for sign in (-1, 1):
+            got = fft1(x, sign, axis=axis)
+            assert got.shape == shape and got.dtype == np.complex128
+            assert got.flags.c_contiguous
+    if len(shape) == 2:
+        assert fft2(x, AxisSigns(-1, 1)).shape == shape
 
 
 def test_import_builds_no_plan():

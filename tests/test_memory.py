@@ -1,0 +1,61 @@
+"""Per-call peak memory of the FFT and the fast transforms, by tracemalloc.
+
+The figures are deterministic: the peak rise over the level at entry,
+after a warm-up call has built and cached the plans.  At 512 x 512 one
+complex plane is 4 MiB and a quaternion field 8 MiB (two planes).
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from opsqft.fftcore import AxisSigns, fft2
+from opsqft.fields import Domain, QuaternionField2D
+from opsqft.quat import PureUnitQuaternion
+from opsqft.split import make_context
+from opsqft.transform import Family, Spectrum, TransformVariant, forward_fast, inverse_fast
+
+N = 512
+MIB = 1 << 20
+PLANE = N * N * 16
+# fft1's block scratch, about four blocks of 2^15 complex samples
+SCRATCH = 2 * MIB
+
+
+def traced_peak(fn):
+    """Bytes by which one call of ``fn`` (after a warm-up call) raised the traced peak."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+def test_fft2_holds_two_planes():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    # the axis-0 result and the output
+    assert traced_peak(lambda: fft2(x, AxisSigns(-1, 1))) <= 2 * PLANE + SCRATCH
+
+
+@pytest.mark.parametrize("family", [Family.TWO_SIDED, Family.CONJUGATE])
+def test_fast_transforms_hold_two_fields(family):
+    rng = np.random.default_rng(6)
+    ctx = make_context(PureUnitQuaternion(*rng.standard_normal(3)),
+                       PureUnitQuaternion(*rng.standard_normal(3)))
+    variant = TransformVariant(family, ctx)
+    data = rng.standard_normal((N, N, 4))
+    field = QuaternionField2D(data, Domain.SPATIAL)
+    spectrum = Spectrum(QuaternionField2D(data, Domain.FREQUENCY), variant)
+    # one plane's spectrum and the other plane's input, axis-0 result and
+    # output; then the interleaved spectra and the output field
+    limit = 4 * PLANE + SCRATCH
+    assert traced_peak(lambda: forward_fast(variant, field)) <= limit
+    assert traced_peak(lambda: inverse_fast(variant, spectrum)) <= limit
