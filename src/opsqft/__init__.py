@@ -81,7 +81,6 @@ from .formats import (
     read_image_ppm,
     write_field,
 )
-from .verify import CheckResult, run_all
 
 __version__ = "0.1.0"
 
@@ -106,3 +105,10 @@ __all__ = [
     "CheckResult", "run_all",
     "__version__",
 ]
+
+
+def __getattr__(name):  # the verification suite loads on first use
+    if name not in ("CheckResult", "run_all"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+    return getattr(verify, name)

@@ -25,7 +25,7 @@ numbers (4 MiB), the other plans O(n), so the cache holds at most
 
 An axis pass gathers blocks of about 2^15 samples along the axis, runs
 the kernel on each and writes it straight into a C-contiguous output, so
-no array is ever transposed whole.  A 2D transform holds two planes, the
+no array is ever transposed whole.  ``fft2`` holds two planes, the
 axis-0 result and the output, plus the scratch of a few blocks: 1.5 MiB,
 or up to about 4.5 MiB on a Bluestein axis, whose padded buffer is two to
 four times the block.
@@ -108,6 +108,12 @@ def _plan(n: int, sign: int):
     return "chirp", chirp[:, None], kernel
 
 
+def _block_columns(n: int) -> int:
+    """Columns of length n per block: a power of two, so BLAS keeps each
+    column's bits in any block, near _BLOCK / n."""
+    return 1 << max(1, _BLOCK // max(n, 1)).bit_length() - 1
+
+
 def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
     """Signed transform along axis 0 of a C-contiguous (n, r) complex array."""
     n, r = x.shape
@@ -138,13 +144,8 @@ def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
 def fft1(x: np.ndarray, sign: int, axis: int = -1) -> np.ndarray:
     """Signed 1D transform of a complex array along ``axis``.
 
-    The result is a new C-contiguous array of the input's shape.  The
-    pass runs in blocks of about ``_BLOCK`` samples: each block of
-    columns along ``axis`` is gathered into contiguous scratch,
-    transformed by ``_pass0`` and written straight to its place in the
-    output.  Besides the output it holds a few blocks of scratch (see
-    the module docstring; O(n) once n exceeds a block), never a
-    transposed copy of the whole array.
+    The result is a new C-contiguous array of the input's shape, written
+    block by block beside a few blocks of scratch (O(n) once n exceeds one).
     """
     _check_sign(sign)
     x = np.asarray(x, dtype=np.complex128)
@@ -153,10 +154,8 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1) -> np.ndarray:
     pre, post = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
     out = np.empty(x.shape, dtype=np.complex128)
     src, dst = x.reshape(pre, n, post), out.reshape(pre, n, post)
-    # A block is k leading by w trailing indices, k w = cols columns of
-    # length n.  A power-of-two column count keeps BLAS on its full-width
-    # kernels, so each column gets the bits of one product over all columns.
-    cols = 1 << max(1, _BLOCK // max(n, 1)).bit_length() - 1
+    # a block is k leading by w trailing indices, k w = cols columns of length n
+    cols = _block_columns(n)
     w = min(post, cols) or 1
     k = cols // w
     for i in range(0, pre, k):

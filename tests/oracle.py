@@ -52,42 +52,42 @@ def transform_reference(h, f, g, family, inverse=False):
     family  'twosided' | 'phased' | 'conjc'
     Returns the same nested-list layout.
     """
+    return [[transform_sample(h, f, g, family, k1, k2, inverse) for k2 in range(len(h[0]))]
+            for k1 in range(len(h))]
+
+
+def transform_sample(h, f, g, family, k1, k2, inverse=False):
+    """Output sample (k1, k2) of ``transform_reference``, as one literal double sum."""
     n1, n2 = len(h), len(h[0])
     tau = 2.0 * math.pi
     sgn = 1.0 if inverse else -1.0
-    out = []
-    for k1 in range(n1):
-        row = []
-        for k2 in range(n2):
-            acc = (0.0, 0.0, 0.0, 0.0)
-            for m1 in range(n1):
-                for m2 in range(n2):
-                    a = m1 * k1 / n1
-                    b = m2 * k2 / n2
-                    sample = h[m1][m2]
-                    if family == 'twosided':
-                        left = qexp(f, sgn * tau * a)
-                        right = qexp(g, sgn * tau * b)
-                    elif family == 'phased':
-                        left = qexp(f, sgn * math.pi * (a + b))
-                        right = qexp(g, sgn * math.pi * (a - b))
-                    elif family == 'conjc':
-                        sample = qconj(sample)
-                        if inverse:
-                            # kernel units keep their forward signs but swap sides
-                            left = qexp(f, -tau * b)
-                            right = qexp(g, -tau * a)
-                        else:
-                            left = qexp(g, -tau * a)
-                            right = qexp(f, -tau * b)
-                    else:
-                        raise ValueError(family)
-                    acc = qadd(acc, qmul(qmul(left, sample), right))
-            if inverse:
-                acc = qscale(1.0 / (n1 * n2), acc)
-            row.append(acc)
-        out.append(row)
-    return out
+    acc = (0.0, 0.0, 0.0, 0.0)
+    for m1 in range(n1):
+        for m2 in range(n2):
+            a = m1 * k1 / n1
+            b = m2 * k2 / n2
+            sample = h[m1][m2]
+            if family == 'twosided':
+                left = qexp(f, sgn * tau * a)
+                right = qexp(g, sgn * tau * b)
+            elif family == 'phased':
+                left = qexp(f, sgn * math.pi * (a + b))
+                right = qexp(g, sgn * math.pi * (a - b))
+            elif family == 'conjc':
+                sample = qconj(sample)
+                if inverse:
+                    # kernel units keep their forward signs but swap sides
+                    left = qexp(f, -tau * b)
+                    right = qexp(g, -tau * a)
+                else:
+                    left = qexp(g, -tau * a)
+                    right = qexp(f, -tau * b)
+            else:
+                raise ValueError(family)
+            acc = qadd(acc, qmul(qmul(left, sample), right))
+    if inverse:
+        acc = qscale(1.0 / (n1 * n2), acc)
+    return acc
 
 
 def inverse_reference(spectrum, f, g, family):

@@ -19,8 +19,13 @@ from opsqft.transform import Family, Spectrum, TransformVariant, forward_fast, i
 N = 512
 MIB = 1 << 20
 PLANE = N * N * 16
+FIELD = 2 * PLANE
 # fft1's block scratch, about four blocks of 2^15 complex samples
 SCRATCH = 2 * MIB
+# the fast path's block scratch: its two block buffers (a gathered quaternion
+# block and its rotated plane in pass 1, the (rows, n2, 2) scratch and a
+# gathered row block in pass 2) and the kernel's buffers
+BLOCK_SCRATCH = 4 * MIB
 
 
 def traced_peak(fn):
@@ -45,8 +50,8 @@ def test_fft2_holds_two_planes():
     assert traced_peak(lambda: fft2(x, AxisSigns(-1, 1))) <= 2 * PLANE + SCRATCH
 
 
-@pytest.mark.parametrize("family", [Family.TWO_SIDED, Family.CONJUGATE])
-def test_fast_transforms_hold_two_fields(family):
+@pytest.mark.parametrize("family", list(Family))
+def test_fast_transforms_hold_one_field(family):
     rng = np.random.default_rng(6)
     ctx = make_context(PureUnitQuaternion(*rng.standard_normal(3)),
                        PureUnitQuaternion(*rng.standard_normal(3)))
@@ -54,8 +59,8 @@ def test_fast_transforms_hold_two_fields(family):
     data = rng.standard_normal((N, N, 4))
     field = QuaternionField2D(data, Domain.SPATIAL)
     spectrum = Spectrum(QuaternionField2D(data, Domain.FREQUENCY), variant)
-    # one plane's spectrum and the other plane's input, axis-0 result and
-    # output; then the interleaved spectra and the output field
-    limit = 4 * PLANE + SCRATCH
+    # both passes write into the output field; besides it only block
+    # scratch is live (the phase-angle lines are O(N))
+    limit = FIELD + BLOCK_SCRATCH
     assert traced_peak(lambda: forward_fast(variant, field)) <= limit
     assert traced_peak(lambda: inverse_fast(variant, spectrum)) <= limit

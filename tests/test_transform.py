@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opsqft.fftcore import _block_columns
 from opsqft.fields import Domain, QuaternionField2D
 from opsqft.quat import QI, QJ, PureUnitQuaternion
 from opsqft.split import make_context, split_arr, swapped_context
 from opsqft.transform import (
+    KERNELS,
     Family,
     Spectrum,
     TransformVariant,
@@ -19,7 +21,13 @@ from opsqft.transform import (
     transform_commutes_with_split,
 )
 
-from oracle import as_samples, inverse_reference, max_component_diff, transform_reference
+from oracle import (
+    as_samples,
+    inverse_reference,
+    max_component_diff,
+    transform_reference,
+    transform_sample,
+)
 
 SEED = 551
 
@@ -303,3 +311,63 @@ def test_fast_path_is_scale_and_pair_invariant(k, n1, n2, sign, eps, seed):
         if family is not Family.PHASE_ANGLE:
             back = inverse_fast(variant, sf)
             assert np.max(np.abs(back.data - h.data)) / rms(h.data) < 1e-12
+
+
+# Grids whose fast passes split both axes into at least two blocks and end
+# in a ragged one; 67, 103 (in 515 = 5 * 103) and 1031 are Bluestein lengths.
+RAGGED_GRIDS = ((67, 515), (515, 67), (1031, 40))
+
+
+def signed_dft(z, axis, c):
+    """sum_m z[m] exp(i c 2 pi m k / n) along ``axis``, for c in (-1, 0, 1)."""
+    if c == 0:
+        return np.broadcast_to(z.sum(axis=axis, keepdims=True), z.shape)
+    return np.fft.fft(z, axis=axis) if c < 0 else z.shape[axis] * np.fft.ifft(z, axis=axis)
+
+
+def numpy_composition(variant, data, inverse):
+    """The split transform with numpy.fft: each plane of the frame of (L, R)
+    as a complex grid, its 2D DFT with the plane's coefficients, and back."""
+    k = KERNELS[variant.family, inverse]
+    ctx = variant.ctx if k.left == "f" else swapped_context(variant.ctx)
+    h = data * [1.0, -1, -1, -1] if k.conjugate else data
+    out = np.zeros(data.shape)
+    for p, (c1, c2) in enumerate(k.planes):
+        plane = ctx.frame[:, 2 * p:2 * p + 2]
+        z = (h @ plane) @ [1.0, 1j]
+        z = signed_dft(signed_dft(z, 0, c1), 1, c2)
+        out += np.stack([z.real, z.imag], axis=-1) @ plane.T
+    return out / data[..., 0].size if inverse else out
+
+
+@pytest.mark.parametrize("n1, n2", RAGGED_GRIDS)
+def test_fast_path_in_ragged_blocks(n1, n2):
+    # pass 1 runs on column blocks, pass 2 on row blocks; both end ragged
+    cols, rows = _block_columns(n1), _block_columns(n2)
+    assert n2 > cols and n2 % cols and n1 > rows and n1 % rows
+    rng = np.random.default_rng(SEED + 16)
+    data = rng.standard_normal((n1, n2, 4))
+    before = data.copy()
+    checked = []
+    for ctx in context_zoo(rng)[:3]:
+        for family in Family:
+            variant = TransformVariant(family, ctx)
+            for inverse in (False, True):
+                if inverse:
+                    got = inverse_fast(variant, Spectrum(
+                        QuaternionField2D(data, Domain.FREQUENCY), variant)).data
+                else:
+                    got = forward_fast(variant, QuaternionField2D(data)).data
+                assert not np.shares_memory(got, data)
+                assert np.array_equal(data, before)
+                want = numpy_composition(variant, data, inverse)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                checked.append((ctx, family, inverse, got))
+    # a few samples against the literal double sum of the scalar oracle
+    samples = as_samples(data)
+    for i in rng.choice(len(checked), 3, replace=False):
+        ctx, family, inverse, got = checked[i]
+        k1, k2 = rng.integers(n1), rng.integers(n2)
+        want = transform_sample(samples, axis_triple(ctx.f), axis_triple(ctx.g),
+                                family.value, k1, k2, inverse)
+        assert np.max(np.abs(got[k1, k2] - want)) <= 1e-12 * rms(got)
