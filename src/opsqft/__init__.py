@@ -81,6 +81,7 @@ from .formats import (
     read_image_ppm,
     write_field,
 )
+from .verify import CheckResult, run_all
 
 __version__ = "0.1.0"
 
@@ -105,10 +106,3 @@ __all__ = [
     "CheckResult", "run_all",
     "__version__",
 ]
-
-
-def __getattr__(name):  # the verification suite loads on first use
-    if name not in ("CheckResult", "run_all"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verify
-    return getattr(verify, name)

@@ -44,6 +44,7 @@ from .transform import (
     inverse_direct,
     inverse_fast,
 )
+from .verify import run_all
 
 
 class UsageError(Exception):
@@ -166,7 +167,6 @@ def _cmd_planes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_all  # only this command loads the suite
     results = run_all(args.seed, profile=args.profile)
     for r in results:
         print(r.line())

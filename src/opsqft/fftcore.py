@@ -24,11 +24,12 @@ numbers (4 MiB), the other plans O(n), so the cache holds at most
 256 MiB of folded stacks.
 
 An axis pass gathers blocks of about 2^15 samples along the axis, runs
-the kernel on each and writes it straight into a C-contiguous output, so
-no array is ever transposed whole.  ``fft2`` holds two planes, the
-axis-0 result and the output, plus the scratch of a few blocks: 1.5 MiB,
-or up to about 4.5 MiB on a Bluestein axis, whose padded buffer is two to
-four times the block.
+the kernel on each and writes it straight into the output, so no array
+is ever transposed whole.  ``fft2`` holds two new planes, the axis-0
+result and the output, or none when it is given an output to write (the
+input itself, say), plus the scratch of a few blocks: 1.5 MiB, or up to
+about 4.5 MiB on a Bluestein axis, whose padded buffer is two to four
+times the block.
 """
 
 from __future__ import annotations
@@ -141,19 +142,23 @@ def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
     return y
 
 
-def fft1(x: np.ndarray, sign: int, axis: int = -1) -> np.ndarray:
+def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Signed 1D transform of a complex array along ``axis``.
 
-    The result is a new C-contiguous array of the input's shape, written
-    block by block beside a few blocks of scratch (O(n) once n exceeds one).
+    The result is written block by block, beside a few blocks of scratch
+    (O(n) once n exceeds one), into ``out``: a new C-contiguous array by
+    default, or a given complex array of the input's shape, which may be
+    the input itself (a block is read whole before it is written).
     """
     _check_sign(sign)
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[axis]
     axis %= x.ndim
     pre, post = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
-    out = np.empty(x.shape, dtype=np.complex128)
-    src, dst = x.reshape(pre, n, post), out.reshape(pre, n, post)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.complex128)
+    src, dst = x.reshape(pre, n, post), out.view()
+    dst.shape = (pre, n, post)  # raises rather than reshape into a copy
     # a block is k leading by w trailing indices, k w = cols columns of length n
     cols = _block_columns(n)
     w = min(post, cols) or 1
@@ -166,11 +171,13 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1) -> np.ndarray:
     return out
 
 
-def fft2(field: np.ndarray, signs: AxisSigns) -> np.ndarray:
+def fft2(field: np.ndarray, signs: AxisSigns, out: np.ndarray | None = None) -> np.ndarray:
     """Signed 2D transform: axis 0 with signs.s1, then axis 1 with signs.s2.
 
-    The result is C-contiguous.  Besides the input the transform holds
-    two planes, the axis-0 result and the output, plus ``fft1``'s
-    block scratch.
+    The result goes to ``out`` as in ``fft1``: with none given the
+    transform holds two new planes, the axis-0 result and the output;
+    with one given (the input itself, say) it holds no plane, only
+    ``fft1``'s block scratch.
     """
-    return fft1(fft1(field, signs.s1, axis=0), signs.s2, axis=1)
+    mid = fft1(field, signs.s1, axis=0, out=out)
+    return fft1(mid, signs.s2, axis=1, out=out)

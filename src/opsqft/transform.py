@@ -31,10 +31,11 @@ FFT along that axis, and a 0 makes the plane's spectrum constant along
 that axis, so the axis is summed first and transformed at length 1.
 A is W, or diag(1, -1, -1, -1) W when h is conjugated; B is W^T times
 w, so neither the conjugation nor the weight costs a pass over the data.
-Pass 1 transforms column blocks of data @ A along axis 0 into the one
-output, seen as (N1, 2, N2) complex (row k1: plane +, plane -); pass 2
-transforms its row blocks along axis 1 into a small scratch, whose
-product with B overwrites those rows.  No other full-size array is made.
+Everything happens in the one output array, seen as (N1, 2, N2) complex
+(row k1: plane +, then plane -): each plane of data @ A is written into
+it and ``fft2`` transforms it in place; then each block of rows is
+interleaved into a small scratch whose product with B overwrites those
+rows.  No other full-size array is made.
 
 The phase-angle family is where the zeros fall: forward, its plus plane
 gets (0, 1) and its minus plane (-1, 0), so the plus spectrum is
@@ -53,7 +54,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .fftcore import TAU, _block_columns, _pass0, fft2  # noqa: F401 (perfbench looks fft2 up here)
+from .fftcore import TAU, AxisSigns, _block_columns, fft2
 from .fields import Domain, QuaternionField2D
 from .quat import Quaternion, conj_arr, exp_arr, mul_arr
 from .split import OpsContext, split_arr, swapped_context
@@ -218,53 +219,43 @@ def inverse_direct(variant: TransformVariant, spectrum: Spectrum) -> QuaternionF
 
 
 # ---------------------------------------------------------------------------
-# Fast path: data @ A, one FFT per plane in two blocked passes, @ B.
+# Fast path: data @ A, one fft2 per plane, @ B, all in the output array.
 
 # conj(q) = q @ _CONJ for a row (w, x, y, z)
 _CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndarray:
-    """The table row in two blocked passes; plane p (0 is +, 1 is -) takes
-    columns 2p, 2p + 1 of A and its signs from ``planes``.  A plane with a
-    0 there is a line, summed, transformed whole and broadcast by pass 2."""
+    """The table row through its frame W, in the one output array: plane p
+    (0 is +, 1 is -) is ``data @ A[:, 2p:2p + 2]``, transformed in place with
+    the signs from ``planes``.  A plane with a 0 there is a line, summed and
+    transformed on its own, then broadcast."""
     k, ctx = _kernel(variant, inverse)
     n1, n2 = data.shape[:2]
     W = ctx.frame
     A = _CONJ @ W if k.conjugate else W
     B = W.T / (n1 * n2) if inverse else W.T
     out = np.empty((n1, n2, 4))
-    spec = out.view(complex).reshape(n1, 2, n2)  # row k1: plane +, then plane -
-    lines = {}
+    spec = out.view(np.complex128).reshape(n1, 2, n2)  # row k1: plane +, then plane -
+    planes = []
     for p, (c1, c2) in enumerate(k.planes):
-        if c1 == 0 or c2 == 0:
-            x = data.sum(axis=0, keepdims=True) if c1 == 0 else data
-            if c2 == 0:  # a BLAS product: numpy's strided sum over axis 1 is slower
-                x = (np.ones(x.shape[1]) @ x)[:, None, :]
-            line = (x.reshape(-1, 4) @ A[:, 2 * p:2 * p + 2]).view(complex).reshape(x.shape[:2])
-            line = _pass0(np.ascontiguousarray(_pass0(line, c1 or 1).T), c2 or 1).T
-            lines[p] = np.broadcast_to(line, (n1, n2))
-    full = [p for p in (0, 1) if p not in lines]
-    # block buffers for both passes: pass 1 gathers data columns into quads and
-    # rotates them into pairs, pass 2 gathers rows into pairs and builds z in quads
-    cols, rows = _block_columns(n1), _block_columns(n2)
-    size = max(n1 * min(cols, n2), n2 * min(rows, n1))
-    quads, pairs = np.empty((size, 4)), np.empty((size, 2))
-    for j in range(0, n2 if full else 0, cols):  # pass 1: along axis 0 into the output
-        block = quads[:n1 * min(cols, n2 - j)]
-        np.copyto(block.reshape(n1, -1, 4), data[:, j:j + cols])
-        for p in full:
-            plane = np.matmul(block, A[:, 2 * p:2 * p + 2], out=pairs[:len(block)])
-            spec[:, p, j:j + cols] = _pass0(plane.view(complex).reshape(n1, -1), k.planes[p][0])
-    for i in range(0, n1, rows):  # pass 2: along axis 1, then @ B over the same rows
-        z = quads[:n2 * min(rows, n1 - i)].view(complex).reshape(-1, n2, 2)
-        for p in lines:
-            z[..., p] = lines[p][i:i + rows]
-        for p in full:
-            block = pairs[:len(z) * n2].view(complex).reshape(n2, -1)
-            np.copyto(block, spec[i:i + rows, p].T)
-            z[..., p] = _pass0(block, k.planes[p][1]).T
-        np.matmul(z.view(np.float64).reshape(-1, 4), B, out=out[i:i + rows].reshape(-1, 4))
+        if c1 and c2:
+            np.matmul(data, A[:, 2 * p:2 * p + 2], out=spec[:, p].view(np.float64).reshape(n1, n2, 2))
+            planes.append(fft2(spec[:, p], AxisSigns(c1, c2), out=spec[:, p]))
+            continue
+        x = data.sum(axis=0, keepdims=True) if c1 == 0 else data
+        if c2 == 0:  # a BLAS product: numpy's strided sum over axis 1 is slower
+            x = (np.ones(x.shape[1]) @ x)[:, None, :]
+        line = (x.reshape(-1, 4) @ A[:, 2 * p:2 * p + 2]).view(np.complex128).reshape(x.shape[:2])
+        planes.append(np.broadcast_to(fft2(line, AxisSigns(c1 or 1, c2 or 1)), (n1, n2)))
+    # each block of rows is interleaved into z before z @ B overwrites it
+    step = _block_columns(n2)
+    z = np.empty((min(step, n1), n2, 2), dtype=np.complex128)
+    for i in range(0, n1, step):
+        rows = z[:min(step, n1 - i)]
+        for p in (0, 1):
+            rows[..., p] = planes[p][i:i + step]
+        np.matmul(rows.view(np.float64).reshape(-1, 4), B, out=out[i:i + step].reshape(-1, 4))
     return out
 
 

@@ -165,6 +165,26 @@ def test_fft2_returns_c_contiguous():
             assert fft2(source, AxisSigns(-1, 1)).flags.c_contiguous
 
 
+@pytest.mark.parametrize("n1, n2", [(67, 515), (129, 33), (1, 5)])
+def test_fft2_in_place_on_interleaved_planes(n1, n2):
+    # each plane of an (n1, n2, 2) stack is a strided view; both axis passes
+    # span several blocks, end in a ragged one and write over their input
+    rng = np.random.default_rng(SEED + 13)
+    stack = rand_c(rng, (n1, n2, 2))
+    before = stack.copy()
+    for p, (s1, s2) in enumerate(((-1, 1), (1, -1))):
+        plane = stack[..., p]
+        assert fft2(plane, AxisSigns(s1, s2), out=plane) is plane
+        want = signed_numpy(signed_numpy(before[..., p], s1, axis=0), s2, axis=1)
+        assert rel_err(plane, want) < 1e-14
+    # the result is the same as into new arrays, bit for bit
+    for p, (s1, s2) in enumerate(((-1, 1), (1, -1))):
+        assert np.array_equal(stack[..., p], fft2(before[..., p], AxisSigns(s1, s2)))
+    out = np.empty((n1, n2), dtype=np.complex128)
+    assert fft1(before[..., 0], -1, axis=1, out=out) is out
+    assert np.array_equal(out, fft1(before[..., 0], -1, axis=1))
+
+
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])
 def test_zero_length_axes_give_empty_results(shape):
     x = np.zeros(shape)

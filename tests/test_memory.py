@@ -22,9 +22,8 @@ PLANE = N * N * 16
 FIELD = 2 * PLANE
 # fft1's block scratch, about four blocks of 2^15 complex samples
 SCRATCH = 2 * MIB
-# the fast path's block scratch: its two block buffers (a gathered quaternion
-# block and its rotated plane in pass 1, the (rows, n2, 2) scratch and a
-# gathered row block in pass 2) and the kernel's buffers
+# the fast path's block scratch: fft1's, and the block of rows that is
+# interleaved before its product with B overwrites it
 BLOCK_SCRATCH = 4 * MIB
 
 
@@ -48,6 +47,8 @@ def test_fft2_holds_two_planes():
     x = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     # the axis-0 result and the output
     assert traced_peak(lambda: fft2(x, AxisSigns(-1, 1))) <= 2 * PLANE + SCRATCH
+    # written over its input, it holds no plane
+    assert traced_peak(lambda: fft2(x, AxisSigns(-1, 1), out=x)) <= SCRATCH
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -59,8 +60,8 @@ def test_fast_transforms_hold_one_field(family):
     data = rng.standard_normal((N, N, 4))
     field = QuaternionField2D(data, Domain.SPATIAL)
     spectrum = Spectrum(QuaternionField2D(data, Domain.FREQUENCY), variant)
-    # both passes write into the output field; besides it only block
-    # scratch is live (the phase-angle lines are O(N))
+    # the rotation, both FFTs and @ B write into the output field; besides
+    # it only block scratch is live (the phase-angle lines are O(N))
     limit = FIELD + BLOCK_SCRATCH
     assert traced_peak(lambda: forward_fast(variant, field)) <= limit
     assert traced_peak(lambda: inverse_fast(variant, spectrum)) <= limit

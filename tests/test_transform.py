@@ -342,7 +342,8 @@ def numpy_composition(variant, data, inverse):
 
 @pytest.mark.parametrize("n1, n2", RAGGED_GRIDS)
 def test_fast_path_in_ragged_blocks(n1, n2):
-    # pass 1 runs on column blocks, pass 2 on row blocks; both end ragged
+    # the axis-0 pass runs on column blocks, the axis-1 pass and @ B on
+    # row blocks; both end ragged
     cols, rows = _block_columns(n1), _block_columns(n2)
     assert n2 > cols and n2 % cols and n1 > rows and n1 % rows
     rng = np.random.default_rng(SEED + 16)
