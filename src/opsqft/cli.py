@@ -39,6 +39,7 @@ from .transform import (
     Family,
     Spectrum,
     TransformVariant,
+    VariantMismatch,
     forward_direct,
     forward_fast,
     inverse_direct,
@@ -71,15 +72,21 @@ def _reals(text: str, flag: str):
     return vals
 
 
+def _quaternion(cls, vals, flag: str) -> Quaternion:
+    """``cls(*vals)``; a ValueError (a non-finite component, a zero axis)
+    becomes a usage error that names ``flag``."""
+    try:
+        return cls(*vals)
+    except ValueError as e:
+        raise UsageError(f"{flag}: {e}")
+
+
 def parse_pure_unit(text: str, flag: str) -> PureUnitQuaternion:
     """Three comma-separated reals, normalized to a pure unit."""
     vals = _reals(text, flag)
     if len(vals) != 3:
         raise UsageError(f"{flag}: expected three comma-separated reals, got '{text}'")
-    try:
-        return PureUnitQuaternion(*vals)
-    except ValueError as e:
-        raise UsageError(f"{flag}: {e}")
+    return _quaternion(PureUnitQuaternion, vals, flag)
 
 
 def parse_frame_entry(text: str, flag: str) -> Quaternion:
@@ -89,12 +96,9 @@ def parse_frame_entry(text: str, flag: str) -> Quaternion:
         return ONE
     vals = _reals(text, flag)
     if len(vals) == 3:
-        try:
-            return PureUnitQuaternion(*vals)
-        except ValueError as e:
-            raise UsageError(f"{flag}: {e}")
+        return _quaternion(PureUnitQuaternion, vals, flag)
     if len(vals) == 4:
-        return Quaternion(*vals)
+        return _quaternion(Quaternion, vals, flag)
     raise UsageError(f"{flag}: expected 'scalar', three reals, or four reals; got '{text}'")
 
 
@@ -102,7 +106,7 @@ def parse_full_quaternion(text: str, flag: str) -> Quaternion:
     vals = _reals(text, flag)
     if len(vals) != 4:
         raise UsageError(f"{flag}: expected four comma-separated reals, got '{text}'")
-    return Quaternion(*vals)
+    return _quaternion(Quaternion, vals, flag)
 
 
 def _variant(args) -> TransformVariant:
@@ -279,7 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (UsageError, InvalidFrame, DegenerateContext, ValueError) as e:
+    except (UsageError, InvalidFrame, DegenerateContext, VariantMismatch) as e:
         print(f"opsqft: {e}", file=sys.stderr)
         return 2
     except FileFormatError as e:

@@ -11,17 +11,12 @@ contiguous block.  A length of at most 64 is one product with its DFT
 matrix.  A longer composite length n = a b, with a the largest divisor
 not above sqrt(n), runs Bailey's four-step factorization: length-b
 transforms, the twiddles w^(m1 k2), a transpose within the block and
-length-a transforms, which leaves the output in natural order.  When b
-is at most 64 (so n is at most 4096) the twiddles are folded into the
-length-b matrices: row m1 of the input meets its own matrix
-diag(w^(m1 k2)) M_b, and one batched product writes the transposed,
-twiddled first stage.  A longer prime length runs Bluestein's chirp-z
-transform, a circular convolution of power-of-two length evaluated by
-the same kernel.  The DFT matrices, twiddles and chirps are built on
-first use and cached per (length, sign); every angle is reduced exactly
-in integers before ``exp``.  A folded stack holds n b <= 2^18 complex
-numbers (4 MiB), the other plans O(n), so the cache holds at most
-256 MiB of folded stacks.
+length-a transforms, which leaves the output in natural order.  A
+longer prime length runs Bluestein's chirp-z transform, a circular
+convolution of power-of-two length evaluated by the same kernel.  The
+DFT matrices, twiddles and chirps are built on first use and cached per
+(length, sign); every angle is reduced exactly in integers before
+``exp``.
 
 An axis pass gathers blocks of about 2^15 samples along the axis, runs
 the kernel on each and writes it straight into the output, so no array
@@ -44,9 +39,8 @@ TAU = 2.0 * np.pi
 
 # Lengths up to this are a single dense DFT matrix product.
 _DENSE_MAX = 64
-# Most (length, sign) plans kept at once.  Worst case: 64 folded stacks
-# of at most 4 MiB each (n = 4096, b = 64), 256 MiB, plus the O(n) tables
-# of the other plans.
+# Most (length, sign) plans kept at once.  A plan holds at most 5 n
+# complex numbers, or 64^2 for a dense one.
 _PLAN_CACHE = 64
 # Samples in one block of an axis pass (512 KiB): enough columns for
 # BLAS-sized products, few enough that the block and the kernel's scratch
@@ -77,10 +71,7 @@ def _plan(n: int, sign: int):
     """What ``_pass0`` needs for length n, tagged by the method.
 
     ("dense", M, None): M[k, m] = w^(m k), w = exp(sign 2 pi i / n).
-    ("fused", a, F): n = a b with b <= _DENSE_MAX, and the stack
-    F[m1, k2, m2] = w^(k2 (a m2 + m1)) = w^(m1 k2) w_b^(m2 k2): the
-    length-b DFT matrix with the twiddles of row m1 folded in.
-    ("four-step", a, T): n = a b and T[m1, k2] = w^(m1 k2) for m1 < a, k2 < b.
+    ("four-step", a, T): n = a b and T[k2, m1] = w^(m1 k2) for k2 < b, m1 < a.
     ("chirp", c, K): c[m] = exp(sign pi i m^2 / n) as a column, and K the
     power-of-two length transform of the conjugate chirp, divided by its
     length, as a column.
@@ -91,12 +82,8 @@ def _plan(n: int, sign: int):
     a = math.isqrt(n)
     while n % a:
         a -= 1
-    b = n // a
-    if b <= _DENSE_MAX:
-        m1, k2, m2 = np.ogrid[:a, :b, :b]
-        return "fused", a, _roots(k2 * (a * m2 + m1) % n, n, sign)
     if a > 1:
-        m1, k2 = np.ogrid[:a, :b]
+        k2, m1 = np.ogrid[:n // a, :a]
         return "four-step", a, _roots(m1 * k2 % n, n, sign)
     size = 1 << (2 * n - 2).bit_length()
     m = np.arange(n, dtype=np.int64)
@@ -121,16 +108,13 @@ def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
     kind, p, q = _plan(n, sign)
     if kind == "dense":
         return p @ x
-    if kind != "chirp":
+    if kind == "four-step":
         # input index a m2 + m1, output index k2 + b k1
         a, b = p, n // p
-        if kind == "fused":
-            z = q @ x.reshape(b, a, r).transpose(1, 0, 2)
-        else:
-            y = _pass0(x.reshape(b, a * r), sign).reshape(b, a, r)
-            z = np.empty((a, b, r), dtype=np.complex128)
-            np.multiply(y.transpose(1, 0, 2), q[:, :, None], out=z)
-            del y  # free the first pass before the second allocates its output
+        y = _pass0(x.reshape(b, a * r), sign).reshape(b, a, r)
+        y *= q[:, :, None]  # in place: a multiply into the transpose would be buffered
+        z = np.ascontiguousarray(y.transpose(1, 0, 2))
+        del y  # free the first pass before the second allocates its output
         return _pass0(z.reshape(a, b * r), sign).reshape(n, r)
     # w^(m k) = c[m] c[k] conj(c[k - m]): a convolution with the conjugate chirp
     y = np.zeros((q.shape[0], r), dtype=np.complex128)

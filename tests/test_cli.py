@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import opsqft
+from opsqft import cli
 from opsqft.cli import main
 from opsqft.fields import QuaternionField2D
 from opsqft.formats import read_field, write_field
@@ -220,6 +221,28 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["coeffs", "--f", "1,q,0", "--g", "0,1,0", "--q", "1,0,0,0"]) == 2
     assert main(["split", "--f", "1,0,0", "--g", "0,1,0"]) == 2
     capsys.readouterr()
+
+
+def test_non_finite_quaternion_flags_are_usage_errors(capsys):
+    assert main(["coeffs", "--f", "1,0,0", "--g", "0,1,0", "--q", "nan,0,0,0"]) == 2
+    assert capsys.readouterr().err.startswith("opsqft: --q: non-finite")
+    assert main(["planes", "--a", "1,0,0", "--b", "1,inf,0,0", "--c", "0,0,1",
+                 "--d", "scalar"]) == 2
+    assert capsys.readouterr().err.startswith("opsqft: --b: non-finite")
+
+
+def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    # exit 2 is for bad arguments; a fault inside the transform propagates
+    a = tmp_path / "a.qf2d"
+    write_random_field(a, np.random.default_rng(SEED + 15))
+
+    def broken(variant, field):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "forward_fast", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["transform", "--variant", "twosided", "--f", "1,0,0", "--g", "0,1,0",
+              "--in", str(a), "--out", str(tmp_path / "s.qf2d")])
 
 
 def test_zero_axis_is_usage_error(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import opsqft
-from opsqft.fftcore import _BLOCK, AxisSigns, fft1, fft2
+from opsqft.fftcore import _BLOCK, AxisSigns, _plan, fft1, fft2
 
 SEED = 77103
 
@@ -147,14 +147,24 @@ def test_fft2_prime_by_composite_mixed_signs():
     assert rel_err(fft2(x, AxisSigns(1, -1)), want) < 1e-14
 
 
-def test_fft2_unfused_by_fused_mixed_signs():
-    # 2042 = 2 * 1021 runs the twiddle pass, 1024 = 32 * 32 the fused stack
+def test_fft2_nested_by_square_four_step_mixed_signs():
+    # 2042 = 2 * 1021 runs a four-step pass around Bluestein, 1024 = 32 * 32
+    # one around two dense products
     rng = np.random.default_rng(SEED + 10)
     x = rand_c(rng, (2042, 1024))
     want = np.fft.fft(1024 * np.fft.ifft(x, axis=1), axis=0)
     assert rel_err(fft2(x, AxisSigns(-1, 1)), want) < 1e-14
     want = 2042 * np.fft.ifft(np.fft.fft(x, axis=1), axis=0)
     assert rel_err(fft2(x, AxisSigns(1, -1)), want) < 1e-14
+
+
+@pytest.mark.parametrize("n", KERNEL_LENGTHS)
+def test_plans_are_linear_in_length(n):
+    # a four-step twiddle table holds n numbers, a chirp and its padded
+    # kernel under 5 n, a dense matrix at most 64^2
+    for sign in (-1, 1):
+        size = sum(part.nbytes for part in _plan(n, sign) if isinstance(part, np.ndarray))
+        assert size <= 16 * max(64 ** 2, 5 * n)
 
 
 def test_fft2_returns_c_contiguous():

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import os
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opsqft import formats
+from opsqft.cli import main
 from opsqft.fields import Domain, QuaternionField2D
 from opsqft.formats import (
     BadMagic,
@@ -94,6 +99,68 @@ def test_read_rejects_bytes_after_payload(tmp_path):
     # the payload ends at 16 + 32 * 2 * 3
     with pytest.raises(TrailingBytes, match="byte 208"):
         read_field(p)
+
+
+def _expected_error(raw: bytes):
+    """The error class and byte offset that the layout says ``raw`` must
+    raise, or None for a well-formed file."""
+    if len(raw) < 16:
+        return TruncatedPayload, len(raw)
+    version, n1, n2 = struct.unpack_from("<III", raw, 4)
+    end = 16 + 32 * n1 * n2
+    if raw[:4] != b"QF2D":
+        return BadMagic, 0
+    if version != 1:
+        return BadVersion, 4
+    if n1 < 1 or n2 < 1:
+        return MalformedHeader, 8
+    if len(raw) < end:
+        return TruncatedPayload, len(raw)
+    if len(raw) > end:
+        return TrailingBytes, end
+    return None
+
+
+# a valid 2 x 3 file is 16 + 192 bytes; each case edits its header,
+# truncates it or appends to it
+_EDITS = st.one_of(
+    st.dictionaries(st.integers(0, 15), st.integers(0, 255), min_size=1, max_size=4)
+    .map(lambda edits: ("header", edits)),
+    st.integers(0, 207).map(lambda size: ("truncate", size)),
+    st.binary(min_size=1, max_size=40).map(lambda tail: ("append", tail)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(edit=_EDITS)
+def test_fuzzed_field_files_fail_at_their_offset(tmp_path_factory, edit):
+    p = tmp_path_factory.mktemp("fuzz") / "f.qf2d"
+    write_field(QuaternionField2D(np.ones((2, 3, 4))), p)
+    raw = bytearray(p.read_bytes())
+    kind, arg = edit
+    if kind == "header":
+        for i, byte in arg.items():
+            raw[i] = byte
+    elif kind == "truncate":
+        del raw[arg:]
+    else:
+        raw += arg
+    p.write_bytes(raw)
+    expected = _expected_error(bytes(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["info", "--in", str(p)])
+    if expected is None:
+        # an edit that keeps the file well formed (n1 n2 = 6, or a byte unchanged)
+        assert read_field(p).data.size == 24
+        assert code == 0
+        return
+    cls, offset = expected
+    with pytest.raises(cls) as info:
+        read_field(p)
+    assert info.value.offset == offset
+    assert code == 3
+    assert f"byte {offset}:" in err.getvalue()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
