@@ -35,7 +35,7 @@ from .quat import (
     norm,
     scalar_part,
 )
-from .fields import Domain, QuaternionField2D
+from .fields import QuaternionField2D
 from .split import (
     DegenerateContext,
     InvalidFrame,
@@ -54,7 +54,6 @@ from .split import (
 )
 from .fftcore import AxisSigns, fft1, fft2
 from .transform import (
-    CommutationReport,
     Family,
     Spectrum,
     TransformVariant,
@@ -64,7 +63,6 @@ from .transform import (
     inverse_direct,
     inverse_fast,
     split_spectra,
-    transform_commutes_with_split,
 )
 from .formats import (
     BadMagic,
@@ -89,7 +87,7 @@ __all__ = [
     "ONE", "QI", "QJ", "QK", "ZERO",
     "Quaternion", "PureUnitQuaternion", "ZeroQuaternion",
     "mul", "conj", "norm", "scalar_part", "inner", "inverse", "exp_pure",
-    "Domain", "QuaternionField2D",
+    "QuaternionField2D",
     "OpsContext", "PlaneAssignment", "SplitParts",
     "DegenerateContext", "InvalidFrame",
     "make_context", "swapped_context", "determine_context",
@@ -97,9 +95,8 @@ __all__ = [
     "rotate_split",
     "AxisSigns", "fft1", "fft2",
     "Family", "TransformVariant", "Spectrum", "VariantMismatch",
-    "CommutationReport",
     "forward_fast", "forward_direct", "inverse_fast", "inverse_direct",
-    "split_spectra", "transform_commutes_with_split",
+    "split_spectra",
     "FileFormatError", "BadMagic", "BadVersion", "TruncatedPayload", "TrailingBytes",
     "MalformedHeader", "NonFiniteSample", "UnsupportedFormat", "IoFailure",
     "read_field", "write_field", "read_image_ppm", "export_magnitude_pgm",

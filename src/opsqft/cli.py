@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import Domain, QuaternionField2D
+from .fields import QuaternionField2D
 from .formats import (
     HEADER,
     MAGIC,
@@ -120,20 +120,17 @@ def _variant(args) -> TransformVariant:
 
 def _cmd_transform(args) -> int:
     variant = _variant(args)
+    field = read_field(args.infile)
     # numpy stays quiet on overflow: write_field refuses a non-finite result
     # with the command's one diagnostic
     with np.errstate(over="ignore", invalid="ignore"):
         if args.inverse:
-            field = read_field(args.infile, domain=Domain.FREQUENCY)
-            spectrum = Spectrum(field, variant)
             apply_ = inverse_direct if args.direct else inverse_fast
-            out = apply_(variant, spectrum)
-            write_field(out, args.outfile)
+            out = apply_(variant, Spectrum(field, variant))
         else:
-            field = read_field(args.infile, domain=Domain.SPATIAL)
             apply_ = forward_direct if args.direct else forward_fast
-            out = apply_(variant, field)
-            write_field(out.field, args.outfile)
+            out = apply_(variant, field).field
+    write_field(out, args.outfile)
     return 0
 
 
@@ -186,7 +183,7 @@ def _cmd_import_ppm(args) -> int:
 
 
 def _cmd_export_pgm(args) -> int:
-    field = read_field(args.infile, domain=Domain.FREQUENCY)
+    field = read_field(args.infile)
     export_magnitude_pgm(field, args.outfile, centered=args.centered)
     return 0
 

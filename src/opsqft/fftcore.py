@@ -68,7 +68,7 @@ def _roots(j: np.ndarray, n: int, sign: int) -> np.ndarray:
 
 @lru_cache(maxsize=_PLAN_CACHE)
 def _plan(n: int, sign: int):
-    """What ``_pass0`` needs for length n, tagged by the method.
+    """What ``_pass0`` needs for length n, labelled with its method.
 
     ("dense", M, None): M[k, m] = w^(m k), w = exp(sign 2 pi i / n).
     ("four-step", a, T): n = a b and T[k2, m1] = w^(m1 k2) for k2 < b, m1 < a.

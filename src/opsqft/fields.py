@@ -1,28 +1,19 @@
 """Sampled 2D quaternion fields.
 
 A field is an n1 x n2 row-major grid of quaternion samples stored as a
-numpy array of shape (n1, n2, 4), component order (w, x, y, z).  The
-domain tag records whether the samples live on the spatial grid or on
-the integer frequency grid.
+numpy array of shape (n1, n2, 4), component order (w, x, y, z).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class Domain(Enum):
-    SPATIAL = "spatial"
-    FREQUENCY = "frequency"
 
 
 @dataclass(frozen=True, eq=False)
 class QuaternionField2D:
     data: np.ndarray
-    domain: Domain = Domain.SPATIAL
 
     def __post_init__(self):
         a = np.asarray(self.data, dtype=np.float64)
@@ -39,11 +30,3 @@ class QuaternionField2D:
     @property
     def n2(self) -> int:
         return self.data.shape[1]
-
-    @classmethod
-    def zeros(cls, n1: int, n2: int, domain: Domain = Domain.SPATIAL):
-        return cls(np.zeros((n1, n2, 4)), domain)
-
-    def tagged(self, domain: Domain) -> "QuaternionField2D":
-        """Same samples under a different domain tag (no copy)."""
-        return QuaternionField2D(self.data, domain)

@@ -25,7 +25,7 @@ import uuid
 
 import numpy as np
 
-from .fields import Domain, QuaternionField2D
+from .fields import QuaternionField2D
 from .quat import norm_arr
 
 MAGIC = b"QF2D"
@@ -111,7 +111,7 @@ def write_field(field: QuaternionField2D, path) -> None:
         raise IoFailure(path, e) from e
 
 
-def read_field(path, domain: Domain = Domain.SPATIAL) -> QuaternionField2D:
+def read_field(path) -> QuaternionField2D:
     """Read a QF2D file into one writable float64 array.
 
     The header is checked from its 16 bytes and the payload size from the
@@ -148,7 +148,7 @@ def read_field(path, domain: Domain = Domain.SPATIAL) -> QuaternionField2D:
         raise TruncatedPayload(path, HEADER.size + got,
                                f"payload needs {expected} bytes, got {got}")
     _require_finite(path, data)
-    return QuaternionField2D(data, domain)
+    return QuaternionField2D(data)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def read_image_ppm(path) -> QuaternionField2D:
     rgb = rgb.reshape(height, width, 3) / 255.0
     data = np.zeros((height, width, 4))
     data[:, :, 1:] = rgb
-    return QuaternionField2D(data, Domain.SPATIAL)
+    return QuaternionField2D(data)
 
 
 def export_magnitude_pgm(spectrum_or_field, path, centered: bool = False) -> None:

@@ -55,7 +55,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .fftcore import TAU, AxisSigns, _block_columns, fft2
-from .fields import Domain, QuaternionField2D
+from .fields import QuaternionField2D
 from .quat import Quaternion, conj_arr, exp_arr, mul_arr
 from .split import OpsContext, split_arr, swapped_context
 
@@ -81,30 +81,9 @@ class Spectrum:
     field: QuaternionField2D
     variant: TransformVariant
 
-    def __post_init__(self):
-        if self.field.domain is not Domain.FREQUENCY:
-            object.__setattr__(self, "field", self.field.tagged(Domain.FREQUENCY))
-
     @property
     def data(self) -> np.ndarray:
         return self.field.data
-
-
-@dataclass(frozen=True)
-class CommutationReport:
-    """Residuals of split-then-transform against transform-then-split.
-
-    Each residual is the largest deviation of one split part, relative to
-    the RMS sample norm of the full spectrum.
-    """
-
-    residual_plus: float
-    residual_minus: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.residual_plus, self.residual_minus) <= self.tolerance
 
 
 def _require_same_variant(requested: TransformVariant, spectrum: Spectrum) -> None:
@@ -209,13 +188,13 @@ def _direct(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.nd
 def forward_direct(variant: TransformVariant, field: QuaternionField2D) -> Spectrum:
     """Reference forward transform by explicit summation."""
     out = _direct(variant, field.data, inverse=False)
-    return Spectrum(QuaternionField2D(out, Domain.FREQUENCY), variant)
+    return Spectrum(QuaternionField2D(out), variant)
 
 
 def inverse_direct(variant: TransformVariant, spectrum: Spectrum) -> QuaternionField2D:
     """Reference inverse transform by explicit summation."""
     _require_same_variant(variant, spectrum)
-    return QuaternionField2D(_direct(variant, spectrum.data, inverse=True), Domain.SPATIAL)
+    return QuaternionField2D(_direct(variant, spectrum.data, inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +241,13 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
 def forward_fast(variant: TransformVariant, field: QuaternionField2D) -> Spectrum:
     """FFT-backed forward transform; agrees with ``forward_direct``."""
     out = _fast(variant, field.data, inverse=False)
-    return Spectrum(QuaternionField2D(out, Domain.FREQUENCY), variant)
+    return Spectrum(QuaternionField2D(out), variant)
 
 
 def inverse_fast(variant: TransformVariant, spectrum: Spectrum) -> QuaternionField2D:
     """FFT-backed inverse transform; agrees with ``inverse_direct``."""
     _require_same_variant(variant, spectrum)
-    return QuaternionField2D(_fast(variant, spectrum.data, inverse=True), Domain.SPATIAL)
+    return QuaternionField2D(_fast(variant, spectrum.data, inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +261,7 @@ def split_spectra(variant: TransformVariant, field: QuaternionField2D):
     onto its (g, f) counterpart before the kernels act.
     """
     plus, minus = split_arr(variant.ctx, field.data)
-    spectrum_plus = forward_fast(variant, QuaternionField2D(plus, field.domain))
-    spectrum_minus = forward_fast(variant, QuaternionField2D(minus, field.domain))
+    spectrum_plus = forward_fast(variant, QuaternionField2D(plus))
+    spectrum_minus = forward_fast(variant, QuaternionField2D(minus))
     return spectrum_plus, spectrum_minus
 
-
-def transform_commutes_with_split(variant: TransformVariant,
-                                  field: QuaternionField2D,
-                                  tolerance: float = 1e-10) -> CommutationReport:
-    """Check that transforming and splitting can be done in either order.
-
-    The spectrum side splits with respect to the forward kernel's pair
-    (L, R): (f, g) for the two-sided and phase-angle families and the
-    reversed pair for the conjugation family.  Residuals and ``tolerance`` are relative to
-    the RMS sample norm of the full spectrum, so the verdict does not
-    depend on the scale of the field.
-    """
-    full = forward_fast(variant, field)
-    spectrum_plus, spectrum_minus = split_arr(_kernel(variant, False)[1], full.data)
-    part_plus, part_minus = split_spectra(variant, field)
-    scale = max(float(np.sqrt(np.mean(np.sum(full.data ** 2, axis=-1)))), 1e-300)
-    residual_plus = float(np.max(np.abs(spectrum_plus - part_plus.data))) / scale
-    residual_minus = float(np.max(np.abs(spectrum_minus - part_minus.data))) / scale
-    return CommutationReport(residual_plus, residual_minus, tolerance)

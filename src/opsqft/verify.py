@@ -60,6 +60,7 @@ from .transform import (
     forward_fast,
     inverse_direct,
     inverse_fast,
+    split_spectra,
 )
 from .fftcore import TAU
 
@@ -381,6 +382,33 @@ def check_energy(rng, n1=16, n2=16, n_contexts=5, n_fields=3) -> List[CheckResul
     return results
 
 
+def check_commutation(rng, n_contexts=8) -> List[CheckResult]:
+    """Splitting the spectrum gives the spectra of the split parts.
+
+    The spectrum splits along the forward kernel's pair (L, R): (f, g),
+    or (g, f) for the conjugation family.  Residuals are relative to the
+    RMS of the full spectrum, at scales from 1e-150 to 1e150; length 67
+    runs the chirp plan and length 70 the four-step plan.
+    """
+    ctxs = sample_contexts(rng, n_contexts)
+    results = []
+    for family in Family:
+        worst = 0.0
+        for ctx in ctxs:
+            variant = TransformVariant(family, ctx)
+            pair = _kernel(variant, False)[1]
+            for n1, n2 in ((4, 6), (67, 70)):
+                h = random_field(rng, n1, n2).data
+                for scale in (1e-150, 1.0, 1e8, 1e150):
+                    field = QuaternionField2D(scale * h)
+                    full = forward_fast(variant, field).data
+                    rms = max(_rms(full), 1e-300)
+                    for want, got in zip(split_arr(pair, full), split_spectra(variant, field)):
+                        worst = max(worst, _max_abs(got.data - want) / rms)
+        results.append(CheckResult(f"commutation/{family.value}", worst, 1e-10))
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Aggregate runner.
 
@@ -404,4 +432,5 @@ def run_all(seed: int, profile: str = "quick") -> List[CheckResult]:
     results += check_coefficients(rng)
     results.append(check_simplex_perplex(rng))
     results += check_energy(rng)
+    results += check_commutation(rng, cfg["n_contexts"])
     return results

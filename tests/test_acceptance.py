@@ -12,7 +12,7 @@ import numpy as np
 from opsqft import verify
 from opsqft.cli import main
 from opsqft.formats import read_field
-from opsqft.transform import Kernel
+from opsqft.transform import Family, Kernel
 
 SEED = 42
 
@@ -104,6 +104,23 @@ def test_simplex_perplex_split():
 def test_spectral_energy_preserved():
     rng = np.random.default_rng(SEED + 9)
     _settle(verify.check_energy(rng, n1=16, n2=16))
+
+
+def test_split_transform_commutation():
+    # 4x6 and 67x70 grids (dense, chirp and four-step plans), scales 1e-150..1e150
+    rng = np.random.default_rng(SEED + 11)
+    results = _settle(verify.check_commutation(rng, FULL_CONTEXTS))
+    assert [r.name for r in results] == [f"commutation/{f.value}" for f in Family]
+
+
+def test_commutation_fails_on_swapped_part_spectra(monkeypatch):
+    # the part spectra handed back in the wrong order: every row must notice
+    split_spectra = verify.split_spectra
+    monkeypatch.setattr(verify, "split_spectra",
+                        lambda variant, field: split_spectra(variant, field)[::-1])
+    results = verify.check_commutation(np.random.default_rng(SEED + 11), 4)
+    assert len(results) == 3
+    assert not any(r.passed for r in results), [r.line() for r in results]
 
 
 def test_cli_end_to_end(tmp_path):

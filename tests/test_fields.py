@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opsqft.fields import Domain, QuaternionField2D
+from opsqft.fields import QuaternionField2D
 
 
 def test_shape_validation():
@@ -17,14 +17,10 @@ def test_dtype_coercion_and_properties():
     field = QuaternionField2D(np.ones((2, 5, 4), dtype=np.float32))
     assert field.data.dtype == np.float64
     assert (field.n1, field.n2) == (2, 5)
-    assert field.domain is Domain.SPATIAL
 
 
-def test_zeros_and_tagged():
-    z = QuaternionField2D.zeros(3, 2, Domain.FREQUENCY)
-    assert z.data.shape == (3, 2, 4)
-    assert not z.data.any()
-    assert z.domain is Domain.FREQUENCY
-    rt = z.tagged(Domain.SPATIAL)
-    assert rt.domain is Domain.SPATIAL
-    assert rt.data is z.data
+def test_float64_data_is_wrapped_without_copy():
+    data = np.zeros((3, 2, 4))
+    field = QuaternionField2D(data)
+    assert field.data is data
+    assert QuaternionField2D(field.data).data is data

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from opsqft import formats
 from opsqft.cli import main
-from opsqft.fields import Domain, QuaternionField2D
+from opsqft.fields import QuaternionField2D
 from opsqft.formats import (
     BadMagic,
     BadVersion,
@@ -55,13 +55,6 @@ def test_header_layout(tmp_path):
     assert raw[:4] == b"QF2D"
     assert struct.unpack_from("<III", raw, 4) == (1, 1, 1)
     assert struct.unpack_from("<4d", raw, 16) == (1.0, 2.0, 3.0, 4.0)
-
-
-def test_read_field_domain_tag(tmp_path):
-    p = tmp_path / "f.qf2d"
-    write_field(QuaternionField2D(np.zeros((2, 2, 4))), p)
-    assert read_field(p).domain is Domain.SPATIAL
-    assert read_field(p, domain=Domain.FREQUENCY).domain is Domain.FREQUENCY
 
 
 def test_read_errors_name_offsets(tmp_path):

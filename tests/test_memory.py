@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from opsqft.fftcore import AxisSigns, fft2
-from opsqft.fields import Domain, QuaternionField2D
+from opsqft.fields import QuaternionField2D
 from opsqft.quat import PureUnitQuaternion
 from opsqft.split import make_context
 from opsqft.transform import Family, Spectrum, TransformVariant, forward_fast, inverse_fast
@@ -62,8 +62,8 @@ def test_fast_transforms_hold_one_field(family):
                        PureUnitQuaternion(*rng.standard_normal(3)))
     variant = TransformVariant(family, ctx)
     data = rng.standard_normal((N, N, 4))
-    field = QuaternionField2D(data, Domain.SPATIAL)
-    spectrum = Spectrum(QuaternionField2D(data, Domain.FREQUENCY), variant)
+    field = QuaternionField2D(data)
+    spectrum = Spectrum(field, variant)
     # the rotation, both FFTs and @ B write into the output field; besides
     # it only block scratch is live (the phase-angle lines are O(N))
     limit = FIELD + BLOCK_SCRATCH
