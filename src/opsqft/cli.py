@@ -109,6 +109,17 @@ def parse_full_quaternion(text: str, flag: str) -> Quaternion:
     return _quaternion(Quaternion, vals, flag)
 
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer, as numpy's generators require."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got '{text}'")
+    return value
+
+
 def _variant(args) -> TransformVariant:
     f = parse_pure_unit(args.f, "--f")
     g = parse_pure_unit(args.g, "--g")
@@ -247,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_planes)
 
     p = sub.add_parser("verify", help="run the seeded identity suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--profile", choices=["quick", "full"], default="quick")
     p.set_defaults(handler=_cmd_verify)
 

@@ -171,6 +171,15 @@ def test_verify_output_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_verify_rejects_a_seed_numpy_cannot_take(capsys, seed):
+    # rejected while parsing: exit 2 and one error line, not a traceback
+    assert main(["verify", "--seed", seed]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == ["opsqft verify: error: argument --seed: "
+                      f"expected a non-negative integer, got '{seed}'"]
+
+
 def test_import_export_images(tmp_path):
     rng = np.random.default_rng(SEED + 4)
     pix = rng.integers(0, 256, size=(4, 6, 3), dtype=np.uint8)
