@@ -241,13 +241,14 @@ def read_image_ppm(path) -> QuaternionField2D:
     for what in ("width", "height", "maxval"):
         off, tok = next_token(what)
         try:
-            dims.append(int(tok))
+            dims.append((off, int(tok)))
         except ValueError:
             raise MalformedHeader(path, off, f"{what} is not an integer: {tok!r}") from None
-    width, height, maxval = dims
+    (width_off, width), (height_off, height), (_, maxval) = dims
     maxval_end = off + len(tok)
     if width < 1 or height < 1:
-        raise MalformedHeader(path, 0, f"image {width}x{height} is not positive")
+        raise MalformedHeader(path, width_off if width < 1 else height_off,
+                              f"image {width}x{height} is not positive")
     if maxval != 255:
         raise UnsupportedFormat(path, off, f"maxval {maxval}, only 255 is supported")
 

@@ -339,6 +339,18 @@ def test_ppm_rejects_malformed(tmp_path):
         read_image_ppm(p)
 
 
+@pytest.mark.parametrize("head, offset", [
+    (b"P6\n0 1\n", 3),
+    (b"P6 # c\n 2 -1\n", 10),
+    (b"P3\n-2 0\n", 3),
+])
+def test_ppm_non_positive_size_names_its_offset(tmp_path, head, offset):
+    p = tmp_path / "img.ppm"
+    p.write_bytes(head + b"255\n")
+    with pytest.raises(MalformedHeader, match=f"byte {offset}: .*is not positive"):
+        read_image_ppm(p)
+
+
 def test_ingested_image_round_trips_through_field_file(tmp_path):
     ramp = bytes(range(12))
     src = tmp_path / "r.ppm"
