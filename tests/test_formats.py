@@ -15,6 +15,7 @@ from opsqft.fields import QuaternionField2D
 from opsqft.formats import (
     BadMagic,
     BadVersion,
+    FileFormatError,
     IoFailure,
     MalformedHeader,
     NonFiniteSample,
@@ -349,6 +350,135 @@ def test_ppm_non_positive_size_names_its_offset(tmp_path, head, offset):
     p.write_bytes(head + b"255\n")
     with pytest.raises(MalformedHeader, match=f"byte {offset}: .*is not positive"):
         read_image_ppm(p)
+
+
+def _ppm_words(raw: bytes):
+    """(offset, word) over the words of ``raw``, byte by byte: words are
+    split by space, tab, CR and LF, and a '#' that starts a word comments
+    out the rest of its line."""
+    i, n = 0, len(raw)
+    while i < n:
+        if raw[i:i + 1] in b" \t\r\n":
+            i += 1
+        elif raw[i:i + 1] == b"#":
+            while i < n and raw[i:i + 1] != b"\n":
+                i += 1
+        else:
+            start = i
+            while i < n and raw[i:i + 1] not in b" \t\r\n":
+                i += 1
+            yield start, raw[start:i]
+
+
+def _expected_ppm(raw: bytes):
+    """The error class and byte offset that the P3/P6 layout says ``raw``
+    must raise, or the (height, width, 3) pixel values of a well-formed file."""
+    words = list(_ppm_words(raw))
+    if not words:
+        return MalformedHeader, len(raw)
+    off, magic = words[0]
+    if magic not in (b"P3", b"P6"):
+        return UnsupportedFormat, off
+    head = []
+    for off, word in words[1:4]:
+        try:
+            head.append((off, int(word)))
+        except ValueError:
+            return MalformedHeader, off
+    if len(head) < 3:
+        return MalformedHeader, len(raw)
+    (width_off, width), (height_off, height), (maxval_off, maxval) = head
+    if width < 1:
+        return MalformedHeader, width_off
+    if height < 1:
+        return MalformedHeader, height_off
+    if maxval != 255:
+        return UnsupportedFormat, maxval_off
+    count = 3 * width * height
+    if magic == b"P6":
+        # one whitespace byte after maxval, then the pixel bytes
+        start = maxval_off + len(words[3][1]) + 1
+        body = raw[start:start + count]
+        if len(body) < count:
+            return MalformedHeader, start + len(body)
+        values = list(body)
+    else:
+        values = []
+        for off, word in words[4:4 + count]:
+            try:
+                v = int(word)
+            except ValueError:
+                return MalformedHeader, off
+            if not 0 <= v <= 255:
+                return MalformedHeader, off
+            values.append(v)
+        if len(values) < count:
+            return MalformedHeader, len(raw)
+    return np.array(values, dtype=np.float64).reshape(height, width, 3)
+
+
+# valid 3 x 2 pixmaps, a comment in the header; each case edits its
+# header bytes, truncates it or, for P3, replaces one pixel word
+_PPM_HEAD = b"P%d\n# c\n3 2\n255\n"
+_PPM_VALUES = [37 * k % 256 for k in range(18)]
+_PPM_EDITS = st.one_of(
+    st.tuples(st.just("header"), st.sampled_from((3, 6)),
+              st.dictionaries(st.integers(0, len(_PPM_HEAD % 3) - 1),
+                              st.one_of(st.sampled_from(b"0123456789 \t\n#+-P36"),
+                                        st.integers(0, 255)),
+                              min_size=1, max_size=3)),
+    st.tuples(st.just("truncate"), st.sampled_from((3, 6)), st.integers(0, 80)),
+    st.tuples(st.just("word"), st.integers(0, 17),
+              st.one_of(st.sampled_from([b"", b"256", b"-1", b"x", b"+7", b"0255",
+                                         b"1_0", b"#", b"# 1", b"1\n#"]),
+                        st.binary(max_size=4))),
+)
+
+
+def _ppm_file(magic, words=None):
+    if magic == 6:
+        return _PPM_HEAD % 6 + bytes(_PPM_VALUES)
+    words = words or [b"%d" % v for v in _PPM_VALUES]
+    return _PPM_HEAD % 3 + b" ".join(words) + b"\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(edit=_PPM_EDITS)
+def test_fuzzed_ppm_files_fail_at_their_offset(tmp_path_factory, edit):
+    kind, a, b = edit
+    if kind == "header":
+        raw = bytearray(_ppm_file(a))
+        for i, byte in b.items():
+            raw[i] = byte
+    elif kind == "truncate":
+        raw = _ppm_file(a)[:b]
+    else:
+        words = [b"%d" % v for v in _PPM_VALUES]
+        words[a] = b
+        raw = _ppm_file(3, words)
+    d = tmp_path_factory.mktemp("fuzz")
+    p, out = d / "img.ppm", d / "img.qf2d"
+    p.write_bytes(raw)
+    expected = _expected_ppm(bytes(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["import-ppm", "--in", str(p), "--out", str(out)])
+    if isinstance(expected, np.ndarray):
+        # an edit that keeps the file well formed
+        want = np.zeros(expected.shape[:2] + (4,))
+        want[..., 1:] = expected / 255.0
+        assert np.array_equal(read_image_ppm(p).data, want)
+        assert code == 0
+        assert np.array_equal(read_field(out).data, want)
+        return
+    cls, offset = expected
+    with pytest.raises(FileFormatError) as info:
+        read_image_ppm(p)
+    assert type(info.value) is cls
+    assert info.value.offset == offset
+    assert code == 3
+    assert f"byte {offset}:" in err.getvalue()
+    assert not out.exists()
 
 
 def test_ingested_image_round_trips_through_field_file(tmp_path):
