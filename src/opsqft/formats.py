@@ -154,22 +154,15 @@ def read_field(path) -> QuaternionField2D:
 # ---------------------------------------------------------------------------
 # Portable pixmaps.
 
+# A comment, from a '#' that starts a word to the end of its line, or a word.
+_WORD = re.compile(rb"#[^\n]*|[^ \t\r\n]+")
+
+
 def _tokens(raw: bytes):
     """Yield (offset, token) over whitespace-separated words, '#' to EOL skipped."""
-    i = 0
-    n = len(raw)
-    while i < n:
-        c = raw[i:i + 1]
-        if c in b" \t\r\n":
-            i += 1
-        elif c == b"#":
-            while i < n and raw[i:i + 1] != b"\n":
-                i += 1
-        else:
-            start = i
-            while i < n and raw[i:i + 1] not in b" \t\r\n":
-                i += 1
-            yield start, raw[start:i]
+    for m in _WORD.finditer(raw):
+        if not m[0].startswith(b"#"):
+            yield m.start(), m[0]
 
 
 # A '#' that starts a word comments out the rest of its line.
