@@ -264,4 +264,3 @@ def split_spectra(variant: TransformVariant, field: QuaternionField2D):
     spectrum_plus = forward_fast(variant, QuaternionField2D(plus))
     spectrum_minus = forward_fast(variant, QuaternionField2D(minus))
     return spectrum_plus, spectrum_minus
-
