@@ -45,7 +45,7 @@ from .transform import (
     inverse_direct,
     inverse_fast,
 )
-from .verify import run_all
+from .verify import PROFILES, run_all
 
 
 class UsageError(Exception):
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded identity suites")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--profile", choices=["quick", "full"], default="quick")
+    p.add_argument("--profile", choices=list(PROFILES), default="quick")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("import-ppm", help="read a P3/P6 image as a pure-quaternion field")

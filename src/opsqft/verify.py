@@ -1,14 +1,15 @@
 """Seeded identity suites over random contexts, fields, and frames.
 
-Every suite draws its own data from a ``numpy.random.Generator``,
-evaluates one family of identities, and returns ``CheckResult`` rows
-with the worst residual seen.  The split-form rows take their
-coefficients from ``transform.KERNELS`` and its ``Kernel.planes`` rule,
-so they test the table the transforms run on rather than a second copy
-of it.  A result with ``gated=False`` is informational: the phase-angle
-family's discrete round-trip defect (``roundtrip/phased``) is reported
-this way because its collapsed spectra cannot determine a general field
-(each part spectrum is constant along one axis, so one axis worth of
+Every suite ``check_*(rng, profile)`` draws as much data as the
+``Profile`` says from a ``numpy.random.Generator``, evaluates one
+family of identities, and returns ``CheckResult`` rows with the worst
+residual seen.  The split-form rows take their coefficients from
+``transform.KERNELS`` and its ``Kernel.planes`` rule, so they test the
+table the transforms run on rather than a second copy of it.  A result
+with ``gated=False`` is informational: the phase-angle family's
+discrete round-trip defect (``roundtrip/phased``) is reported this way
+because its collapsed spectra cannot determine a general field (each
+part spectrum is constant along one axis, so one axis worth of
 information per part is averaged away).
 
 Tolerances follow the two-tier policy: 1e-12 for pointwise algebraic
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .split import (
     make_context,
     coefficients,
     reconstruct,
+    rotate_split,
     split,
     split_arr,
 )
@@ -64,7 +66,24 @@ from .transform import (
 )
 from .fftcore import TAU
 
-DEFAULT_SIZES: Tuple[Tuple[int, int], ...] = ((1, 1), (2, 3), (4, 4), (8, 8), (16, 16))
+
+class Profile(NamedTuple):
+    """How much the suites draw: grid sizes, and contexts and fields per
+    size, for the transform suites; samples for the pointwise suites;
+    frames for plane determination."""
+
+    sizes: Tuple[Tuple[int, int], ...]
+    n_contexts: int
+    n_fields: int
+    pointwise: int
+    frames: int
+
+
+QUICK = Profile(sizes=((1, 1), (2, 3), (4, 4), (8, 8)), n_contexts=8, n_fields=2,
+                pointwise=300, frames=40)
+FULL = Profile(sizes=((1, 1), (2, 3), (4, 4), (8, 8), (16, 16)), n_contexts=20,
+               n_fields=5, pointwise=1000, frames=100)
+PROFILES = {"quick": QUICK, "full": FULL}
 
 
 @dataclass(frozen=True)
@@ -163,30 +182,24 @@ def _relative_residual(got: np.ndarray, want: np.ndarray) -> float:
     return _max_abs(got - want) / scale
 
 
-def _wrong_plane_residual(ctx: OpsContext, q: Quaternion, keep_plus: bool) -> float:
-    parts = split(ctx, q)
-    stray = parts.minus if keep_plus else parts.plus
-    return norm(stray)
-
-
 # ---------------------------------------------------------------------------
 # Suites.
 
-def check_roundtrips(rng, sizes=DEFAULT_SIZES, n_contexts=20, n_fields=5) -> List[CheckResult]:
+def check_roundtrips(rng, profile=QUICK) -> List[CheckResult]:
     """Fast-path inverse(forward(h)) = h for every family.
 
     Gated for the invertible families.  The phase-angle row is reported,
     not gated: each of its part spectra is constant along one axis, so
     its inverse cannot restore a general field.
     """
-    ctxs = sample_contexts(rng, n_contexts)
+    ctxs = sample_contexts(rng, profile.n_contexts)
     results = []
     for family in Family:
         worst = 0.0
         for ctx in ctxs:
             variant = TransformVariant(family, ctx)
-            for n1, n2 in sizes:
-                for _ in range(n_fields):
+            for n1, n2 in profile.sizes:
+                for _ in range(profile.n_fields):
                     h = random_field(rng, n1, n2)
                     back = inverse_fast(variant, forward_fast(variant, h))
                     worst = max(worst, _max_abs(back.data - h.data))
@@ -195,18 +208,17 @@ def check_roundtrips(rng, sizes=DEFAULT_SIZES, n_contexts=20, n_fields=5) -> Lis
     return results
 
 
-def check_oracle_equivalence(rng, sizes=DEFAULT_SIZES, n_contexts=20,
-                             n_fields=5) -> List[CheckResult]:
+def check_oracle_equivalence(rng, profile=QUICK) -> List[CheckResult]:
     """Fast path against the direct reference, both directions, all families."""
-    ctxs = sample_contexts(rng, n_contexts)
+    ctxs = sample_contexts(rng, profile.n_contexts)
     results = []
     for family in Family:
         worst_f = 0.0
         worst_i = 0.0
         for ctx in ctxs:
             variant = TransformVariant(family, ctx)
-            for n1, n2 in sizes:
-                for _ in range(n_fields):
+            for n1, n2 in profile.sizes:
+                for _ in range(profile.n_fields):
                     h = random_field(rng, n1, n2)
                     sd = forward_direct(variant, h)
                     sf = forward_fast(variant, h)
@@ -220,31 +232,30 @@ def check_oracle_equivalence(rng, sizes=DEFAULT_SIZES, n_contexts=20,
     return results
 
 
-def check_mixed_plane_products(rng, samples=1000) -> CheckResult:
+def check_mixed_plane_products(rng, profile=QUICK) -> List[CheckResult]:
     """Sc(p_plus conj(q_minus)) and the mirror vanish for all contexts."""
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(profile.pointwise):
         ctx = make_context(random_pure_unit(rng), random_pure_unit(rng))
         p = split(ctx, random_quaternion(rng))
         q = split(ctx, random_quaternion(rng))
         worst = max(worst,
                     abs(scalar_part(mul(p.plus, conj(q.minus)))),
                     abs(scalar_part(mul(p.minus, conj(q.plus)))))
-    return CheckResult("split/mixed-plane-products", worst, 1e-12)
+    return [CheckResult("split/mixed-plane-products", worst, 1e-12)]
 
 
-def check_plane_determination(rng, frames=100) -> List[CheckResult]:
+def check_plane_determination(rng, profile=QUICK) -> List[CheckResult]:
     """Prescribed planes are recovered; the worked unit frame is exact."""
     worst = 0.0
-    for _ in range(frames):
+    for _ in range(profile.frames):
         a, b, c, d = random_frame(rng)
         for assign in PlaneAssignment:
             ctx = determine_context(a, b, c, d, assign)
-            ab_plus = assign is PlaneAssignment.AB_TO_PLUS
-            for q in (a, b):
-                worst = max(worst, _wrong_plane_residual(ctx, q, keep_plus=ab_plus))
-            for q in (c, d):
-                worst = max(worst, _wrong_plane_residual(ctx, q, keep_plus=not ab_plus))
+            # index in (plus, minus) of the part that a and b must lack
+            stray = 1 if assign is PlaneAssignment.AB_TO_PLUS else 0
+            for q, k in ((a, stray), (b, stray), (c, 1 - stray), (d, 1 - stray)):
+                worst = max(worst, norm(split(ctx, q)[k]))
     results = [CheckResult("planes/random-frames", worst, 1e-10)]
 
     ctx = determine_context(QI, QJ, QK, ONE, PlaneAssignment.AB_TO_MINUS)
@@ -255,10 +266,10 @@ def check_plane_determination(rng, frames=100) -> List[CheckResult]:
     return results
 
 
-def check_phase_factor_commutation(rng, samples=1000) -> CheckResult:
+def check_phase_factor_commutation(rng, profile=QUICK) -> List[CheckResult]:
     """exp(a f) q_pm exp(b g) = q_pm exp((b -+ a) g) = exp((a -+ b) f) q_pm."""
     worst = 0.0
-    for k in range(samples):
+    for k in range(profile.pointwise):
         if k % 5 == 4:
             f = random_pure_unit(rng)
             sign = 1.0 if k % 2 else -1.0
@@ -268,16 +279,14 @@ def check_phase_factor_commutation(rng, samples=1000) -> CheckResult:
         alpha, beta = rng.uniform(-TAU, TAU, size=2)
         parts = split(ctx, random_quaternion(rng))
         for qp, s in ((parts.plus, -1.0), (parts.minus, 1.0)):
-            lhs = mul(mul(exp_pure(ctx.f, alpha), qp), exp_pure(ctx.g, beta))
+            lhs = rotate_split(ctx, qp, alpha, beta)
             mid = mul(qp, exp_pure(ctx.g, beta + s * alpha))
             rhs = mul(exp_pure(ctx.f, alpha + s * beta), qp)
-            worst = max(worst,
-                        norm(lhs - mid),
-                        norm(lhs - rhs))
-    return CheckResult("split/phase-commutation", worst, 1e-12)
+            worst = max(worst, norm(lhs - mid), norm(lhs - rhs))
+    return [CheckResult("split/phase-commutation", worst, 1e-12)]
 
 
-def check_split_forms(rng, sizes=((4, 4), (8, 8)), n_fields=2) -> List[CheckResult]:
+def check_split_forms(rng, profile=QUICK) -> List[CheckResult]:
     """Every kernel row collapses on each split part as ``Kernel.planes`` says.
 
     For a row with pair (L, R), h' = h or conj(h), and c_pm its
@@ -288,7 +297,8 @@ def check_split_forms(rng, sizes=((4, 4), (8, 8)), n_fields=2) -> List[CheckResu
 
     the two part spectra sum to the spectrum of h', and a part spectrum
     is constant along every axis whose coefficient in c_pm is 0.  All
-    six rows run at a generic pair, at g = f and at g = -f.
+    six rows run at a generic pair, at g = f and at g = -f, on two
+    fields each of 4 x 4 and 8 x 8 under every profile.
     """
     f = random_pure_unit(rng)
     ctxs = [make_context(f, random_pure_unit(rng)), make_context(f, f),
@@ -300,9 +310,9 @@ def check_split_forms(rng, sizes=((4, 4), (8, 8)), n_fields=2) -> List[CheckResu
         for ctx0 in ctxs:
             _, ctx = _kernel(TransformVariant(family, ctx0), inverse)
             L, R = ctx.f, ctx.g
-            for n1, n2 in sizes:
-                for _ in range(n_fields):
-                    h = random_field(rng, n1, n2).data
+            for n in (4, 8):
+                for _ in range(2):
+                    h = random_field(rng, n, n).data
                     h = conj_arr(h) if k.conjugate else h
                     spectra = []
                     for part, c, s in zip(split_arr(ctx, h), k.planes, (-1, 1)):
@@ -324,11 +334,11 @@ def check_split_forms(rng, sizes=((4, 4), (8, 8)), n_fields=2) -> List[CheckResu
     return results
 
 
-def check_coefficients(rng, samples=200) -> List[CheckResult]:
+def check_coefficients(rng, profile=QUICK) -> List[CheckResult]:
     """Worked i, j coordinates are exact; reconstruct inverts coefficients."""
     ctx_ij = make_context(QI, QJ)
     exact = True
-    for _ in range(samples):
+    for _ in range(profile.pointwise):
         q = random_quaternion(rng)
         q1, q2, q3, q4 = coefficients(ctx_ij, q)
         exact = exact and (q1 == 0.5 * (q.w + q.z) and q2 == 0.5 * (q.x - q.y)
@@ -337,7 +347,7 @@ def check_coefficients(rng, samples=200) -> List[CheckResult]:
                            0.0 if exact else 1.0, 0.0)]
 
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(profile.pointwise):
         ctx = make_context(random_pure_unit(rng), random_pure_unit(rng))
         if ctx.degenerate:
             continue
@@ -348,41 +358,41 @@ def check_coefficients(rng, samples=200) -> List[CheckResult]:
     return results
 
 
-def check_simplex_perplex(rng, samples=200) -> CheckResult:
+def check_simplex_perplex(rng, profile=QUICK) -> List[CheckResult]:
     """g = f = i reproduces the simplex/perplex split exactly."""
     ctx = make_context(QI, QI)
     exact = True
-    for _ in range(samples):
+    for _ in range(profile.pointwise):
         q = random_quaternion(rng)
         parts = split(ctx, q)
         exact = exact and parts.plus == Quaternion(0.0, 0.0, q.y, q.z)
         exact = exact and parts.minus == Quaternion(q.w, q.x, 0.0, 0.0)
-    return CheckResult("split/simplex-perplex", 0.0 if exact else 1.0, 0.0)
+    return [CheckResult("split/simplex-perplex", 0.0 if exact else 1.0, 0.0)]
 
 
-def check_energy(rng, n1=16, n2=16, n_contexts=5, n_fields=3) -> List[CheckResult]:
-    """Spectral energy equals grid energy after 1/(N1 N2).
+def check_energy(rng, profile=QUICK) -> List[CheckResult]:
+    """Spectral energy equals grid energy after 1/(N1 N2), on 16 x 16 grids.
 
     Two-sided and conjugation families: the frame is orthonormal and
     conjugation keeps the norm.
     """
+    ctxs = sample_contexts(rng, profile.n_contexts)
     results = []
     for family in (Family.TWO_SIDED, Family.CONJUGATE):
         worst = 0.0
-        for _ in range(n_contexts):
-            ctx = make_context(random_pure_unit(rng), random_pure_unit(rng))
+        for ctx in ctxs:
             variant = TransformVariant(family, ctx)
-            for _ in range(n_fields):
-                h = random_field(rng, n1, n2)
+            for _ in range(3):
+                h = random_field(rng, 16, 16)
                 spectrum = forward_fast(variant, h)
                 e_spatial = float(np.sum(h.data * h.data))
-                e_spectral = float(np.sum(spectrum.data * spectrum.data)) / (n1 * n2)
+                e_spectral = float(np.sum(spectrum.data * spectrum.data)) / (16 * 16)
                 worst = max(worst, abs(e_spatial - e_spectral) / e_spatial)
         results.append(CheckResult(f"energy/{family.value}", worst, 1e-9))
     return results
 
 
-def check_commutation(rng, n_contexts=8) -> List[CheckResult]:
+def check_commutation(rng, profile=QUICK) -> List[CheckResult]:
     """Splitting the spectrum gives the spectra of the split parts.
 
     The spectrum splits along the forward kernel's pair (L, R): (f, g),
@@ -390,7 +400,7 @@ def check_commutation(rng, n_contexts=8) -> List[CheckResult]:
     RMS of the full spectrum, at scales from 1e-150 to 1e150; length 67
     runs the chirp plan and length 70 the four-step plan.
     """
-    ctxs = sample_contexts(rng, n_contexts)
+    ctxs = sample_contexts(rng, profile.n_contexts)
     results = []
     for family in Family:
         worst = 0.0
@@ -412,25 +422,14 @@ def check_commutation(rng, n_contexts=8) -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 # Aggregate runner.
 
-QUICK = dict(sizes=((1, 1), (2, 3), (4, 4), (8, 8)), n_contexts=8, n_fields=2,
-             pointwise=300, frames=40)
-FULL = dict(sizes=DEFAULT_SIZES, n_contexts=20, n_fields=5,
-            pointwise=1000, frames=100)
+SUITES = (check_roundtrips, check_oracle_equivalence, check_mixed_plane_products,
+          check_plane_determination, check_phase_factor_commutation, check_split_forms,
+          check_coefficients, check_simplex_perplex, check_energy, check_commutation)
 
 
 def run_all(seed: int, profile: str = "quick") -> List[CheckResult]:
-    cfg = QUICK if profile == "quick" else FULL
+    """Every suite in ``SUITES`` order, on one generator seeded with ``seed``."""
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile {profile!r}, expected one of {', '.join(PROFILES)}")
     rng = np.random.default_rng(seed)
-    results: List[CheckResult] = []
-    results += check_roundtrips(rng, cfg["sizes"], cfg["n_contexts"], cfg["n_fields"])
-    results += check_oracle_equivalence(rng, cfg["sizes"], cfg["n_contexts"],
-                                        cfg["n_fields"])
-    results.append(check_mixed_plane_products(rng, cfg["pointwise"]))
-    results += check_plane_determination(rng, cfg["frames"])
-    results.append(check_phase_factor_commutation(rng, cfg["pointwise"]))
-    results += check_split_forms(rng)
-    results += check_coefficients(rng)
-    results.append(check_simplex_perplex(rng))
-    results += check_energy(rng)
-    results += check_commutation(rng, cfg["n_contexts"])
-    return results
+    return [r for suite in SUITES for r in suite(rng, PROFILES[profile])]

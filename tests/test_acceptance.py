@@ -15,10 +15,7 @@ from opsqft.formats import read_field
 from opsqft.transform import Family, Kernel
 
 SEED = 42
-
-FULL_SIZES = verify.FULL["sizes"]
-FULL_CONTEXTS = verify.FULL["n_contexts"]
-FULL_FIELDS = verify.FULL["n_fields"]
+FULL = verify.FULL
 
 
 def _settle(results):
@@ -37,7 +34,7 @@ def test_roundtrip_invertible_families():
     # axis pairs) x 5 fields, both invertible families, within budget
     rng = np.random.default_rng(SEED)
     start = time.monotonic()
-    results = verify.check_roundtrips(rng, FULL_SIZES, FULL_CONTEXTS, FULL_FIELDS)
+    results = verify.check_roundtrips(rng, FULL)
     elapsed = time.monotonic() - start
     _settle(results)
     print(f"       roundtrip suite took {elapsed:.1f}s (budget 30s)")
@@ -46,28 +43,27 @@ def test_roundtrip_invertible_families():
 
 def test_fast_path_matches_direct_oracle():
     rng = np.random.default_rng(SEED + 1)
-    _settle(verify.check_oracle_equivalence(rng, FULL_SIZES, FULL_CONTEXTS,
-                                            FULL_FIELDS))
+    _settle(verify.check_oracle_equivalence(rng, FULL))
 
 
 def test_mixed_plane_products_vanish():
     rng = np.random.default_rng(SEED + 2)
-    _settle(verify.check_mixed_plane_products(rng, samples=1000))
+    _settle(verify.check_mixed_plane_products(rng, FULL))
 
 
 def test_plane_determination_from_frames():
     rng = np.random.default_rng(SEED + 3)
-    _settle(verify.check_plane_determination(rng, frames=100))
+    _settle(verify.check_plane_determination(rng, FULL))
 
 
 def test_phase_factor_commutation():
     rng = np.random.default_rng(SEED + 4)
-    _settle(verify.check_phase_factor_commutation(rng, samples=1000))
+    _settle(verify.check_phase_factor_commutation(rng, FULL))
 
 
 def test_split_part_spectrum_forms():
     rng = np.random.default_rng(SEED + 5)
-    results = _settle(verify.check_split_forms(rng, sizes=((4, 4), (8, 8))))
+    results = _settle(verify.check_split_forms(rng, FULL))
     assert len([r for r in results if r.name.startswith("split-forms/")]) == 6
 
 
@@ -76,7 +72,7 @@ def test_split_forms_fail_on_swapped_plane_rule(monkeypatch):
     rule = Kernel.planes.fget
     monkeypatch.setattr(Kernel, "planes", property(lambda k: rule(k)[::-1]))
     rng = np.random.default_rng(SEED + 5)
-    forms = [r for r in verify.check_split_forms(rng)
+    forms = [r for r in verify.check_split_forms(rng, FULL)
              if r.name.startswith("split-forms/")]
     assert len(forms) == 6
     assert not any(r.passed for r in forms), [r.line() for r in forms]
@@ -84,7 +80,7 @@ def test_split_forms_fail_on_swapped_plane_rule(monkeypatch):
 
 def test_collapsed_family_structure():
     rng = np.random.default_rng(SEED + 6)
-    results = _settle(verify.check_split_forms(rng, sizes=((4, 4), (8, 8))))
+    results = _settle(verify.check_split_forms(rng, FULL))
     assert [r.name for r in results if r.name.startswith("phase-angle/")] == [
         "phase-angle/axis-constancy"]
     reported = [r.name for r in verify.run_all(SEED) if not r.gated]
@@ -93,23 +89,23 @@ def test_collapsed_family_structure():
 
 def test_coefficient_formulas():
     rng = np.random.default_rng(SEED + 7)
-    _settle(verify.check_coefficients(rng, samples=1000))
+    _settle(verify.check_coefficients(rng, FULL))
 
 
 def test_simplex_perplex_split():
     rng = np.random.default_rng(SEED + 8)
-    _settle(verify.check_simplex_perplex(rng, samples=1000))
+    _settle(verify.check_simplex_perplex(rng, FULL))
 
 
 def test_spectral_energy_preserved():
     rng = np.random.default_rng(SEED + 9)
-    _settle(verify.check_energy(rng, n1=16, n2=16))
+    _settle(verify.check_energy(rng, FULL))
 
 
 def test_split_transform_commutation():
     # 4x6 and 67x70 grids (dense, chirp and four-step plans), scales 1e-150..1e150
     rng = np.random.default_rng(SEED + 11)
-    results = _settle(verify.check_commutation(rng, FULL_CONTEXTS))
+    results = _settle(verify.check_commutation(rng, FULL))
     assert [r.name for r in results] == [f"commutation/{f.value}" for f in Family]
 
 
@@ -118,7 +114,7 @@ def test_commutation_fails_on_swapped_part_spectra(monkeypatch):
     split_spectra = verify.split_spectra
     monkeypatch.setattr(verify, "split_spectra",
                         lambda variant, field: split_spectra(variant, field)[::-1])
-    results = verify.check_commutation(np.random.default_rng(SEED + 11), 4)
+    results = verify.check_commutation(np.random.default_rng(SEED + 11), FULL)
     assert len(results) == 3
     assert not any(r.passed for r in results), [r.line() for r in results]
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import opsqft
-from opsqft import cli
+from opsqft import cli, verify
 from opsqft.cli import main
 from opsqft.fields import QuaternionField2D
 from opsqft.formats import read_field, write_field
@@ -178,6 +178,17 @@ def test_verify_rejects_a_seed_numpy_cannot_take(capsys, seed):
     errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
     assert errors == ["opsqft verify: error: argument --seed: "
                       f"expected a non-negative integer, got '{seed}'"]
+
+
+def test_verify_profiles_are_quick_and_full(capsys):
+    # the names of verify.PROFILES, spelled exactly; any other is refused,
+    # by the parser with exit 2 and by run_all with a ValueError
+    assert list(verify.PROFILES) == ["quick", "full"]
+    for name in verify.PROFILES:
+        assert cli.build_parser().parse_args(["verify", "--profile", name]).profile == name
+    assert main(["verify", "--profile", "Quick"]) == 2
+    with pytest.raises(ValueError, match="unknown profile 'Quick'"):
+        verify.run_all(0, "Quick")
 
 
 def test_import_export_images(tmp_path):
