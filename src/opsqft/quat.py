@@ -80,7 +80,7 @@ class PureUnitQuaternion(Quaternion):
 
     def __init__(self, x: float, y: float, z: float):
         x, y, z = float(x), float(y), float(z)
-        m = math.sqrt(x * x + y * y + z * z)
+        m = math.hypot(x, y, z)
         if not math.isfinite(m) or m < 1e-9:
             raise ValueError(f"axis direction undefined: ({x}, {y}, {z})")
         object.__setattr__(self, "w", 0.0)
@@ -126,8 +126,8 @@ def conj(q: Quaternion) -> Quaternion:
 
 
 def norm(q: Quaternion) -> float:
-    """Euclidean length sqrt(w^2+x^2+y^2+z^2); multiplicative over mul."""
-    return math.sqrt(q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z)
+    """Euclidean length, finite wherever it fits in a double; multiplicative over mul."""
+    return math.hypot(q.w, q.x, q.y, q.z)
 
 
 def scalar_part(q: Quaternion) -> float:
@@ -145,11 +145,12 @@ def inner(p: Quaternion, q: Quaternion) -> float:
 
 
 def inverse(q: Quaternion) -> Quaternion:
-    """conj(q) / norm(q)^2.  Raises ZeroQuaternion on zero input."""
-    n2 = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
-    if n2 == 0.0:
+    """conj(q) / norm(q) / norm(q): the squared norm, which can overflow or
+    underflow where q's inverse does not, is never formed.  Raises ZeroQuaternion on 0."""
+    n = norm(q)
+    if n == 0.0:
         raise ZeroQuaternion("zero quaternion has no inverse")
-    return Quaternion(q.w / n2, -q.x / n2, -q.y / n2, -q.z / n2)
+    return Quaternion(q.w / n / n, -q.x / n / n, -q.y / n / n, -q.z / n / n)
 
 
 def exp_pure(f: Quaternion, angle: float) -> Quaternion:

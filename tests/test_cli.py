@@ -51,6 +51,20 @@ def test_transform_round_trip_of_large_samples(tmp_path):
     assert np.max(np.abs(read_field(r).data - field.data)) / scale < 1e-12
 
 
+def test_transform_axis_of_huge_components(tmp_path):
+    # 1e200,0,0 names the same axis as 1,0,0, though its squared length overflows
+    rng = np.random.default_rng(SEED + 16)
+    a = tmp_path / "a.qf2d"
+    write_random_field(a, rng, 3, 5)
+    outs = []
+    for f in ("1e200,0,0", "1,0,0"):
+        out = tmp_path / f"s{len(outs)}.qf2d"
+        assert main(["transform", "--variant", "twosided", "--f", f, "--g", "0,1,0",
+                     "--in", str(a), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_transform_fast_and_direct_agree(tmp_path):
     rng = np.random.default_rng(SEED + 1)
     a = tmp_path / "a.qf2d"

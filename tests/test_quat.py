@@ -100,6 +100,18 @@ def test_inverse():
         inverse(Quaternion(0.0, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+def test_norm_and_inverse_at_extreme_scales(scale):
+    # the squared norms (1e-400 .. 1e400) leave the double range; the results do not
+    q = scale * Quaternion(0.0, 3.0, 0.0, 4.0)
+    assert norm(q) == pytest.approx(5.0 * scale, rel=1e-15)
+    assert norm(Quaternion(scale, 0.0, 0.0, 0.0)) == scale
+    assert inverse(Quaternion(scale, 0.0, 0.0, 0.0)) == Quaternion(1.0 / scale, 0.0, 0.0, 0.0)
+    inv = inverse(q)
+    assert norm(inv) == pytest.approx(0.2 / scale, rel=1e-15)
+    assert norm(mul(q, inv) - ONE) < 1e-15
+
+
 def test_exp_pure():
     rng = np.random.default_rng(SEED + 6)
     for _ in range(200):
@@ -126,6 +138,15 @@ def test_pure_unit_normalizes():
         PureUnitQuaternion(1e-10, 0.0, 0.0)
     with pytest.raises(ValueError):
         PureUnitQuaternion(0.0, 0.0, 0.0)
+
+
+def test_pure_unit_normalizes_huge_directions():
+    # x*x + y*y + z*z overflows; the direction is still well defined
+    assert PureUnitQuaternion(1e200, 0.0, 0.0) == PureUnitQuaternion(1.0, 0.0, 0.0)
+    u = PureUnitQuaternion(3e300, 0.0, -4e300)
+    assert (u.w, u.y) == (0.0, 0.0)
+    assert u.x == pytest.approx(0.6, abs=1e-15)
+    assert u.z == pytest.approx(-0.8, abs=1e-15)
 
 
 def test_pure_unit_from_quaternion():
