@@ -154,8 +154,10 @@ def read_field(path) -> QuaternionField2D:
 # ---------------------------------------------------------------------------
 # Portable pixmaps.
 
-# A comment, from a '#' that starts a word to the end of its line, or a word.
-_WORD = re.compile(rb"#[^\n]*|[^ \t\r\n]+")
+# A '#' that starts a word comments out the rest of its line.
+_COMMENT = re.compile(rb"(?<![^ \t\r\n])#[^\n]*")
+# A comment or a word.
+_WORD = re.compile(_COMMENT.pattern + rb"|[^ \t\r\n]+")
 
 
 def _tokens(raw: bytes):
@@ -165,8 +167,6 @@ def _tokens(raw: bytes):
             yield m.start(), m[0]
 
 
-# A '#' that starts a word comments out the rest of its line.
-_COMMENT = re.compile(rb"(?<![^ \t\r\n])#[^\n]*")
 _WHITESPACE = np.frombuffer(b" \t\r\n", dtype=np.uint8)
 
 
@@ -251,7 +251,7 @@ def read_image_ppm(path) -> QuaternionField2D:
         pix_off = maxval_end + 1
         pixels = raw[pix_off:pix_off + count]
         if len(pixels) < count:
-            raise MalformedHeader(path, pix_off + len(pixels),
+            raise MalformedHeader(path, min(pix_off, len(raw)) + len(pixels),
                                   f"pixel data needs {count} bytes, got {len(pixels)}")
         rgb = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64)
     else:

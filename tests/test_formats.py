@@ -332,6 +332,10 @@ def test_ppm_rejects_malformed(tmp_path):
     p.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
     with pytest.raises(MalformedHeader):
         read_image_ppm(p)
+    # the file ends right after maxval: the error names its end, not a byte past it
+    p.write_bytes(b"P6\n1 1\n255")
+    with pytest.raises(MalformedHeader, match="byte 10: pixel data needs 3 bytes, got 0"):
+        read_image_ppm(p)
     p.write_bytes(b"P3\n1 1\n255\n12 999 0\n")
     with pytest.raises(MalformedHeader):
         read_image_ppm(p)
@@ -400,7 +404,7 @@ def _expected_ppm(raw: bytes):
         start = maxval_off + len(words[3][1]) + 1
         body = raw[start:start + count]
         if len(body) < count:
-            return MalformedHeader, start + len(body)
+            return MalformedHeader, min(start, len(raw)) + len(body)
         values = list(body)
     else:
         values = []
