@@ -100,13 +100,12 @@ def _require_same_variant(requested: TransformVariant, spectrum: Spectrum) -> No
 class Kernel(NamedTuple):
     """One row of the table: h or conj(h) between exp(L cl.t) and exp(R cr.t).
 
-    ``left``/``right`` name the context unit ("f" or "g") on each side;
-    ``cl``/``cr`` are the coefficients of (t1, t2) in each phase.
+    ``left`` names the context unit ("f" or "g") that is L, the other
+    one is R; ``cl``/``cr`` are the coefficients of (t1, t2) in each phase.
     """
 
     conjugate: bool
     left: str
-    right: str
     cl: Tuple[float, float]
     cr: Tuple[float, float]
 
@@ -125,12 +124,12 @@ class Kernel(NamedTuple):
 
 
 KERNELS = {
-    (Family.TWO_SIDED, False): Kernel(False, "f", "g", (-1, 0), (0, -1)),
-    (Family.TWO_SIDED, True): Kernel(False, "f", "g", (1, 0), (0, 1)),
-    (Family.PHASE_ANGLE, False): Kernel(False, "f", "g", (-0.5, -0.5), (-0.5, 0.5)),
-    (Family.PHASE_ANGLE, True): Kernel(False, "f", "g", (0.5, 0.5), (0.5, -0.5)),
-    (Family.CONJUGATE, False): Kernel(True, "g", "f", (-1, 0), (0, -1)),
-    (Family.CONJUGATE, True): Kernel(True, "f", "g", (0, -1), (-1, 0)),
+    (Family.TWO_SIDED, False): Kernel(False, "f", (-1, 0), (0, -1)),
+    (Family.TWO_SIDED, True): Kernel(False, "f", (1, 0), (0, 1)),
+    (Family.PHASE_ANGLE, False): Kernel(False, "f", (-0.5, -0.5), (-0.5, 0.5)),
+    (Family.PHASE_ANGLE, True): Kernel(False, "f", (0.5, 0.5), (0.5, -0.5)),
+    (Family.CONJUGATE, False): Kernel(True, "g", (-1, 0), (0, -1)),
+    (Family.CONJUGATE, True): Kernel(True, "f", (0, -1), (-1, 0)),
 }
 
 
