@@ -15,12 +15,9 @@ from opsqft.formats import read_field
 from opsqft.transform import Family, Kernel
 
 SEED = 42
-FULL = verify.FULL
 
 
 def _settle(results):
-    if not isinstance(results, list):
-        results = [results]
     for r in results:
         print(r.line())
     for r in results:
@@ -34,7 +31,7 @@ def test_roundtrip_invertible_families():
     # axis pairs) x 5 fields, both invertible families, within budget
     rng = np.random.default_rng(SEED)
     start = time.monotonic()
-    results = verify.check_roundtrips(rng, FULL)
+    results = verify.check_roundtrips(rng, verify.FULL)
     elapsed = time.monotonic() - start
     _settle(results)
     print(f"       roundtrip suite took {elapsed:.1f}s (budget 30s)")
@@ -43,27 +40,27 @@ def test_roundtrip_invertible_families():
 
 def test_fast_path_matches_direct_oracle():
     rng = np.random.default_rng(SEED + 1)
-    _settle(verify.check_oracle_equivalence(rng, FULL))
+    _settle(verify.check_oracle_equivalence(rng, verify.FULL))
 
 
 def test_mixed_plane_products_vanish():
     rng = np.random.default_rng(SEED + 2)
-    _settle(verify.check_mixed_plane_products(rng, FULL))
+    _settle(verify.check_mixed_plane_products(rng, verify.FULL))
 
 
 def test_plane_determination_from_frames():
     rng = np.random.default_rng(SEED + 3)
-    _settle(verify.check_plane_determination(rng, FULL))
+    _settle(verify.check_plane_determination(rng, verify.FULL))
 
 
 def test_phase_factor_commutation():
     rng = np.random.default_rng(SEED + 4)
-    _settle(verify.check_phase_factor_commutation(rng, FULL))
+    _settle(verify.check_phase_factor_commutation(rng, verify.FULL))
 
 
 def test_split_part_spectrum_forms():
     rng = np.random.default_rng(SEED + 5)
-    results = _settle(verify.check_split_forms(rng, FULL))
+    results = _settle(verify.check_split_forms(rng, verify.FULL))
     assert len([r for r in results if r.name.startswith("split-forms/")]) == 6
 
 
@@ -72,7 +69,7 @@ def test_split_forms_fail_on_swapped_plane_rule(monkeypatch):
     rule = Kernel.planes.fget
     monkeypatch.setattr(Kernel, "planes", property(lambda k: rule(k)[::-1]))
     rng = np.random.default_rng(SEED + 5)
-    forms = [r for r in verify.check_split_forms(rng, FULL)
+    forms = [r for r in verify.check_split_forms(rng, verify.FULL)
              if r.name.startswith("split-forms/")]
     assert len(forms) == 6
     assert not any(r.passed for r in forms), [r.line() for r in forms]
@@ -80,7 +77,7 @@ def test_split_forms_fail_on_swapped_plane_rule(monkeypatch):
 
 def test_collapsed_family_structure():
     rng = np.random.default_rng(SEED + 6)
-    results = _settle(verify.check_split_forms(rng, FULL))
+    results = _settle(verify.check_split_forms(rng, verify.FULL))
     assert [r.name for r in results if r.name.startswith("phase-angle/")] == [
         "phase-angle/axis-constancy"]
     reported = [r.name for r in verify.run_all(SEED) if not r.gated]
@@ -89,23 +86,23 @@ def test_collapsed_family_structure():
 
 def test_coefficient_formulas():
     rng = np.random.default_rng(SEED + 7)
-    _settle(verify.check_coefficients(rng, FULL))
+    _settle(verify.check_coefficients(rng, verify.FULL))
 
 
 def test_simplex_perplex_split():
     rng = np.random.default_rng(SEED + 8)
-    _settle(verify.check_simplex_perplex(rng, FULL))
+    _settle(verify.check_simplex_perplex(rng, verify.FULL))
 
 
 def test_spectral_energy_preserved():
     rng = np.random.default_rng(SEED + 9)
-    _settle(verify.check_energy(rng, FULL))
+    _settle(verify.check_energy(rng, verify.FULL))
 
 
 def test_split_transform_commutation():
     # 4x6 and 67x70 grids (dense, chirp and four-step plans), scales 1e-150..1e150
     rng = np.random.default_rng(SEED + 11)
-    results = _settle(verify.check_commutation(rng, FULL))
+    results = _settle(verify.check_commutation(rng, verify.FULL))
     assert [r.name for r in results] == [f"commutation/{f.value}" for f in Family]
 
 
@@ -114,7 +111,7 @@ def test_commutation_fails_on_swapped_part_spectra(monkeypatch):
     split_spectra = verify.split_spectra
     monkeypatch.setattr(verify, "split_spectra",
                         lambda variant, field: split_spectra(variant, field)[::-1])
-    results = verify.check_commutation(np.random.default_rng(SEED + 11), FULL)
+    results = verify.check_commutation(np.random.default_rng(SEED + 11), verify.FULL)
     assert len(results) == 3
     assert not any(r.passed for r in results), [r.line() for r in results]
 
