@@ -29,6 +29,7 @@ from .quat import ONE, PureUnitQuaternion, Quaternion, norm_arr
 from .split import (
     DegenerateContext,
     InvalidFrame,
+    OpsContext,
     PlaneAssignment,
     coefficients_arr,
     determine_context,
@@ -61,52 +62,23 @@ def _fmt_pure(q: Quaternion) -> str:
     return ",".join(_fmt(c) for c in (q.x, q.y, q.z))
 
 
-def _reals(text: str, flag: str):
-    parts = text.split(",")
+def _quaternion(text: str, flag: str, counts: Sequence[int]) -> Quaternion:
+    """Three comma-separated reals as a normalized pure unit, four as a full
+    quaternion; ``counts`` are the lengths ``flag`` takes.  Any fault, a
+    zero or non-finite value too, is a usage error that names ``flag``."""
     vals = []
-    for tok in parts:
+    for tok in text.split(","):
         try:
             vals.append(float(tok))
         except ValueError:
             raise UsageError(f"{flag}: cannot parse '{tok}' as a real number")
-    return vals
-
-
-def _quaternion(cls, vals, flag: str) -> Quaternion:
-    """``cls(*vals)``; a ValueError (a non-finite component, a zero axis)
-    becomes a usage error that names ``flag``."""
+    if len(vals) not in counts:
+        names = " or ".join("three" if n == 3 else "four" for n in counts)
+        raise UsageError(f"{flag}: expected {names} comma-separated reals, got '{text}'")
     try:
-        return cls(*vals)
+        return PureUnitQuaternion(*vals) if len(vals) == 3 else Quaternion(*vals)
     except ValueError as e:
         raise UsageError(f"{flag}: {e}")
-
-
-def parse_pure_unit(text: str, flag: str) -> PureUnitQuaternion:
-    """Three comma-separated reals, normalized to a pure unit."""
-    vals = _reals(text, flag)
-    if len(vals) != 3:
-        raise UsageError(f"{flag}: expected three comma-separated reals, got '{text}'")
-    return _quaternion(PureUnitQuaternion, vals, flag)
-
-
-def parse_frame_entry(text: str, flag: str) -> Quaternion:
-    """'scalar' for 1, three reals for a normalized pure unit, four reals
-    for a full quaternion taken verbatim."""
-    if text.strip().lower() == "scalar":
-        return ONE
-    vals = _reals(text, flag)
-    if len(vals) == 3:
-        return _quaternion(PureUnitQuaternion, vals, flag)
-    if len(vals) == 4:
-        return _quaternion(Quaternion, vals, flag)
-    raise UsageError(f"{flag}: expected 'scalar', three reals, or four reals; got '{text}'")
-
-
-def parse_full_quaternion(text: str, flag: str) -> Quaternion:
-    vals = _reals(text, flag)
-    if len(vals) != 4:
-        raise UsageError(f"{flag}: expected four comma-separated reals, got '{text}'")
-    return _quaternion(Quaternion, vals, flag)
 
 
 def _seed(text: str) -> int:
@@ -120,17 +92,15 @@ def _seed(text: str) -> int:
     return value
 
 
-def _variant(args) -> TransformVariant:
-    f = parse_pure_unit(args.f, "--f")
-    g = parse_pure_unit(args.g, "--g")
-    return TransformVariant(Family(args.variant), make_context(f, g))
+def _context(args) -> OpsContext:
+    return make_context(_quaternion(args.f, "--f", (3,)), _quaternion(args.g, "--g", (3,)))
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers.
 
 def _cmd_transform(args) -> int:
-    variant = _variant(args)
+    variant = TransformVariant(Family(args.variant), _context(args))
     field = read_field(args.infile)
     # numpy stays quiet on overflow: write_field refuses a non-finite result
     # with the command's one diagnostic
@@ -146,7 +116,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    ctx = make_context(parse_pure_unit(args.f, "--f"), parse_pure_unit(args.g, "--g"))
+    ctx = _context(args)
     field = read_field(args.infile)
     plus, minus = split_arr(ctx, field.data)
     write_field(QuaternionField2D(plus), args.out_plus)
@@ -155,10 +125,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    ctx = make_context(parse_pure_unit(args.f, "--f"), parse_pure_unit(args.g, "--g"))
-    if (args.q is None) == (args.infile is None):
-        raise UsageError("coeffs: give exactly one of --q or --in")
-    data = (parse_full_quaternion(args.q, "--q").to_array() if args.q is not None
+    ctx = _context(args)
+    data = (_quaternion(args.q, "--q", (4,)).to_array() if args.q is not None
             else read_field(args.infile).data)
     for row in coefficients_arr(ctx, data).reshape(-1, 4):
         print(" ".join(_fmt(c) for c in row))
@@ -166,7 +134,9 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_planes(args) -> int:
-    frame = [parse_frame_entry(getattr(args, n), "--" + n) for n in "abcd"]
+    # 'scalar' for 1, else three reals for a pure unit or four for a quaternion
+    frame = [ONE if t.strip().lower() == "scalar" else _quaternion(t, "--" + n, (3, 4))
+             for n, t in zip("abcd", (args.a, args.b, args.c, args.d))]
     assign = (PlaneAssignment.AB_TO_PLUS if args.assign == "plus"
               else PlaneAssignment.AB_TO_MINUS)
     ctx = determine_context(*frame, assignment=assign)
@@ -244,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="print plane-basis coordinates q1..q4")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--q", help="single quaternion, four reals 'w,x,y,z'")
-    p.add_argument("--in", dest="infile", help="field file, one line per sample")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--q", help="single quaternion, four reals 'w,x,y,z'")
+    source.add_argument("--in", dest="infile", help="field file, one line per sample")
     p.set_defaults(handler=_cmd_coeffs)
 
     p = sub.add_parser("planes", help="derive the axes whose split keeps a "
@@ -294,10 +265,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, InvalidFrame, DegenerateContext, VariantMismatch) as e:
         print(f"opsqft: {e}", file=sys.stderr)
         return 2
-    except FileFormatError as e:
-        print(f"opsqft: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (FileFormatError, OSError) as e:
         print(f"opsqft: {e}", file=sys.stderr)
         return 3
 

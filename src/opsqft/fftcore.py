@@ -20,8 +20,8 @@ DFT matrices, twiddles and chirps are built on first use and cached per
 
 An axis pass gathers blocks of about 2^15 samples along the axis, runs
 the kernel on each and writes it straight into the output, so no array
-is ever transposed whole.  ``fft2`` holds two new planes, the axis-0
-result and the output, or none when it is given an output to write (the
+is ever transposed whole.  ``fft2`` holds one new plane, the output
+that both passes write, or none when it is given an output to write (the
 input itself, say), plus the scratch of a few blocks: 1.5 MiB, or up to
 about 4.5 MiB on a Bluestein axis, whose padded buffer is two to four
 times the block.
@@ -158,10 +158,9 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
 def fft2(field: np.ndarray, signs: AxisSigns, out: np.ndarray | None = None) -> np.ndarray:
     """Signed 2D transform: axis 0 with signs.s1, then axis 1 with signs.s2.
 
-    The result goes to ``out`` as in ``fft1``: with none given the
-    transform holds two new planes, the axis-0 result and the output;
-    with one given (the input itself, say) it holds no plane, only
-    ``fft1``'s block scratch.
+    The result goes to ``out`` as in ``fft1``; axis 1 is transformed in
+    place, so with none given the transform holds one new plane, and with
+    one given (the input itself, say) only ``fft1``'s block scratch.
     """
     mid = fft1(field, signs.s1, axis=0, out=out)
-    return fft1(mid, signs.s2, axis=1, out=out)
+    return fft1(mid, signs.s2, axis=1, out=mid)

@@ -158,6 +158,9 @@ def read_field(path) -> QuaternionField2D:
 _COMMENT = re.compile(rb"(?<![^ \t\r\n])#[^\n]*")
 # A comment or a word.
 _WORD = re.compile(_COMMENT.pattern + rb"|[^ \t\r\n]+")
+# A number: ASCII decimal digits, after one '-' at most so that a negative
+# size is reported as not positive.  int() would also take '+' and '_'.
+_DECIMAL = re.compile(rb"-?[0-9]+")
 
 
 def _tokens(raw: bytes):
@@ -165,6 +168,12 @@ def _tokens(raw: bytes):
     for m in _WORD.finditer(raw):
         if not m[0].startswith(b"#"):
             yield m.start(), m[0]
+
+
+def _integer(path, off: int, tok: bytes, what: str) -> int:
+    if not _DECIMAL.fullmatch(tok):
+        raise MalformedHeader(path, off, f"{what} is not an integer: {tok!r}")
+    return int(tok)
 
 
 _WHITESPACE = np.frombuffer(b" \t\r\n", dtype=np.uint8)
@@ -177,7 +186,7 @@ def _p3_values(path, raw: bytes, start: int, count: int) -> np.ndarray:
     same offsets: the first word that is not an integer or is out of
     range, else the end of the file when words are missing.  Words of up
     to three decimal digits are decoded in bulk; any other word goes
-    through ``int`` on its own.
+    through ``_integer`` on its own.
     """
     body = _COMMENT.sub(lambda m: b" " * len(m[0]), raw[start:])
     b = np.frombuffer(body, dtype=np.uint8)
@@ -198,10 +207,7 @@ def _p3_values(path, raw: bytes, start: int, count: int) -> np.ndarray:
     for j in np.flatnonzero(~plain):
         off = start + int(starts[j])
         tok = raw[off:start + int(ends[j])]
-        try:
-            v = int(tok)
-        except ValueError:
-            raise MalformedHeader(path, off, f"pixel value is not an integer: {tok!r}") from None
+        v = _integer(path, off, tok, "pixel value")
         if not 0 <= v <= 255:
             raise MalformedHeader(path, off, f"pixel value {v} out of range 0..255")
         values[j] = v
@@ -233,10 +239,7 @@ def read_image_ppm(path) -> QuaternionField2D:
     tok = b""
     for what in ("width", "height", "maxval"):
         off, tok = next_token(what)
-        try:
-            dims.append((off, int(tok)))
-        except ValueError:
-            raise MalformedHeader(path, off, f"{what} is not an integer: {tok!r}") from None
+        dims.append((off, _integer(path, off, tok, what)))
     (width_off, width), (height_off, height), (_, maxval) = dims
     maxval_end = off + len(tok)
     if width < 1 or height < 1:

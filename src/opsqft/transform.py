@@ -205,9 +205,9 @@ _CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
 
 def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndarray:
     """The table row through its frame W, in the one output array: plane p
-    (0 is +, 1 is -) is ``data @ A[:, 2p:2p + 2]``, transformed in place with
-    the signs from ``planes``.  A plane with a 0 there is a line, summed and
-    transformed on its own, then broadcast."""
+    (0 is +, 1 is -) is ``x @ A[:, 2p:2p + 2]``, transformed in place with
+    the signs from ``planes`` and broadcast; x is the data, summed first
+    along each axis whose sign is 0 there (then the plane is a line)."""
     k, ctx = _kernel(variant, inverse)
     n1, n2 = data.shape[:2]
     W = ctx.frame
@@ -217,15 +217,13 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
     spec = out.view(np.complex128).reshape(n1, 2, n2)  # row k1: plane +, then plane -
     planes = []
     for p, (c1, c2) in enumerate(k.planes):
-        if c1 and c2:
-            np.matmul(data, A[:, 2 * p:2 * p + 2], out=spec[:, p].view(np.float64).reshape(n1, n2, 2))
-            planes.append(fft2(spec[:, p], AxisSigns(c1, c2), out=spec[:, p]))
-            continue
         x = data.sum(axis=0, keepdims=True) if c1 == 0 else data
         if c2 == 0:  # a BLAS product: numpy's strided sum over axis 1 is slower
             x = (np.ones(x.shape[1]) @ x)[:, None, :]
-        line = (x.reshape(-1, 4) @ A[:, 2 * p:2 * p + 2]).view(np.complex128).reshape(x.shape[:2])
-        planes.append(np.broadcast_to(fft2(line, AxisSigns(c1 or 1, c2 or 1)), (n1, n2)))
+        plane = spec[:, p] if x is data else np.empty(x.shape[:2], np.complex128)
+        np.matmul(x, A[:, 2 * p:2 * p + 2], out=plane.view(np.float64).reshape(*x.shape[:2], 2))
+        fft2(plane, AxisSigns(c1 or 1, c2 or 1), out=plane)
+        planes.append(np.broadcast_to(plane, (n1, n2)))
     # each block of rows is interleaved into z before z @ B overwrites it
     step = _block_columns(n2)
     z = np.empty((min(step, n1), n2, 2), dtype=np.complex128)

@@ -360,3 +360,66 @@ def test_invalid_frame_exit_2(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# one valid command per subcommand that takes a quaternion flag; the input
+# files are never read, since every flag is parsed first
+QUATERNION_COMMANDS = {
+    "transform": ["transform", "--variant", "twosided", "--f", "1,0,0", "--g", "0,1,0",
+                  "--in", "missing.qf2d", "--out", "out.qf2d"],
+    "split": ["split", "--f", "1,0,0", "--g", "0,1,0", "--in", "missing.qf2d",
+              "--out-plus", "plus.qf2d", "--out-minus", "minus.qf2d"],
+    "coeffs": ["coeffs", "--f", "1,0,0", "--g", "0,1,0", "--q", "1,2,3,4"],
+    "planes": ["planes", "--a", "1,0,0", "--b", "0,1,0", "--c", "0,0,1", "--d", "scalar"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((c, f) for c in ("transform", "split", "coeffs") for f in ("--f", "--g")),
+    ("coeffs", "--q"),
+    *(("planes", "--" + n) for n in "abcd"),
+])
+def test_bad_quaternion_flag_names_the_flag(tmp_path, monkeypatch, capsys, command, flag):
+    # an axis takes three reals, --q four, a frame entry three or four: a
+    # wrong count, a word that is not a real and a NaN are usage errors
+    monkeypatch.chdir(tmp_path)
+    if flag == "--q":
+        bad = ["1,2,3", "1,2,3,4,5", "1,x,3,4", "nan,0,0,0"]
+    elif flag in ("--f", "--g"):
+        bad = ["1,0", "1,0,0,0", "1,x,0", "nan,0,0"]
+    else:
+        bad = ["1,0", "1,0,0,0,0", "1,x,0", "nan,0,0,0"]
+    argv = QUATERNION_COMMANDS[command]
+    for text in bad:
+        i = argv.index(flag) + 1
+        assert main(argv[:i] + [text] + argv[i + 1:]) == 2, text
+        assert capsys.readouterr().err.startswith(f"opsqft: {flag}: "), text
+    assert os.listdir(tmp_path) == []
+
+
+def test_quaternion_flag_count_diagnostics(capsys):
+    assert main(["coeffs", "--f", "1,0,0", "--g", "0,1,0", "--q", "1,2,3"]) == 2
+    assert capsys.readouterr().err == (
+        "opsqft: --q: expected four comma-separated reals, got '1,2,3'\n")
+    assert main(["planes", "--a", "1,0", "--b", "0,1,0", "--c", "0,0,1",
+                 "--d", "scalar"]) == 2
+    assert capsys.readouterr().err == (
+        "opsqft: --a: expected three or four comma-separated reals, got '1,0'\n")
+
+
+def test_coeffs_source_is_one_argparse_group(tmp_path, capsys):
+    # no source and both sources are refused by the parser, before --f is read
+    assert main(["coeffs", "--f", "x", "--g", "0,1,0"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "opsqft coeffs: error: one of the arguments --q --in is required")
+    assert main(["coeffs", "--f", "1,0,0", "--g", "0,1,0",
+                 "--q", "1,0,0,0", "--in", str(tmp_path / "a.qf2d")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "opsqft coeffs: error: argument --in: not allowed with argument --q")
+
+
+@pytest.mark.parametrize("command", ["transform", "split", "coeffs", "planes", "verify",
+                                     "import-ppm", "export-pgm", "info"])
+def test_subcommand_help_exits_zero(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: opsqft {command} ")

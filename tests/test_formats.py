@@ -301,6 +301,9 @@ P3_BODY = b"P3\n3 1\n255\n10 20 30\n# 999 x\n40\t50 "
     (b"6x\n", len(P3_BODY), "not an integer: b'6x'"),
     (b"256 0 #c\n", len(P3_BODY), "pixel value 256 out of range"),
     (b"\n# 1 2 3", len(P3_BODY) + 8, "missing pixel value"),
+    # int() takes both words; a PPM number is ASCII digits only
+    (b"1_0\n", len(P3_BODY), "not an integer: b'1_0'"),
+    (b"+5\n", len(P3_BODY), "not an integer: b'\\+5'"),
 ])
 def test_p3_body_errors_name_offsets(tmp_path, tail, offset, message):
     # the comment holds an out-of-range and a non-integer word, both skipped
@@ -342,6 +345,13 @@ def test_ppm_rejects_malformed(tmp_path):
     p.write_bytes(b"P3\n1 1\n255\n12 x 0\n")
     with pytest.raises(MalformedHeader):
         read_image_ppm(p)
+    # '_' and '+', which int() takes, are not PPM digits: not 10 x 1 nor 1 x 1
+    p.write_bytes(b"P6\n1_0 +1\n255\n" + bytes(30))
+    with pytest.raises(MalformedHeader, match=r"byte 3: width is not an integer: b'1_0'"):
+        read_image_ppm(p)
+    p.write_bytes(b"P6\n1 +1\n255\n" + bytes(3))
+    with pytest.raises(MalformedHeader, match=r"byte 5: height is not an integer: b'\+1'"):
+        read_image_ppm(p)
 
 
 @pytest.mark.parametrize("head, offset", [
@@ -374,6 +384,12 @@ def _ppm_words(raw: bytes):
             yield start, raw[start:i]
 
 
+def _is_decimal(word: bytes) -> bool:
+    """A PPM number: ASCII digits, after one '-' at most (not '+', not '_')."""
+    digits = word[1:] if word.startswith(b"-") else word
+    return digits != b"" and all(48 <= c <= 57 for c in digits)
+
+
 def _expected_ppm(raw: bytes):
     """The error class and byte offset that the P3/P6 layout says ``raw``
     must raise, or the (height, width, 3) pixel values of a well-formed file."""
@@ -385,10 +401,9 @@ def _expected_ppm(raw: bytes):
         return UnsupportedFormat, off
     head = []
     for off, word in words[1:4]:
-        try:
-            head.append((off, int(word)))
-        except ValueError:
+        if not _is_decimal(word):
             return MalformedHeader, off
+        head.append((off, int(word)))
     if len(head) < 3:
         return MalformedHeader, len(raw)
     (width_off, width), (height_off, height), (maxval_off, maxval) = head
@@ -409,13 +424,9 @@ def _expected_ppm(raw: bytes):
     else:
         values = []
         for off, word in words[4:4 + count]:
-            try:
-                v = int(word)
-            except ValueError:
+            if not _is_decimal(word) or not 0 <= int(word) <= 255:
                 return MalformedHeader, off
-            if not 0 <= v <= 255:
-                return MalformedHeader, off
-            values.append(v)
+            values.append(int(word))
         if len(values) < count:
             return MalformedHeader, len(raw)
     return np.array(values, dtype=np.float64).reshape(height, width, 3)
