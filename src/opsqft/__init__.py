@@ -50,9 +50,8 @@ from .split import (
     rotate_split,
     split,
     split_arr,
-    swapped_context,
 )
-from .fftcore import AxisSigns, fft1, fft2
+from .fftcore import fft1, fft2
 from .transform import (
     Family,
     Spectrum,
@@ -90,10 +89,10 @@ __all__ = [
     "QuaternionField2D",
     "OpsContext", "PlaneAssignment", "SplitParts",
     "DegenerateContext", "InvalidFrame",
-    "make_context", "swapped_context", "determine_context",
+    "make_context", "determine_context",
     "split", "split_arr", "half_turn", "coefficients", "reconstruct",
     "rotate_split",
-    "AxisSigns", "fft1", "fft2",
+    "fft1", "fft2",
     "Family", "TransformVariant", "Spectrum", "VariantMismatch",
     "forward_fast", "forward_direct", "inverse_fast", "inverse_direct",
     "split_spectra",

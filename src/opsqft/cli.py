@@ -69,6 +69,8 @@ def _quaternion(text: str, flag: str, counts: Sequence[int]) -> Quaternion:
     vals = []
     for tok in text.split(","):
         try:
+            if "_" in tok or not tok.isascii():  # float() reads 1_0 and non-ASCII digits
+                raise ValueError
             vals.append(float(tok))
         except ValueError:
             raise UsageError(f"{flag}: cannot parse '{tok}' as a real number")
@@ -137,9 +139,7 @@ def _cmd_planes(args) -> int:
     # 'scalar' for 1, else three reals for a pure unit or four for a quaternion
     frame = [ONE if t.strip().lower() == "scalar" else _quaternion(t, "--" + n, (3, 4))
              for n, t in zip("abcd", (args.a, args.b, args.c, args.d))]
-    assign = (PlaneAssignment.AB_TO_PLUS if args.assign == "plus"
-              else PlaneAssignment.AB_TO_MINUS)
-    ctx = determine_context(*frame, assignment=assign)
+    ctx = determine_context(*frame, assignment=PlaneAssignment(args.assign))
     print(f"f = {_fmt_pure(ctx.f)}")
     print(f"g = {_fmt_pure(ctx.g)}")
     print(f"degenerate = {'true' if ctx.degenerate else 'false'}")
@@ -176,7 +176,8 @@ def _cmd_info(args) -> int:
     print(f"n1 = {field.n1}")
     print(f"n2 = {field.n2}")
     print(f"samples = {field.n1 * field.n2}")
-    print(f"max_norm = {_fmt(float(norm_arr(field.data).max()))}")
+    with np.errstate(over="ignore"):  # a norm past the largest double prints as inf
+        print(f"max_norm = {_fmt(float(norm_arr(field.data).max()))}")
     return 0
 
 
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in "abcd":
         p.add_argument("--" + name, required=True,
                        help="'scalar', three reals, or four reals")
-    p.add_argument("--assign", choices=["minus", "plus"], default="minus",
+    p.add_argument("--assign", choices=[a.value for a in PlaneAssignment], default="minus",
                    help="plane that receives the a,b pair")
     p.set_defaults(handler=_cmd_planes)
 

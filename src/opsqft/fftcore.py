@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,11 +45,6 @@ _PLAN_CACHE = 64
 # BLAS-sized products, few enough that the block and the kernel's scratch
 # stay in cache and the pass needs no transposed copy of the array.
 _BLOCK = 1 << 15
-
-
-class AxisSigns(NamedTuple):
-    s1: int
-    s2: int
 
 
 def _check_sign(s: int) -> int:
@@ -131,8 +125,9 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
 
     The result is written block by block, beside a few blocks of scratch
     (O(n) once n exceeds one), into ``out``: a new C-contiguous array by
-    default, or a given complex array of the input's shape, which may be
-    the input itself (a block is read whole before it is written).
+    default, or a given complex128 array of the input's shape (any other
+    raises ValueError), which may be the input itself (a block is read
+    whole before it is written).
     """
     _check_sign(sign)
     x = np.asarray(x, dtype=np.complex128)
@@ -141,6 +136,8 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
     pre, post = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
     if out is None:
         out = np.empty(x.shape, dtype=np.complex128)
+    elif out.dtype != np.complex128 or out.shape != x.shape:
+        raise ValueError(f"out must be complex128 of shape {x.shape}, got {out.dtype} {out.shape}")
     src, dst = x.reshape(pre, n, post), out.view()
     dst.shape = (pre, n, post)  # raises rather than reshape into a copy
     # a block is k leading by w trailing indices, k w = cols columns of length n
@@ -155,12 +152,14 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
     return out
 
 
-def fft2(field: np.ndarray, signs: AxisSigns, out: np.ndarray | None = None) -> np.ndarray:
-    """Signed 2D transform: axis 0 with signs.s1, then axis 1 with signs.s2.
+def fft2(field: np.ndarray, s1: int, s2: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Signed 2D transform: axis 0 with sign s1, then axis 1 with sign s2,
+    each +1 or -1 (both checked before any output is written).
 
     The result goes to ``out`` as in ``fft1``; axis 1 is transformed in
     place, so with none given the transform holds one new plane, and with
     one given (the input itself, say) only ``fft1``'s block scratch.
     """
-    mid = fft1(field, signs.s1, axis=0, out=out)
-    return fft1(mid, signs.s2, axis=1, out=mid)
+    _check_sign(s2)
+    mid = fft1(field, s1, axis=0, out=out)
+    return fft1(mid, s2, axis=1, out=mid)

@@ -274,7 +274,9 @@ def export_magnitude_pgm(spectrum_or_field, path, centered: bool = False) -> Non
     midpoint (floor(n1/2), floor(n2/2)) for display.
     """
     field = getattr(spectrum_or_field, "field", spectrum_or_field)
-    mags = norm_arr(field.data)
+    # the image is relative to its peak: scaled by the largest component, no norm overflows
+    top = float(np.max(np.abs(field.data), initial=0.0))
+    mags = norm_arr(field.data / top if top > 0.0 else field.data)
     if centered:
         mags = np.roll(mags, (field.n1 // 2, field.n2 // 2), axis=(0, 1))
     peak = float(mags.max())

@@ -140,16 +140,6 @@ def make_context(f: Quaternion, g: Quaternion) -> OpsContext:
     )
 
 
-def swapped_context(ctx: OpsContext) -> OpsContext:
-    """The context of the reversed pair (g, f).
-
-    Conjugation maps each plane of the (f, g) split onto the same-signed
-    plane of the (g, f) split, which is what the conjugation transform
-    family operates in.
-    """
-    return make_context(ctx.g, ctx.f)
-
-
 def _times(data: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``data @ m`` for a (..., 4) array, with bits that do not depend on
     the batch a sample sits in (``matmul``'s do)."""

@@ -54,10 +54,10 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .fftcore import TAU, AxisSigns, _block_columns, fft2
+from .fftcore import TAU, _block_columns, fft2
 from .fields import QuaternionField2D
 from .quat import Quaternion, conj_arr, exp_arr, mul_arr
-from .split import OpsContext, split_arr, swapped_context
+from .split import OpsContext, make_context, split_arr
 
 
 class VariantMismatch(ValueError):
@@ -134,10 +134,11 @@ KERNELS = {
 
 
 def _kernel(variant: TransformVariant, inverse: bool):
-    """The table row and the context of its pair (L, R): L is ctx.f, R is ctx.g."""
-    k = KERNELS[variant.family, inverse]
-    ctx = variant.ctx if k.left == "f" else swapped_context(variant.ctx)
-    return k, ctx
+    """The table row and the context of its pair (L, R): L is ctx.f, R is ctx.g;
+    a row with L = g runs in the reversed pair (g, f), as conjugation maps
+    each plane of the (f, g) split onto the same-signed (g, f) plane."""
+    k, ctx = KERNELS[variant.family, inverse], variant.ctx
+    return k, ctx if k.left == "f" else make_context(ctx.g, ctx.f)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +200,6 @@ def inverse_direct(variant: TransformVariant, spectrum: Spectrum) -> QuaternionF
 # ---------------------------------------------------------------------------
 # Fast path: data @ A, one fft2 per plane, @ B, all in the output array.
 
-# conj(q) = q @ _CONJ for a row (w, x, y, z)
-_CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
 def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndarray:
     """The table row through its frame W, in the one output array: plane p
     (0 is +, 1 is -) is ``x @ A[:, 2p:2p + 2]``, transformed in place with
@@ -211,7 +208,7 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
     k, ctx = _kernel(variant, inverse)
     n1, n2 = data.shape[:2]
     W = ctx.frame
-    A = _CONJ @ W if k.conjugate else W
+    A = conj_arr(W.T).T.copy() if k.conjugate else W  # conj(x) @ W = x @ A, in C order as W
     B = W.T / (n1 * n2) if inverse else W.T
     out = np.empty((n1, n2, 4))
     spec = out.view(np.complex128).reshape(n1, 2, n2)  # row k1: plane +, then plane -
@@ -222,7 +219,7 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
             x = (np.ones(x.shape[1]) @ x)[:, None, :]
         plane = spec[:, p] if x is data else np.empty(x.shape[:2], np.complex128)
         np.matmul(x, A[:, 2 * p:2 * p + 2], out=plane.view(np.float64).reshape(*x.shape[:2], 2))
-        fft2(plane, AxisSigns(c1 or 1, c2 or 1), out=plane)
+        fft2(plane, c1 or 1, c2 or 1, out=plane)
         planes.append(np.broadcast_to(plane, (n1, n2)))
     # each block of rows is interleaved into z before z @ B overwrites it
     step = _block_columns(n2)

@@ -350,6 +350,25 @@ def test_transform_overflow_prints_one_diagnostic(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("opsqft:"), out.stderr
 
 
+def test_overflowing_norm_is_quiet(tmp_path):
+    # a finite field whose largest norm exceeds the largest double: info prints
+    # inf and export-pgm scales by the peak, with nothing from numpy on stderr
+    a = tmp_path / "a.qf2d"
+    data = np.zeros((2, 2, 4))
+    data[0, 0] = [0.0, 1.5e308, 1.5e308, 0.0]
+    write_field(QuaternionField2D(data), a)
+    src = os.path.dirname(os.path.dirname(opsqft.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    runs = {argv[0]: subprocess.run([sys.executable, "-m", "opsqft"] + argv, capture_output=True,
+                                    text=True, env={**env, "PYTHONPATH": src})
+            for argv in (["info", "--in", str(a)],
+                         ["export-pgm", "--in", str(a), "--out", str(tmp_path / "a.pgm")])}
+    for command, out in runs.items():
+        assert (out.returncode, out.stderr) == (0, ""), command
+    assert "max_norm = inf\n" in runs["info"].stdout
+    assert (tmp_path / "a.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes([255, 0, 0, 0])
+
+
 def test_invalid_frame_exit_2(capsys):
     rc = main(["planes", "--a", "1,0,0", "--b", "1,0,0", "--c", "0,0,1",
                "--d", "scalar"])
@@ -381,20 +400,35 @@ QUATERNION_COMMANDS = {
 ])
 def test_bad_quaternion_flag_names_the_flag(tmp_path, monkeypatch, capsys, command, flag):
     # an axis takes three reals, --q four, a frame entry three or four: a
-    # wrong count, a word that is not a real and a NaN are usage errors
+    # wrong count, a word that is not a plain ASCII real (float() reads 1_0
+    # and a full-width 1) and a NaN are usage errors
     monkeypatch.chdir(tmp_path)
     if flag == "--q":
-        bad = ["1,2,3", "1,2,3,4,5", "1,x,3,4", "nan,0,0,0"]
+        bad = ["1,2,3", "1,2,3,4,5", "1,x,3,4", "1_0,2,3,4", "\uff11,2,3,4", "nan,0,0,0"]
     elif flag in ("--f", "--g"):
-        bad = ["1,0", "1,0,0,0", "1,x,0", "nan,0,0"]
+        bad = ["1,0", "1,0,0,0", "1,x,0", "1_0,0,0", "\uff11,0,0", "nan,0,0"]
     else:
-        bad = ["1,0", "1,0,0,0,0", "1,x,0", "nan,0,0,0"]
+        bad = ["1,0", "1,0,0,0,0", "1,x,0", "1_0,0,0", "\uff11,0,0,0", "nan,0,0,0"]
     argv = QUATERNION_COMMANDS[command]
     for text in bad:
         i = argv.index(flag) + 1
         assert main(argv[:i] + [text] + argv[i + 1:]) == 2, text
         assert capsys.readouterr().err.startswith(f"opsqft: {flag}: "), text
     assert os.listdir(tmp_path) == []
+
+
+def test_quaternion_words_are_plain_ascii_reals(capsys):
+    base = ["coeffs", "--g", "0,1,0", "--q", "1,2,3,4", "--f"]
+    for word in ("1_0", "\uff11"):
+        assert main(base + [word + ",0,0"]) == 2
+        assert capsys.readouterr().err == f"opsqft: --f: cannot parse '{word}' as a real number\n"
+    # signs, points, exponents and spaces around a word are still reals
+    assert main(base + ["1,0,0"]) == 0
+    want = capsys.readouterr().out
+    assert main(base + [" +1.0e0, -0., 0 "]) == 0
+    assert capsys.readouterr().out == want
+    assert main(base + ["inf,0,0"]) == 2
+    assert capsys.readouterr().err == "opsqft: --f: axis direction undefined: (inf, 0.0, 0.0)\n"
 
 
 def test_quaternion_flag_count_diagnostics(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import opsqft
-from opsqft.fftcore import _BLOCK, AxisSigns, _plan, fft1, fft2
+from opsqft.fftcore import _BLOCK, _plan, fft1, fft2
 
 SEED = 77103
 
@@ -38,9 +38,9 @@ def test_fft2_matches_numpy():
     for shape in ((1, 1), (2, 3), (4, 4), (3, 5), (8, 8), (16, 12)):
         x = rand_c(rng, shape)
         n1, n2 = shape
-        got = fft2(x, AxisSigns(-1, -1))
+        got = fft2(x, -1, -1)
         assert np.max(np.abs(got - np.fft.fft2(x))) < 1e-11
-        got = fft2(x, AxisSigns(1, 1))
+        got = fft2(x, 1, 1)
         assert np.max(np.abs(got - n1 * n2 * np.fft.ifft2(x))) < 1e-11
 
 
@@ -59,7 +59,7 @@ def test_fft2_mixed_signs():
     for x, sign_pairs in cases:
         for s1, s2 in sign_pairs:
             want = signed_numpy(signed_numpy(x, s2, axis=1), s1, axis=0)
-            assert np.max(np.abs(fft2(x, AxisSigns(s1, s2)) - want)) < 1e-11
+            assert np.max(np.abs(fft2(x, s1, s2) - want)) < 1e-11
 
 
 def test_power_of_two_and_dense_paths_agree():
@@ -67,7 +67,7 @@ def test_power_of_two_and_dense_paths_agree():
     # grid transforms a power-of-two and a non-power-of-two axis in one call
     rng = np.random.default_rng(SEED + 4)
     x = rand_c(rng, (16, 12))
-    got = fft2(x, AxisSigns(-1, -1))
+    got = fft2(x, -1, -1)
     assert np.max(np.abs(got - np.fft.fft2(x))) < 1e-10
 
 
@@ -76,16 +76,16 @@ def test_round_trip():
     for shape in ((4, 4), (3, 7), (8, 5)):
         x = rand_c(rng, shape)
         n1, n2 = shape
-        back = fft2(fft2(x, AxisSigns(-1, -1)), AxisSigns(1, 1)) / (n1 * n2)
+        back = fft2(fft2(x, -1, -1), 1, 1) / (n1 * n2)
         assert np.max(np.abs(back - x)) < 1e-12
 
 
 def test_delta_and_constant_inputs():
     x = np.zeros((4, 4), dtype=complex)
     x[0, 0] = 1.0
-    assert np.max(np.abs(fft2(x, AxisSigns(-1, -1)) - 1.0)) < 1e-15
+    assert np.max(np.abs(fft2(x, -1, -1) - 1.0)) < 1e-15
     c = np.full((4, 4), 2.5 + 0j)
-    got = fft2(c, AxisSigns(-1, -1))
+    got = fft2(c, -1, -1)
     want = np.zeros((4, 4), dtype=complex)
     want[0, 0] = 2.5 * 16
     assert np.max(np.abs(got - want)) < 1e-13
@@ -94,7 +94,12 @@ def test_delta_and_constant_inputs():
 def test_rejects_bad_signs():
     x = np.ones((2, 2), dtype=complex)
     with pytest.raises(ValueError):
-        fft2(x, AxisSigns(0, -1))
+        fft2(x, 0, -1)
+    # a bad second sign is refused before the first pass writes over its input
+    y = x.copy()
+    with pytest.raises(ValueError):
+        fft2(y, -1, 0, out=y)
+    assert np.array_equal(y, x)
     with pytest.raises(ValueError):
         fft1(np.ones(4, dtype=complex), 2)
 
@@ -142,9 +147,9 @@ def test_fft2_prime_by_composite_mixed_signs():
     rng = np.random.default_rng(SEED + 9)
     x = rand_c(rng, (1021, 1000))
     want = np.fft.fft(1000 * np.fft.ifft(x, axis=1), axis=0)
-    assert rel_err(fft2(x, AxisSigns(-1, 1)), want) < 1e-14
+    assert rel_err(fft2(x, -1, 1), want) < 1e-14
     want = 1021 * np.fft.ifft(np.fft.fft(x, axis=1), axis=0)
-    assert rel_err(fft2(x, AxisSigns(1, -1)), want) < 1e-14
+    assert rel_err(fft2(x, 1, -1), want) < 1e-14
 
 
 def test_fft2_nested_by_square_four_step_mixed_signs():
@@ -153,9 +158,9 @@ def test_fft2_nested_by_square_four_step_mixed_signs():
     rng = np.random.default_rng(SEED + 10)
     x = rand_c(rng, (2042, 1024))
     want = np.fft.fft(1024 * np.fft.ifft(x, axis=1), axis=0)
-    assert rel_err(fft2(x, AxisSigns(-1, 1)), want) < 1e-14
+    assert rel_err(fft2(x, -1, 1), want) < 1e-14
     want = 2042 * np.fft.ifft(np.fft.fft(x, axis=1), axis=0)
-    assert rel_err(fft2(x, AxisSigns(1, -1)), want) < 1e-14
+    assert rel_err(fft2(x, 1, -1), want) < 1e-14
 
 
 @pytest.mark.parametrize("n", KERNEL_LENGTHS)
@@ -172,7 +177,7 @@ def test_fft2_returns_c_contiguous():
     for shape in ((1, 1), (3, 5), (70, 9), (128, 96)):
         x = rand_c(rng, shape)
         for source in (x, np.asfortranarray(x), x.T.copy().T):
-            assert fft2(source, AxisSigns(-1, 1)).flags.c_contiguous
+            assert fft2(source, -1, 1).flags.c_contiguous
 
 
 @pytest.mark.parametrize("n1, n2", [(67, 515), (129, 33), (1, 5)])
@@ -184,15 +189,21 @@ def test_fft2_in_place_on_interleaved_planes(n1, n2):
     before = stack.copy()
     for p, (s1, s2) in enumerate(((-1, 1), (1, -1))):
         plane = stack[..., p]
-        assert fft2(plane, AxisSigns(s1, s2), out=plane) is plane
+        assert fft2(plane, s1, s2, out=plane) is plane
         want = signed_numpy(signed_numpy(before[..., p], s1, axis=0), s2, axis=1)
         assert rel_err(plane, want) < 1e-14
     # the result is the same as into new arrays, bit for bit
     for p, (s1, s2) in enumerate(((-1, 1), (1, -1))):
-        assert np.array_equal(stack[..., p], fft2(before[..., p], AxisSigns(s1, s2)))
+        assert np.array_equal(stack[..., p], fft2(before[..., p], s1, s2))
     out = np.empty((n1, n2), dtype=np.complex128)
     assert fft1(before[..., 0], -1, axis=1, out=out) is out
     assert np.array_equal(out, fft1(before[..., 0], -1, axis=1))
+    # any other out is refused, naming its dtype and shape, before a block is written
+    for bad in (np.zeros((n1, n2)), np.zeros((n1, n2), np.complex64),
+                np.zeros((n2, n1), np.complex128)):
+        with pytest.raises(ValueError, match=rf"got {bad.dtype} \({bad.shape[0]}, {bad.shape[1]}\)"):
+            fft1(before[..., 0], -1, axis=1, out=bad)
+        assert not bad.any()
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])
@@ -204,7 +215,7 @@ def test_zero_length_axes_give_empty_results(shape):
             assert got.shape == shape and got.dtype == np.complex128
             assert got.flags.c_contiguous
     if len(shape) == 2:
-        assert fft2(x, AxisSigns(-1, 1)).shape == shape
+        assert fft2(x, -1, 1).shape == shape
 
 
 def test_import_builds_no_plan():

@@ -529,16 +529,21 @@ def test_export_zero_field(tmp_path):
 
 
 def test_export_normalizes_to_peak(tmp_path):
-    # at 5e307 the peak norm 1.5e308 fits a double but its square does not
-    for scale in (1.0, 5e307):
+    # the peak sample and a lone component: at 5e307 the peak norm 1.5e308
+    # fits a double but its square does not; in the last case the peak norm,
+    # 1.5e308 sqrt 2, does not fit either
+    cases = [([0, 3.0, 0, 0], 1.5, 128),  # 1.5 / 3 * 255 rounded
+             ([0, 1.5e308, 0, 0], 7.5e307, 128),
+             ([0, 1.5e308, 1.5e308, 0], 1.5e308, 180)]  # 255 / sqrt 2 rounded
+    for i, (peak, lone, want) in enumerate(cases):
         data = np.zeros((2, 2, 4))
-        data[0, 0, 1] = 3.0 * scale
-        data[1, 1, 2] = 1.5 * scale
-        p = tmp_path / f"m{scale:g}.pgm"
+        data[0, 0] = peak
+        data[1, 1, 2] = lone
+        p = tmp_path / f"m{i}.pgm"
         export_magnitude_pgm(QuaternionField2D(data), p)
         img = read_pgm(p)
         assert img[0, 0] == 255
-        assert img[1, 1] == 128  # 1.5 / 3 * 255 rounded
+        assert img[1, 1] == want
         assert img[0, 1] == 0
 
 

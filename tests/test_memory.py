@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opsqft.fftcore import AxisSigns, fft2
+from opsqft.fftcore import fft2
 from opsqft.fields import QuaternionField2D
 from opsqft.quat import PureUnitQuaternion
 from opsqft.split import make_context
@@ -50,10 +50,10 @@ def test_fft2_holds_one_plane():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     # the output, which the axis-1 pass writes over the axis-0 result
-    assert traced_peak(lambda: fft2(x, AxisSigns(-1, 1))) <= PLANE + SCRATCH
+    assert traced_peak(lambda: fft2(x, -1, 1)) <= PLANE + SCRATCH
     # written over its input, it holds no plane, and the twiddles are
     # multiplied in place, without a ufunc buffer
-    assert traced_peak(lambda: fft2(x, AxisSigns(-1, 1), out=x)) <= IN_PLACE_SCRATCH
+    assert traced_peak(lambda: fft2(x, -1, 1, out=x)) <= IN_PLACE_SCRATCH
 
 
 @pytest.mark.parametrize("family", list(Family))

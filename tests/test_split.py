@@ -28,7 +28,6 @@ from opsqft.split import (
     rotate_split,
     split,
     split_arr,
-    swapped_context,
 )
 from opsqft.transform import Family, TransformVariant, forward_fast, inverse_fast
 
@@ -220,14 +219,6 @@ def test_make_context_accepts_plain_pure_quaternions():
 def test_make_context_rejects_non_pure():
     with pytest.raises(ValueError):
         make_context(Quaternion(0.5, 1.0, 0.0, 0.0), QJ)
-
-
-def test_swapped_context():
-    rng = np.random.default_rng(SEED + 14)
-    f, g = rand_pure(rng), rand_pure(rng)
-    ctx = swapped_context(make_context(f, g))
-    assert (ctx.f.x, ctx.f.y, ctx.f.z) == (g.x, g.y, g.z)
-    assert (ctx.g.x, ctx.g.y, ctx.g.z) == (f.x, f.y, f.z)
 
 
 # ---------------------------------------------------------------------------
