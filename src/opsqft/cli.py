@@ -84,14 +84,11 @@ def _quaternion(text: str, flag: str, counts: Sequence[int]) -> Quaternion:
 
 
 def _seed(text: str) -> int:
-    """--seed: a non-negative integer, as numpy's generators require."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
+    """--seed: a non-negative integer, as numpy's generators require, in
+    ASCII decimal digits (``int()`` also reads 1_0 and non-ASCII digits)."""
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got '{text}'")
-    return value
+    return int(text)
 
 
 def _context(args) -> OpsContext:

@@ -187,10 +187,8 @@ def conj_arr(q: np.ndarray) -> np.ndarray:
 
 def norm_arr(q: np.ndarray) -> np.ndarray:
     """Per-sample Euclidean length, shape (...,); finite wherever it fits,
-    as each sample is scaled by its largest component before squaring."""
-    peak = np.max(np.abs(q), axis=-1)
-    unit = q / np.where(peak > 0.0, peak, 1.0)[..., None]
-    return peak * np.sqrt(np.sum(unit * unit, axis=-1))
+    as ``hypot`` never squares a component."""
+    return np.hypot(np.hypot(q[..., 0], q[..., 1]), np.hypot(q[..., 2], q[..., 3]))
 
 
 def exp_arr(f: Quaternion, angles: np.ndarray) -> np.ndarray:

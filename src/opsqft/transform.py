@@ -2,35 +2,39 @@
 
 Every transform here is one formula on an N1 x N2 grid,
 
-    F[k] = w sum_m exp(L cl.t) h'[m] exp(R cr.t),
+    F[k] = w sum_m exp(f cl.t) h[m] exp(g cr.t),
     t = (t1, t2) = (2 pi m1 k1 / N1, 2 pi m2 k2 / N2),
 
-where h' is h or conj(h), L and R are the context units f and g in some
-order, cl and cr are the coefficients of (t1, t2) in the two phases,
-and w is 1 forward and 1/(N1 N2) for an inverse.  ``KERNELS`` holds the
+where cl and cr are the coefficients of (t1, t2) in the two phases and
+w is 1 forward and 1/(N1 N2) for an inverse.  ``KERNELS`` holds the
 six rows:
 
-    family        direction  conj  L  R  cl            cr
-    TWO_SIDED     forward    no    f  g  (-1, 0)       (0, -1)
-    TWO_SIDED     inverse    no    f  g  (1, 0)        (0, 1)
-    PHASE_ANGLE   forward    no    f  g  (-1/2, -1/2)  (-1/2, 1/2)
-    PHASE_ANGLE   inverse    no    f  g  (1/2, 1/2)    (1/2, -1/2)
-    CONJUGATE     forward    yes   g  f  (-1, 0)       (0, -1)
-    CONJUGATE     inverse    yes   f  g  (0, -1)       (-1, 0)
+    family        direction  conj  cl            cr
+    TWO_SIDED     forward    no    (-1, 0)       (0, -1)
+    TWO_SIDED     inverse    no    (1, 0)        (0, 1)
+    PHASE_ANGLE   forward    no    (-1/2, -1/2)  (-1/2, 1/2)
+    PHASE_ANGLE   inverse    no    (1/2, 1/2)    (1/2, -1/2)
+    CONJUGATE     forward    yes   (0, 1)        (1, 0)
+    CONJUGATE     inverse    yes   (0, -1)       (-1, 0)
+
+The conjugation family conjugates its spectrum: the forward output,
+conj(sum exp(f t2) h exp(g t1)) = sum exp(-g t1) conj(h) exp(-f t2),
+and the inverse input.  Each inverse row is its forward row negated.
 
 ``direct_sum`` evaluates the formula literally; ``forward_direct`` and
 ``inverse_direct`` are the in-package reference built on it.
 
 The fast path is ``data @ A``, one complex FFT per split part, ``@ B``,
 with A and B 4x4 matrices.  In the orthonormal frame W of the pair
-(L, R) each part is q_pm = u_pm (x_pm + y_pm R), a complex number with
-R as imaginary unit, and exp(a L) q_pm exp(b R) = q_pm exp((b -+ a) R)
+(f, g) each part is q_pm = u_pm (x_pm + y_pm g), a complex number with
+g as imaginary unit, and exp(a f) q_pm exp(b g) = q_pm exp((b -+ a) g)
 moves both kernels to the right.  So plane +- sees the coefficients
 cr -+ cl alone (``Kernel.planes``), each -1, 0 or +1: a +-1 is a signed
 FFT along that axis, and a 0 makes the plane's spectrum constant along
 that axis, so the axis is summed first and transformed at length 1.
-A is W, or diag(1, -1, -1, -1) W when h is conjugated; B is W^T times
-w, so neither the conjugation nor the weight costs a pass over the data.
+A is W and B is W^T times w; a conjugated spectrum puts
+diag(1, -1, -1, -1) after B (forward) or before A (inverse), so neither
+the conjugation nor the weight costs a pass over the data.
 Everything happens in the one output array, seen as (N1, 2, N2) complex
 (row k1: plane +, then plane -): each plane of data @ A is written into
 it and ``fft2`` transforms it in place; then each block of rows is
@@ -57,7 +61,7 @@ import numpy as np
 from .fftcore import TAU, _block_columns, fft2
 from .fields import QuaternionField2D
 from .quat import Quaternion, conj_arr, exp_arr, mul_arr
-from .split import OpsContext, make_context, split_arr
+from .split import OpsContext, split_arr
 
 
 class VariantMismatch(ValueError):
@@ -98,14 +102,14 @@ def _require_same_variant(requested: TransformVariant, spectrum: Spectrum) -> No
 # The kernel table.
 
 class Kernel(NamedTuple):
-    """One row of the table: h or conj(h) between exp(L cl.t) and exp(R cr.t).
+    """One row of the table: h between exp(f cl.t) and exp(g cr.t).
 
-    ``left`` names the context unit ("f" or "g") that is L, the other
-    one is R; ``cl``/``cr`` are the coefficients of (t1, t2) in each phase.
+    ``cl``/``cr`` are the coefficients of (t1, t2) in each phase;
+    ``conjugate`` says the spectrum is conjugated, the output of a
+    forward row and the input of an inverse one.
     """
 
     conjugate: bool
-    left: str
     cl: Tuple[float, float]
     cr: Tuple[float, float]
 
@@ -113,8 +117,8 @@ class Kernel(NamedTuple):
     def planes(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         """Coefficients of (t1, t2) left on plane + and plane -: cr - cl, cr + cl.
 
-        With a = cl.t and b = cr.t, a part h_pm of the (L, R) split obeys
-        exp(L a) h_pm exp(R b) = h_pm exp(R (b -+ a)) = exp(L (a -+ b)) h_pm.
+        With a = cl.t and b = cr.t, a part h_pm of the (f, g) split obeys
+        exp(f a) h_pm exp(g b) = h_pm exp(g (b -+ a)) = exp(f (a -+ b)) h_pm.
 
         >>> KERNELS[Family.PHASE_ANGLE, False].planes
         ((0, 1), (-1, 0))
@@ -124,21 +128,13 @@ class Kernel(NamedTuple):
 
 
 KERNELS = {
-    (Family.TWO_SIDED, False): Kernel(False, "f", (-1, 0), (0, -1)),
-    (Family.TWO_SIDED, True): Kernel(False, "f", (1, 0), (0, 1)),
-    (Family.PHASE_ANGLE, False): Kernel(False, "f", (-0.5, -0.5), (-0.5, 0.5)),
-    (Family.PHASE_ANGLE, True): Kernel(False, "f", (0.5, 0.5), (0.5, -0.5)),
-    (Family.CONJUGATE, False): Kernel(True, "g", (-1, 0), (0, -1)),
-    (Family.CONJUGATE, True): Kernel(True, "f", (0, -1), (-1, 0)),
+    (Family.TWO_SIDED, False): Kernel(False, (-1, 0), (0, -1)),
+    (Family.TWO_SIDED, True): Kernel(False, (1, 0), (0, 1)),
+    (Family.PHASE_ANGLE, False): Kernel(False, (-0.5, -0.5), (-0.5, 0.5)),
+    (Family.PHASE_ANGLE, True): Kernel(False, (0.5, 0.5), (0.5, -0.5)),
+    (Family.CONJUGATE, False): Kernel(True, (0, 1), (1, 0)),
+    (Family.CONJUGATE, True): Kernel(True, (0, -1), (-1, 0)),
 }
-
-
-def _kernel(variant: TransformVariant, inverse: bool):
-    """The table row and the context of its pair (L, R): L is ctx.f, R is ctx.g;
-    a row with L = g runs in the reversed pair (g, f), as conjugation maps
-    each plane of the (f, g) split onto the same-signed (g, f) plane."""
-    k, ctx = KERNELS[variant.family, inverse], variant.ctx
-    return k, ctx if k.left == "f" else make_context(ctx.g, ctx.f)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +173,12 @@ def direct_sum(H: np.ndarray, left_unit: Quaternion, right_unit: Quaternion,
 
 
 def _direct(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndarray:
-    k, ctx = _kernel(variant, inverse)
-    out = direct_sum(conj_arr(data) if k.conjugate else data, ctx.f, ctx.g, k.cl, k.cr)
-    n1, n2 = data.shape[:2]
+    k, ctx = KERNELS[variant.family, inverse], variant.ctx
     if inverse:
-        out *= 1.0 / (n1 * n2)
-    return out
+        h = conj_arr(data) if k.conjugate else data
+        return direct_sum(h, ctx.f, ctx.g, k.cl, k.cr) * (1.0 / (data.shape[0] * data.shape[1]))
+    out = direct_sum(data, ctx.f, ctx.g, k.cl, k.cr)
+    return conj_arr(out) if k.conjugate else out
 
 
 def forward_direct(variant: TransformVariant, field: QuaternionField2D) -> Spectrum:
@@ -205,11 +201,14 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
     (0 is +, 1 is -) is ``x @ A[:, 2p:2p + 2]``, transformed in place with
     the signs from ``planes`` and broadcast; x is the data, summed first
     along each axis whose sign is 0 there (then the plane is a line)."""
-    k, ctx = _kernel(variant, inverse)
+    k = KERNELS[variant.family, inverse]
     n1, n2 = data.shape[:2]
-    W = ctx.frame
-    A = conj_arr(W.T).T.copy() if k.conjugate else W  # conj(x) @ W = x @ A, in C order as W
-    B = W.T / (n1 * n2) if inverse else W.T
+    W = variant.ctx.frame
+    A, B = W, (W.T / (n1 * n2) if inverse else W.T)
+    if k.conjugate and inverse:
+        A = conj_arr(W.T).T.copy()  # conj(x) @ W = x @ A, in C order as W
+    elif k.conjugate:
+        B = conj_arr(B)  # conj(y @ W.T) = y @ B
     out = np.empty((n1, n2, 4))
     spec = out.view(np.complex128).reshape(n1, 2, n2)  # row k1: plane +, then plane -
     planes = []
@@ -252,7 +251,7 @@ def split_spectra(variant: TransformVariant, field: QuaternionField2D):
 
     The conjugation family's part spectra live in the planes of the
     reversed pair (g, f), since conjugation carries each (f, g) plane
-    onto its (g, f) counterpart before the kernels act.
+    onto its (g, f) counterpart after the kernels act.
     """
     plus, minus = split_arr(variant.ctx, field.data)
     spectrum_plus = forward_fast(variant, QuaternionField2D(plus))

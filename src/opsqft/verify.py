@@ -56,7 +56,6 @@ from .transform import (
     Family,
     Spectrum,
     TransformVariant,
-    _kernel,
     direct_sum,
     forward_direct,
     forward_fast,
@@ -289,11 +288,12 @@ def check_phase_factor_commutation(rng, profile=QUICK) -> List[CheckResult]:
 def check_split_forms(rng, profile=QUICK) -> List[CheckResult]:
     """Every kernel row collapses on each split part as ``Kernel.planes`` says.
 
-    For a row with pair (L, R), h' = h or conj(h), and c_pm its
-    ``planes`` pair, each part of the (L, R) split of h' satisfies
+    For a row with kernel input h', h or conj(h) for an inverse row that
+    conjugates its spectrum, and c_pm its ``planes`` pair, each part of
+    the (f, g) split of h' satisfies
 
-        sum exp(L cl.t) h'_pm exp(R cr.t) = sum h'_pm exp(R c_pm.t)
-                                          = sum exp(-+ L c_pm.t) h'_pm,
+        sum exp(f cl.t) h'_pm exp(g cr.t) = sum h'_pm exp(g c_pm.t)
+                                          = sum exp(-+ f c_pm.t) h'_pm,
 
     the two part spectra sum to the spectrum of h', and a part spectrum
     is constant along every axis whose coefficient in c_pm is 0.  All
@@ -307,18 +307,16 @@ def check_split_forms(rng, profile=QUICK) -> List[CheckResult]:
     worst_const = 0.0
     for (family, inverse), k in KERNELS.items():
         worst = 0.0
-        for ctx0 in ctxs:
-            _, ctx = _kernel(TransformVariant(family, ctx0), inverse)
-            L, R = ctx.f, ctx.g
+        for ctx in ctxs:
             for n in (4, 8):
                 for _ in range(2):
                     h = random_field(rng, n, n).data
-                    h = conj_arr(h) if k.conjugate else h
+                    h = conj_arr(h) if k.conjugate and inverse else h
                     spectra = []
                     for part, c, s in zip(split_arr(ctx, h), k.planes, (-1, 1)):
-                        spectrum = direct_sum(part, L, R, k.cl, k.cr)
-                        right = direct_sum(part, L, R, (0, 0), c)
-                        left = direct_sum(part, L, R, (s * c[0], s * c[1]), (0, 0))
+                        spectrum = direct_sum(part, ctx.f, ctx.g, k.cl, k.cr)
+                        right = direct_sum(part, ctx.f, ctx.g, (0, 0), c)
+                        left = direct_sum(part, ctx.f, ctx.g, (s * c[0], s * c[1]), (0, 0))
                         worst = max(worst, _max_abs(right - spectrum),
                                     _max_abs(left - spectrum))
                         for axis in (0, 1):
@@ -326,7 +324,7 @@ def check_split_forms(rng, profile=QUICK) -> List[CheckResult]:
                                 worst_const = max(worst_const, _max_abs(
                                     spectrum - spectrum.take([0], axis=axis)))
                         spectra.append(spectrum)
-                    full = direct_sum(h, L, R, k.cl, k.cr)
+                    full = direct_sum(h, ctx.f, ctx.g, k.cl, k.cr)
                     worst = max(worst, _max_abs(spectra[0] + spectra[1] - full))
         direction = "inverse" if inverse else "forward"
         results.append(CheckResult(f"split-forms/{family.value}-{direction}", worst, 1e-10))
@@ -395,10 +393,11 @@ def check_energy(rng, profile=QUICK) -> List[CheckResult]:
 def check_commutation(rng, profile=QUICK) -> List[CheckResult]:
     """Splitting the spectrum gives the spectra of the split parts.
 
-    The spectrum splits along the forward kernel's pair (L, R): (f, g),
-    or (g, f) for the conjugation family.  Residuals are relative to the
-    RMS of the full spectrum, at scales from 1e-150 to 1e150; length 67
-    runs the chirp plan and length 70 the four-step plan.
+    The spectrum splits along (f, g), or along (g, f) where the forward
+    row conjugates its spectrum, as conjugation carries the (f, g) planes
+    onto the (g, f) planes.  Residuals are relative to the RMS of the
+    full spectrum, at scales from 1e-150 to 1e150; length 67 runs the
+    chirp plan and length 70 the four-step plan.
     """
     ctxs = sample_contexts(rng, profile.n_contexts)
     results = []
@@ -406,7 +405,7 @@ def check_commutation(rng, profile=QUICK) -> List[CheckResult]:
         worst = 0.0
         for ctx in ctxs:
             variant = TransformVariant(family, ctx)
-            pair = _kernel(variant, False)[1]
+            pair = make_context(ctx.g, ctx.f) if KERNELS[family, False].conjugate else ctx
             for n1, n2 in ((4, 6), (67, 70)):
                 h = random_field(rng, n1, n2).data
                 for scale in (1e-150, 1.0, 1e8, 1e150):

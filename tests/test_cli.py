@@ -185,7 +185,7 @@ def test_verify_output_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("seed", ["-1", "x"])
+@pytest.mark.parametrize("seed", ["-1", "x", "1_0", "\u0664\u0662"])
 def test_verify_rejects_a_seed_numpy_cannot_take(capsys, seed):
     # rejected while parsing: exit 2 and one error line, not a traceback
     assert main(["verify", "--seed", seed]) == 2

@@ -13,7 +13,7 @@ import pytest
 
 from opsqft.fftcore import fft2
 from opsqft.fields import QuaternionField2D
-from opsqft.quat import PureUnitQuaternion
+from opsqft.quat import PureUnitQuaternion, norm_arr
 from opsqft.split import make_context
 from opsqft.transform import Family, Spectrum, TransformVariant, forward_fast, inverse_fast
 
@@ -70,3 +70,10 @@ def test_fast_transforms_hold_one_field(family):
     limit = FIELD + BLOCK_SCRATCH
     assert traced_peak(lambda: forward_fast(variant, field)) <= limit
     assert traced_peak(lambda: inverse_fast(variant, spectrum)) <= limit
+
+
+def test_norm_arr_holds_three_sample_planes():
+    # hypot of two hypots: the two halves and the result, one double per
+    # sample each, and no temporary the size of the input
+    q = np.random.default_rng(7).standard_normal((N, N, 4))
+    assert traced_peak(lambda: norm_arr(q)) <= 3 * N * N * 8 + 64 * 1024

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from opsqft.split import make_context, split_arr
 from opsqft.transform import (
     KERNELS,
     Family,
+    Kernel,
     Spectrum,
     TransformVariant,
     VariantMismatch,
@@ -59,6 +62,34 @@ def context_zoo(rng):
 
 def rand_field(rng, n1, n2):
     return QuaternionField2D(rng.standard_normal((n1, n2, 4)))
+
+
+def test_each_inverse_row_is_its_forward_row_negated():
+    # one table in the (f, g) frame: the rows differ only in their coefficients
+    assert Kernel._fields == ("conjugate", "cl", "cr")
+    for family in Family:
+        forward, inverse = KERNELS[family, False], KERNELS[family, True]
+        assert inverse == forward._replace(cl=tuple(-c for c in forward.cl),
+                                           cr=tuple(-c for c in forward.cr))
+
+
+def test_conjugation_family_runs_in_the_frame_of_its_context(monkeypatch):
+    # conjc conjugates its spectrum instead of building the (g, f) frame
+    rng = np.random.default_rng(SEED + 17)
+    variant = TransformVariant(Family.CONJUGATE, context_zoo(rng)[0])
+
+    def no_second_frame(f, g):
+        raise AssertionError("a second frame was built")
+
+    # the package exports a function named split, so the module is looked up
+    monkeypatch.setattr(importlib.import_module("opsqft.split"), "_plane_frame",
+                        no_second_frame)
+    h = rand_field(rng, 4, 6)
+    spectrum = Spectrum(rand_field(rng, 4, 6), variant)
+    forward_fast(variant, h)
+    forward_direct(variant, h)
+    inverse_fast(variant, spectrum)
+    inverse_direct(variant, spectrum)
 
 
 def test_forward_direct_matches_scalar_reference():
@@ -329,18 +360,19 @@ def signed_dft(z, axis, c):
 
 
 def numpy_composition(variant, data, inverse):
-    """The split transform with numpy.fft: each plane of the frame of (L, R)
-    as a complex grid, its 2D DFT with the plane's coefficients, and back."""
+    """The split transform with numpy.fft: each plane of the (f, g) frame as
+    a complex grid, its 2D DFT with the plane's coefficients, and back; a
+    conjugated spectrum is the input of an inverse, the output of a forward."""
     k = KERNELS[variant.family, inverse]
-    ctx = variant.ctx if k.left == "f" else make_context(variant.ctx.g, variant.ctx.f)
-    h = data * [1.0, -1, -1, -1] if k.conjugate else data
+    conj = [1.0, -1, -1, -1] if k.conjugate else 1.0
+    h = data * conj if inverse else data
     out = np.zeros(data.shape)
     for p, (c1, c2) in enumerate(k.planes):
-        plane = ctx.frame[:, 2 * p:2 * p + 2]
+        plane = variant.ctx.frame[:, 2 * p:2 * p + 2]
         z = (h @ plane) @ [1.0, 1j]
         z = signed_dft(signed_dft(z, 0, c1), 1, c2)
         out += np.stack([z.real, z.imag], axis=-1) @ plane.T
-    return out / data[..., 0].size if inverse else out
+    return out / data[..., 0].size if inverse else out * conj
 
 
 @pytest.mark.parametrize("n1, n2", RAGGED_GRIDS)
