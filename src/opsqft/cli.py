@@ -181,6 +181,11 @@ def _cmd_info(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser.
 
+def _axis_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--f", required=True, help="left axis, three reals 'a,b,c'")
+    p.add_argument("--g", required=True, help="right axis, three reals 'a,b,c'")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opsqft",
@@ -191,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="apply a transform family to a field file")
     p.add_argument("--variant", required=True,
                    choices=[f.value for f in Family])
-    p.add_argument("--f", required=True, help="left axis, three reals 'a,b,c'")
-    p.add_argument("--g", required=True, help="right axis, three reals 'a,b,c'")
+    _axis_flags(p)
     p.add_argument("--inverse", action="store_true")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--fast", dest="direct", action="store_false", default=False)
@@ -202,16 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_transform)
 
     p = sub.add_parser("split", help="write the two plane parts of a field")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
+    _axis_flags(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out-plus", dest="out_plus", required=True)
     p.add_argument("--out-minus", dest="out_minus", required=True)
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("coeffs", help="print plane-basis coordinates q1..q4")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
+    _axis_flags(p)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--q", help="single quaternion, four reals 'w,x,y,z'")
     source.add_argument("--in", dest="infile", help="field file, one line per sample")

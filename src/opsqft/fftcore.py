@@ -139,7 +139,10 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
     elif out.dtype != np.complex128 or out.shape != x.shape:
         raise ValueError(f"out must be complex128 of shape {x.shape}, got {out.dtype} {out.shape}")
     src, dst = x.reshape(pre, n, post), out.view()
-    dst.shape = (pre, n, post)  # raises rather than reshape into a copy
+    try:
+        dst.shape = (pre, n, post)  # never a copy, unlike reshape
+    except AttributeError:
+        raise ValueError(f"out of strides {out.strides} has no ({pre}, {n}, {post}) view") from None
     # a block is k leading by w trailing indices, k w = cols columns of length n
     cols = _block_columns(n)
     w = min(post, cols) or 1
@@ -154,12 +157,15 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
 
 def fft2(field: np.ndarray, s1: int, s2: int, out: np.ndarray | None = None) -> np.ndarray:
     """Signed 2D transform: axis 0 with sign s1, then axis 1 with sign s2,
-    each +1 or -1 (both checked before any output is written).
+    each +1 or -1 (both, and the two axes, checked before any output is
+    written).
 
     The result goes to ``out`` as in ``fft1``; axis 1 is transformed in
     place, so with none given the transform holds one new plane, and with
     one given (the input itself, say) only ``fft1``'s block scratch.
     """
     _check_sign(s2)
+    if np.ndim(field) < 2:
+        raise ValueError(f"fft2 needs two axes, got shape {np.shape(field)}")
     mid = fft1(field, s1, axis=0, out=out)
     return fft1(mid, s2, axis=1, out=mid)

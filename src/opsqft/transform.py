@@ -60,7 +60,7 @@ import numpy as np
 
 from .fftcore import TAU, _block_columns, fft2
 from .fields import QuaternionField2D
-from .quat import Quaternion, conj_arr, exp_arr, mul_arr
+from .quat import conj_arr, exp_arr, mul_arr
 from .split import OpsContext, split_arr
 
 
@@ -140,9 +140,8 @@ KERNELS = {
 # ---------------------------------------------------------------------------
 # Direct evaluation.
 
-def direct_sum(H: np.ndarray, left_unit: Quaternion, right_unit: Quaternion,
-               cl, cr) -> np.ndarray:
-    """sum_m exp(left_unit cl.t) H[m] exp(right_unit cr.t) for every output k.
+def direct_sum(H: np.ndarray, ctx: OpsContext, cl, cr) -> np.ndarray:
+    """sum_m exp(ctx.f cl.t) H[m] exp(ctx.g cr.t) for every output k.
 
     t = (2 pi m1 k1 / N1, 2 pi m2 k2 / N2).  A one-sided sum is the case
     where one side's coefficients are (0, 0).  One output row k1 at a
@@ -166,8 +165,8 @@ def direct_sum(H: np.ndarray, left_unit: Quaternion, right_unit: Quaternion,
     out = np.empty((n1, n2, 4))
     Hb = H[None, :, :, :]
     for k1 in range(n1):
-        L = exp_arr(left_unit, k1 * l1 + l2)
-        R = exp_arr(right_unit, k1 * r1 + r2)
+        L = exp_arr(ctx.f, k1 * l1 + l2)
+        R = exp_arr(ctx.g, k1 * r1 + r2)
         out[k1] = mul_arr(mul_arr(L, Hb), R).sum(axis=(1, 2))
     return out
 
@@ -176,8 +175,8 @@ def _direct(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.nd
     k, ctx = KERNELS[variant.family, inverse], variant.ctx
     if inverse:
         h = conj_arr(data) if k.conjugate else data
-        return direct_sum(h, ctx.f, ctx.g, k.cl, k.cr) * (1.0 / (data.shape[0] * data.shape[1]))
-    out = direct_sum(data, ctx.f, ctx.g, k.cl, k.cr)
+        return direct_sum(h, ctx, k.cl, k.cr) * (1.0 / (data.shape[0] * data.shape[1]))
+    out = direct_sum(data, ctx, k.cl, k.cr)
     return conj_arr(out) if k.conjugate else out
 
 

@@ -181,6 +181,18 @@ def _relative_residual(got: np.ndarray, want: np.ndarray) -> float:
     return _max_abs(got - want) / scale
 
 
+def _cases(rng, n_contexts, families, sizes, n_fields):
+    """(variant, h) for each family, then each of ``sample_contexts``,
+    then each (n1, n2) in ``sizes``, then ``n_fields`` random fields h;
+    the contexts are drawn first, and each h just before it is yielded."""
+    ctxs = sample_contexts(rng, n_contexts)
+    for family in families:
+        for ctx in ctxs:
+            for n1, n2 in sizes:
+                for _ in range(n_fields):
+                    yield TransformVariant(family, ctx), random_field(rng, n1, n2)
+
+
 # ---------------------------------------------------------------------------
 # Suites.
 
@@ -191,44 +203,28 @@ def check_roundtrips(rng, profile=QUICK) -> List[CheckResult]:
     not gated: each of its part spectra is constant along one axis, so
     its inverse cannot restore a general field.
     """
-    ctxs = sample_contexts(rng, profile.n_contexts)
-    results = []
-    for family in Family:
-        worst = 0.0
-        for ctx in ctxs:
-            variant = TransformVariant(family, ctx)
-            for n1, n2 in profile.sizes:
-                for _ in range(profile.n_fields):
-                    h = random_field(rng, n1, n2)
-                    back = inverse_fast(variant, forward_fast(variant, h))
-                    worst = max(worst, _max_abs(back.data - h.data))
-        results.append(CheckResult(f"roundtrip/{family.value}", worst, 1e-10,
-                                   gated=family is not Family.PHASE_ANGLE))
-    return results
+    worst = dict.fromkeys(Family, 0.0)
+    for variant, h in _cases(rng, profile.n_contexts, Family, profile.sizes, profile.n_fields):
+        back = inverse_fast(variant, forward_fast(variant, h))
+        worst[variant.family] = max(worst[variant.family], _max_abs(back.data - h.data))
+    return [CheckResult(f"roundtrip/{family.value}", w, 1e-10,
+                        gated=family is not Family.PHASE_ANGLE)
+            for family, w in worst.items()]
 
 
 def check_oracle_equivalence(rng, profile=QUICK) -> List[CheckResult]:
     """Fast path against the direct reference, both directions, all families."""
-    ctxs = sample_contexts(rng, profile.n_contexts)
-    results = []
-    for family in Family:
-        worst_f = 0.0
-        worst_i = 0.0
-        for ctx in ctxs:
-            variant = TransformVariant(family, ctx)
-            for n1, n2 in profile.sizes:
-                for _ in range(profile.n_fields):
-                    h = random_field(rng, n1, n2)
-                    sd = forward_direct(variant, h)
-                    sf = forward_fast(variant, h)
-                    worst_f = max(worst_f, _relative_residual(sf.data, sd.data))
-                    spectrum = Spectrum(random_field(rng, n1, n2), variant)
-                    bd = inverse_direct(variant, spectrum)
-                    bf = inverse_fast(variant, spectrum)
-                    worst_i = max(worst_i, _relative_residual(bf.data, bd.data))
-        results.append(CheckResult(f"oracle/{family.value}-forward", worst_f, 1e-9))
-        results.append(CheckResult(f"oracle/{family.value}-inverse", worst_i, 1e-9))
-    return results
+    worst = {(family, d): 0.0 for family in Family for d in ("forward", "inverse")}
+    for variant, h in _cases(rng, profile.n_contexts, Family, profile.sizes, profile.n_fields):
+        key = variant.family, "forward"
+        worst[key] = max(worst[key], _relative_residual(forward_fast(variant, h).data,
+                                                        forward_direct(variant, h).data))
+        spectrum = Spectrum(random_field(rng, h.n1, h.n2), variant)
+        key = variant.family, "inverse"
+        worst[key] = max(worst[key], _relative_residual(inverse_fast(variant, spectrum).data,
+                                                        inverse_direct(variant, spectrum).data))
+    return [CheckResult(f"oracle/{family.value}-{d}", w, 1e-9)
+            for (family, d), w in worst.items()]
 
 
 def check_mixed_plane_products(rng, profile=QUICK) -> List[CheckResult]:
@@ -314,9 +310,9 @@ def check_split_forms(rng, profile=QUICK) -> List[CheckResult]:
                     h = conj_arr(h) if k.conjugate and inverse else h
                     spectra = []
                     for part, c, s in zip(split_arr(ctx, h), k.planes, (-1, 1)):
-                        spectrum = direct_sum(part, ctx.f, ctx.g, k.cl, k.cr)
-                        right = direct_sum(part, ctx.f, ctx.g, (0, 0), c)
-                        left = direct_sum(part, ctx.f, ctx.g, (s * c[0], s * c[1]), (0, 0))
+                        spectrum = direct_sum(part, ctx, k.cl, k.cr)
+                        right = direct_sum(part, ctx, (0, 0), c)
+                        left = direct_sum(part, ctx, (s * c[0], s * c[1]), (0, 0))
                         worst = max(worst, _max_abs(right - spectrum),
                                     _max_abs(left - spectrum))
                         for axis in (0, 1):
@@ -324,7 +320,7 @@ def check_split_forms(rng, profile=QUICK) -> List[CheckResult]:
                                 worst_const = max(worst_const, _max_abs(
                                     spectrum - spectrum.take([0], axis=axis)))
                         spectra.append(spectrum)
-                    full = direct_sum(h, ctx.f, ctx.g, k.cl, k.cr)
+                    full = direct_sum(h, ctx, k.cl, k.cr)
                     worst = max(worst, _max_abs(spectra[0] + spectra[1] - full))
         direction = "inverse" if inverse else "forward"
         results.append(CheckResult(f"split-forms/{family.value}-{direction}", worst, 1e-10))
@@ -374,20 +370,15 @@ def check_energy(rng, profile=QUICK) -> List[CheckResult]:
     Two-sided and conjugation families: the frame is orthonormal and
     conjugation keeps the norm.
     """
-    ctxs = sample_contexts(rng, profile.n_contexts)
-    results = []
-    for family in (Family.TWO_SIDED, Family.CONJUGATE):
-        worst = 0.0
-        for ctx in ctxs:
-            variant = TransformVariant(family, ctx)
-            for _ in range(3):
-                h = random_field(rng, 16, 16)
-                spectrum = forward_fast(variant, h)
-                e_spatial = float(np.sum(h.data * h.data))
-                e_spectral = float(np.sum(spectrum.data * spectrum.data)) / (16 * 16)
-                worst = max(worst, abs(e_spatial - e_spectral) / e_spatial)
-        results.append(CheckResult(f"energy/{family.value}", worst, 1e-9))
-    return results
+    families = (Family.TWO_SIDED, Family.CONJUGATE)
+    worst = dict.fromkeys(families, 0.0)
+    for variant, h in _cases(rng, profile.n_contexts, families, ((16, 16),), 3):
+        spectrum = forward_fast(variant, h)
+        e_spatial = float(np.sum(h.data * h.data))
+        e_spectral = float(np.sum(spectrum.data * spectrum.data)) / (16 * 16)
+        worst[variant.family] = max(worst[variant.family],
+                                    abs(e_spatial - e_spectral) / e_spatial)
+    return [CheckResult(f"energy/{family.value}", w, 1e-9) for family, w in worst.items()]
 
 
 def check_commutation(rng, profile=QUICK) -> List[CheckResult]:
@@ -399,23 +390,18 @@ def check_commutation(rng, profile=QUICK) -> List[CheckResult]:
     full spectrum, at scales from 1e-150 to 1e150; length 67 runs the
     chirp plan and length 70 the four-step plan.
     """
-    ctxs = sample_contexts(rng, profile.n_contexts)
-    results = []
-    for family in Family:
-        worst = 0.0
-        for ctx in ctxs:
-            variant = TransformVariant(family, ctx)
-            pair = make_context(ctx.g, ctx.f) if KERNELS[family, False].conjugate else ctx
-            for n1, n2 in ((4, 6), (67, 70)):
-                h = random_field(rng, n1, n2).data
-                for scale in (1e-150, 1.0, 1e8, 1e150):
-                    field = QuaternionField2D(scale * h)
-                    full = forward_fast(variant, field).data
-                    rms = max(_rms(full), 1e-300)
-                    for want, got in zip(split_arr(pair, full), split_spectra(variant, field)):
-                        worst = max(worst, _max_abs(got.data - want) / rms)
-        results.append(CheckResult(f"commutation/{family.value}", worst, 1e-10))
-    return results
+    worst = dict.fromkeys(Family, 0.0)
+    for variant, h in _cases(rng, profile.n_contexts, Family, ((4, 6), (67, 70)), 1):
+        ctx = variant.ctx
+        pair = make_context(ctx.g, ctx.f) if KERNELS[variant.family, False].conjugate else ctx
+        for scale in (1e-150, 1.0, 1e8, 1e150):
+            field = QuaternionField2D(scale * h.data)
+            full = forward_fast(variant, field).data
+            rms = max(_rms(full), 1e-300)
+            for want, got in zip(split_arr(pair, full), split_spectra(variant, field)):
+                worst[variant.family] = max(worst[variant.family],
+                                            _max_abs(got.data - want) / rms)
+    return [CheckResult(f"commutation/{family.value}", w, 1e-10) for family, w in worst.items()]
 
 
 # ---------------------------------------------------------------------------

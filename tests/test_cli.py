@@ -2,6 +2,7 @@
 where its whole stderr is checked."""
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -456,4 +457,9 @@ def test_coeffs_source_is_one_argparse_group(tmp_path, capsys):
                                      "import-ppm", "export-pgm", "info"])
 def test_subcommand_help_exits_zero(capsys, command):
     assert main([command, "--help"]) == 0
-    assert capsys.readouterr().out.startswith(f"usage: opsqft {command} ")
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: opsqft {command} ")
+    if command in ("transform", "split", "coeffs"):
+        # every command that takes the axes describes both
+        assert re.search(r"--f F +left axis, three reals 'a,b,c'\n", out)
+        assert re.search(r"--g G +right axis, three reals 'a,b,c'\n", out)

@@ -100,6 +100,11 @@ def test_rejects_bad_signs():
     with pytest.raises(ValueError):
         fft2(y, -1, 0, out=y)
     assert np.array_equal(y, x)
+    # so is an input with one axis, which fft2 has no second axis for
+    v = np.arange(4, dtype=complex)
+    with pytest.raises(ValueError, match=r"two axes, got shape \(4,\)"):
+        fft2(v, -1, -1, out=v)
+    assert np.array_equal(v, np.arange(4))
     with pytest.raises(ValueError):
         fft1(np.ones(4, dtype=complex), 2)
 
@@ -204,6 +209,16 @@ def test_fft2_in_place_on_interleaved_planes(n1, n2):
         with pytest.raises(ValueError, match=rf"got {bad.dtype} \({bad.shape[0]}, {bad.shape[1]}\)"):
             fft1(before[..., 0], -1, axis=1, out=bad)
         assert not bad.any()
+
+
+def test_fft1_refuses_an_out_with_no_block_view():
+    # the right dtype and shape, but axis 0 of a (3, 4, 5) array cannot be
+    # viewed as (1, 3, 20) in this layout: refused before a block is written
+    x = rand_c(np.random.default_rng(SEED + 14), (3, 4, 5))
+    bad = np.zeros((5, 4, 3), np.complex128).transpose(2, 1, 0)
+    with pytest.raises(ValueError, match=r"no \(1, 3, 20\) view"):
+        fft1(x, -1, axis=0, out=bad)
+    assert not bad.any()
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])
