@@ -130,6 +130,9 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
     whole before it is written).
     """
     _check_sign(sign)
+    ndim = np.ndim(x)
+    if not -ndim <= axis < ndim:
+        raise ValueError(f"axis {axis} is out of range for a {ndim}-d input")
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[axis]
     axis %= x.ndim

@@ -178,10 +178,12 @@ def coefficients(ctx: OpsContext, q: Quaternion):
 
 
 def coefficients_arr(ctx: OpsContext, data: np.ndarray) -> np.ndarray:
-    """``coefficients`` of a (..., 4) array: ``data @ C``, column i of C
-    being b_i / |b_i|^2 for the orthogonal basis b."""
+    """``coefficients`` of a (..., 4) array: ``data @ inv(B)``, B's rows
+    the basis.  Near g = +-f two basis rows come from cancellation and
+    are far from orthogonal in floating point, so the Gram formula
+    b_i / |b_i|^2 would lose digits there; the inverse does not."""
     rows = _basis_rows(ctx, "coefficients need g != +-f")
-    return _times(data, rows.T / np.sum(rows * rows, axis=1))
+    return _times(data, np.linalg.inv(rows))
 
 
 def reconstruct(ctx: OpsContext, q1: float, q2: float, q3: float, q4: float) -> Quaternion:

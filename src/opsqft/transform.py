@@ -45,9 +45,10 @@ The phase-angle family is where the zeros fall: forward, its plus plane
 gets (0, 1) and its minus plane (-1, 0), so the plus spectrum is
 constant along k1 and the minus spectrum along k2.  Its discrete
 inverse therefore cannot restore a general field; the inverse is
-evaluated literally all the same and its round-trip defect is reported
-by the verification suite (``roundtrip/phased``) rather than asserted
-away.
+evaluated literally all the same.  The verification suite reports its
+round-trip defect (``roundtrip/phased``) rather than asserting it away,
+and gates what the round trip does return, the plus part summed along
+m1 and the minus part along m2 (``roundtrip/phased-lines``).
 """
 
 from __future__ import annotations

@@ -2,12 +2,15 @@
 
 One test runs each suite on its own generator seeded with ``SEED``, so
 a suite appended to ``SUITES`` is gated here and in ``opsqft verify``
-with no other edit.  Each prints its PASS/FAIL lines (REPORT for the
-ungated residual) and asserts the gated outcome, so `pytest -v` shows
-one verdict per suite and `-s` (or a failure) shows the measured
-residuals.  Beside them: the round-trip time budget, two mutations that
-every row they name must notice, the one REPORT row, and the CLI
-end-to-end pipeline.
+with no other edit, and a broken suite fails its own test id alone.
+Each prints its PASS/FAIL lines (REPORT for the ungated residual) and
+asserts the gated outcome (and the round-trip suite its 30 s budget),
+so `pytest -v` shows one verdict per suite and `-s` (or a failure)
+shows the measured residuals.  Beside them: two mutations that every
+row they name must notice, the one REPORT row, one check that
+``run_all`` is seeded, and the CLI end-to-end pipeline.  The printing
+and exit codes of ``opsqft verify`` are tested on stub suites in
+test_cli.py.
 """
 
 import inspect
@@ -26,13 +29,22 @@ SEED = 42
 
 @pytest.mark.parametrize("suite", verify.SUITES, ids=lambda suite: suite.__name__)
 def test_suite_at_full_profile(suite):
+    start = time.monotonic()
     results = suite(np.random.default_rng(SEED), verify.FULL)
+    elapsed = time.monotonic() - start
     for r in results:
         print(r.line())
+    print(f"       {suite.__name__} took {elapsed:.1f}s")
     assert results
     for r in results:
         if r.gated:
             assert r.passed, r.line()
+        else:
+            assert r.name == "roundtrip/phased", r.line()
+    if suite is verify.check_roundtrips:
+        # 5 grid sizes x 20 contexts (equal, opposite, orthogonal, random
+        # axis pairs) x 5 fields, every family, within budget
+        assert elapsed <= 30.0
 
 
 def test_every_check_is_a_suite():
@@ -40,16 +52,6 @@ def test_every_check_is_a_suite():
     checks = {f for name, f in inspect.getmembers(verify, inspect.isfunction)
               if name.startswith("check_")}
     assert set(verify.SUITES) == checks
-
-
-def test_roundtrip_invertible_families():
-    # 5 grid sizes x 20 contexts (equal, opposite, orthogonal, random
-    # axis pairs) x 5 fields, every family, within budget
-    start = time.monotonic()
-    verify.check_roundtrips(np.random.default_rng(SEED), verify.FULL)
-    elapsed = time.monotonic() - start
-    print(f"       roundtrip suite took {elapsed:.1f}s (budget 30s)")
-    assert elapsed <= 30.0
 
 
 def test_split_forms_fail_on_swapped_plane_rule(monkeypatch):
@@ -62,6 +64,10 @@ def test_split_forms_fail_on_swapped_plane_rule(monkeypatch):
         for family in Family for direction in ("forward", "inverse")
     ] + ["phase-angle/axis-constancy"]
     assert not any(r.passed for r in results), [r.line() for r in results]
+    # and the phase-angle round trip no longer returns its closed form
+    lines = [r for r in verify.check_roundtrips(np.random.default_rng(SEED), verify.QUICK)
+             if r.name == "roundtrip/phased-lines"]
+    assert len(lines) == 1 and not lines[0].passed, lines
 
 
 def test_commutation_fails_on_swapped_part_spectra(monkeypatch):
@@ -75,9 +81,20 @@ def test_commutation_fails_on_swapped_part_spectra(monkeypatch):
 
 
 def test_collapsed_family_structure():
-    # the phase-angle round trip is the one row reported, not gated
-    reported = [r.name for r in verify.run_all(SEED) if not r.gated]
-    assert reported == ["roundtrip/phased"]
+    # the phase-angle round trip is the round-trip suite's one row
+    # reported, not gated; test_suite_at_full_profile holds every other
+    # suite to no REPORT row at all
+    results = verify.check_roundtrips(np.random.default_rng(SEED), verify.QUICK)
+    assert [r.name for r in results if not r.gated] == ["roundtrip/phased"]
+
+
+def test_run_all_is_seeded(monkeypatch):
+    # every suite at its smallest draws, twice at one seed: the same rows
+    monkeypatch.setitem(verify.PROFILES, "quick", verify.Profile(
+        sizes=((1, 1),), n_contexts=1, n_fields=1, pointwise=1, frames=1))
+    first = verify.run_all(7)
+    assert first
+    assert verify.run_all(7) == first
 
 
 def test_cli_end_to_end(tmp_path):
@@ -107,7 +124,3 @@ def test_cli_end_to_end(tmp_path):
           f"residual {residual:.3e}  tol 1.0e-10")
     assert ok
     assert image.read_bytes().startswith(b"P5\n16 16\n255\n")
-
-    rc = main(["verify", "--seed", "42"])
-    print(f"{'PASS' if rc == 0 else 'FAIL':6s} {'cli/verify-seed-42':34s} exit {rc}")
-    assert rc == 0

@@ -172,18 +172,57 @@ def test_coeffs_degenerate_axes_is_usage_error(capsys):
     assert capsys.readouterr().err
 
 
-def test_verify_seed_42_passes(capsys):
-    assert main(["verify", "--seed", "42"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "FAIL" not in out
+# Stub suites for the verify plumbing; the real suites are gated, one
+# test id each, in test_acceptance.py.  Each stub draws its residual
+# from the generator it is handed, so its line follows --seed.
+
+def _passing(rng, profile):
+    return [verify.CheckResult("stub/pass", 1e-3 * rng.random(), 1e-2)]
 
 
-def test_verify_output_deterministic(capsys):
-    assert main(["verify", "--seed", "7"]) == 0
-    first = capsys.readouterr().out
-    assert main(["verify", "--seed", "7"]) == 0
-    assert capsys.readouterr().out == first
+def _failing(rng, profile):
+    return [verify.CheckResult("stub/fail", 1.0 + rng.random(), 1e-2)]
+
+
+def _reported(rng, profile):
+    return [verify.CheckResult("stub/report", 1.0 + rng.random(), 1e-2, gated=False)]
+
+
+def _verify(monkeypatch, capsys, suites, seed):
+    monkeypatch.setattr(verify, "SUITES", suites)
+    rc = main(["verify", "--seed", str(seed)])
+    return rc, capsys.readouterr().out.splitlines()
+
+
+def _lines(suites, seed):
+    rng = np.random.default_rng(seed)
+    return [r.line() for suite in suites for r in suite(rng, verify.QUICK)]
+
+
+def test_verify_exits_0_when_every_gated_row_passes(monkeypatch, capsys):
+    suites = (_passing, _reported)
+    rc, lines = _verify(monkeypatch, capsys, suites, 42)
+    assert rc == 0
+    assert lines == _lines(suites, 42) + ["1/1 checks passed (seed 42)"]
+    assert [line.split()[:2] for line in lines[:-1]] == [["PASS", "stub/pass"],
+                                                         ["REPORT", "stub/report"]]
+
+
+def test_verify_exits_1_when_a_gated_row_fails(monkeypatch, capsys):
+    suites = (_passing, _failing, _reported)
+    rc, lines = _verify(monkeypatch, capsys, suites, 42)
+    assert rc == 1
+    assert lines == _lines(suites, 42) + ["1/2 checks passed (seed 42)"]
+    assert [line.split()[:2] for line in lines[:-1]] == [["PASS", "stub/pass"],
+                                                         ["FAIL", "stub/fail"],
+                                                         ["REPORT", "stub/report"]]
+
+
+def test_verify_output_deterministic(monkeypatch, capsys):
+    suites = (_passing, _failing, _reported)
+    first = _verify(monkeypatch, capsys, suites, 7)
+    assert _verify(monkeypatch, capsys, suites, 7) == first
+    assert _verify(monkeypatch, capsys, suites, 8) != first
 
 
 @pytest.mark.parametrize("seed", ["-1", "x", "1_0", "\u0664\u0662"])
@@ -195,12 +234,17 @@ def test_verify_rejects_a_seed_numpy_cannot_take(capsys, seed):
                       f"expected a non-negative integer, got '{seed}'"]
 
 
-def test_verify_profiles_are_quick_and_full(capsys):
-    # the names of verify.PROFILES, spelled exactly; any other is refused,
-    # by the parser with exit 2 and by run_all with a ValueError
+def test_verify_profiles_are_quick_and_full(monkeypatch, capsys):
+    # the names of verify.PROFILES, spelled exactly, each handed to every
+    # suite; any other is refused, by the parser with exit 2 and by
+    # run_all with a ValueError
     assert list(verify.PROFILES) == ["quick", "full"]
+    seen = []
+    monkeypatch.setattr(verify, "SUITES", (lambda rng, profile: seen.append(profile) or [],))
     for name in verify.PROFILES:
         assert cli.build_parser().parse_args(["verify", "--profile", name]).profile == name
+        assert main(["verify", "--profile", name]) == 0
+    assert seen == [verify.QUICK, verify.FULL]
     assert main(["verify", "--profile", "Quick"]) == 2
     with pytest.raises(ValueError, match="unknown profile 'Quick'"):
         verify.run_all(0, "Quick")

@@ -109,6 +109,14 @@ def test_rejects_bad_signs():
         fft1(np.ones(4, dtype=complex), 2)
 
 
+@pytest.mark.parametrize("x, axis", [(np.complex128(1), -1), (np.ones((3, 3), complex), 5),
+                                     (np.ones((3, 3), complex), 2), (np.ones((3, 3), complex), -3)])
+def test_fft1_refuses_an_axis_the_input_lacks(x, axis):
+    # a 0-d input has no axis at all; refused as a ValueError, not an IndexError
+    with pytest.raises(ValueError, match=rf"axis {axis} is out of range for a {x.ndim}-d input"):
+        fft1(x, -1, axis)
+
+
 # Dense matrices up to 64, four-step splits above, Bluestein for primes
 # above 64 (67..127, 1021, 4093), and both nested (2042 = 2 * 1021).
 KERNEL_LENGTHS = list(range(1, 131)) + [1000, 1021, 2042, 2310, 4093, 4096]

@@ -179,6 +179,20 @@ def test_reconstruct_inverts_coefficients():
         done += 1
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-11])
+def test_reconstruct_inverts_coefficients_near_degenerate_pairs(sign, gap):
+    # two basis rows come from cancellation here; the round trip still
+    # holds to rounding, though each coefficient grows like 1 / gap
+    f = PureUnitQuaternion(1.0, 2.0, 3.0)
+    ctx = make_context(f, sign * f + gap * PureUnitQuaternion(2.0, -1.0, 0.0))
+    assert not ctx.degenerate
+    rng = np.random.default_rng(SEED + 14)
+    for _ in range(200):
+        q = rand_q(rng)
+        assert norm(reconstruct(ctx, *coefficients(ctx, q)) - q) < 1e-12
+
+
 def test_coefficients_reject_degenerate_axes():
     ctx = make_context(QI, QI)
     with pytest.raises(DegenerateContext):
