@@ -189,33 +189,29 @@ def _reported(rng, profile):
 
 
 def _verify(monkeypatch, capsys, suites, seed):
+    """(exit code, stdout lines) of ``opsqft verify`` over ``suites``."""
     monkeypatch.setattr(verify, "SUITES", suites)
     rc = main(["verify", "--seed", str(seed)])
     return rc, capsys.readouterr().out.splitlines()
-
-
-def _lines(suites, seed):
-    rng = np.random.default_rng(seed)
-    return [r.line() for suite in suites for r in suite(rng, verify.QUICK)]
 
 
 def test_verify_exits_0_when_every_gated_row_passes(monkeypatch, capsys):
     suites = (_passing, _reported)
     rc, lines = _verify(monkeypatch, capsys, suites, 42)
     assert rc == 0
-    assert lines == _lines(suites, 42) + ["1/1 checks passed (seed 42)"]
     assert [line.split()[:2] for line in lines[:-1]] == [["PASS", "stub/pass"],
                                                          ["REPORT", "stub/report"]]
+    assert lines[-1] == "1/1 checks passed (seed 42)"
 
 
 def test_verify_exits_1_when_a_gated_row_fails(monkeypatch, capsys):
     suites = (_passing, _failing, _reported)
     rc, lines = _verify(monkeypatch, capsys, suites, 42)
     assert rc == 1
-    assert lines == _lines(suites, 42) + ["1/2 checks passed (seed 42)"]
     assert [line.split()[:2] for line in lines[:-1]] == [["PASS", "stub/pass"],
                                                          ["FAIL", "stub/fail"],
                                                          ["REPORT", "stub/report"]]
+    assert lines[-1] == "1/2 checks passed (seed 42)"
 
 
 def test_verify_output_deterministic(monkeypatch, capsys):
