@@ -18,19 +18,41 @@ DFT matrices, twiddles and chirps are built on first use and cached per
 (length, sign); every angle is reduced exactly in integers before
 ``exp``.
 
-An axis pass gathers blocks of about 2^15 samples along the axis, runs
+An axis pass gathers blocks of about 2^14 samples along the axis, runs
 the kernel on each and writes it straight into the output, so no array
 is ever transposed whole.  ``fft2`` holds one new plane, the output
 that both passes write, or none when it is given an output to write (the
 input itself, say), plus the scratch of a few blocks: 1.5 MiB, or up to
 about 4.5 MiB on a Bluestein axis, whose padded buffer is two to four
-times the block.
+times the block.  That holds with the blocks on two threads: each holds
+the scratch of half-size blocks.
+
+Independent jobs, such as the blocks of a pass, go through ``_halves``:
+on a grid of at least 2^17 samples it runs the second half on a helper
+thread, while the caller runs the first.  A process has one helper
+slot; a call that finds it taken, because an enclosing call or another
+thread holds it, runs all its jobs itself, so at most two threads
+transform at once and the nested passes of a split call stay whole.
+The results are the same bits either way: a job's blocks do not depend
+on the thread that runs them.  Before its first split, ``_halves`` sets
+numpy's bundled OpenBLAS to one thread for the rest of the process, so
+the two threads are the only ones: OpenBLAS's own threads, which the
+block products would otherwise spread over both cores, gain nothing
+beside a second Python thread and stall when another process takes a
+core.  The count is not set back after a split, since the BLAS worker
+that an earlier product of the caller left spinning would then take
+back the second core.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import math
-from functools import lru_cache
+import threading
+from collections.abc import Sequence
+from functools import cache, lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -41,10 +63,17 @@ _DENSE_MAX = 64
 # Most (length, sign) plans kept at once.  A plan holds at most 5 n
 # complex numbers, or 64^2 for a dense one.
 _PLAN_CACHE = 64
-# Samples in one block of an axis pass (512 KiB): enough columns for
-# BLAS-sized products, few enough that the block and the kernel's scratch
-# stay in cache and the pass needs no transposed copy of the array.
-_BLOCK = 1 << 15
+# Samples in one block of an axis pass (256 KiB): enough columns for
+# BLAS-sized products, few enough that the blocks and the kernel's scratch
+# of both threads stay in cache and the pass needs no transposed copy of
+# the array.
+_BLOCK = 1 << 14
+# Fewest samples in a grid whose jobs are split over two threads: below
+# it (320 x 320, say) the helper's start and the two threads' turns at the
+# interpreter lock cost more than the half it takes.
+_SPLIT_MIN = 1 << 17
+# The process's one helper thread, held by the ``_halves`` call that runs it.
+_HELPER = threading.Semaphore(1)
 
 
 def _check_sign(s: int) -> int:
@@ -96,6 +125,54 @@ def _block_columns(n: int) -> int:
     return 1 << max(1, _BLOCK // max(n, 1)).bit_length() - 1
 
 
+@cache
+def _pin_blas() -> None:
+    """Set numpy's bundled OpenBLAS, if there is one, to one thread."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
+def _halves(run, jobs: Sequence, samples: int) -> None:
+    """``run(jobs)`` for independent jobs over a grid of ``samples`` samples.
+
+    From _SPLIT_MIN samples, and when the helper slot is free, the second
+    half of the jobs runs on a helper thread and the first in the caller;
+    otherwise ``run`` takes them all in the caller.  The helper starts in
+    a copy of the caller's context, so numpy's error state (a context
+    variable) holds there too; it is joined before the call returns, and
+    an exception it raised is raised here.
+    """
+    if len(jobs) < 2 or samples < _SPLIT_MIN or not _HELPER.acquire(blocking=False):
+        run(jobs)
+        return
+    try:
+        _pin_blas()
+        half = len(jobs) // 2
+        raised = []
+
+        def second():
+            try:
+                run(jobs[half:])
+            except BaseException as e:  # re-raised in the caller
+                raised.append(e)
+
+        helper = threading.Thread(target=contextvars.copy_context().run, args=(second,))
+        helper.start()
+        try:
+            run(jobs[:half])
+        finally:
+            helper.join()
+        if raised:
+            raise raised[0]
+    finally:
+        _HELPER.release()
+
+
 def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
     """Signed transform along axis 0 of a C-contiguous (n, r) complex array."""
     n, r = x.shape
@@ -127,7 +204,8 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
     (O(n) once n exceeds one), into ``out``: a new C-contiguous array by
     default, or a given complex128 array of the input's shape (any other
     raises ValueError), which may be the input itself (a block is read
-    whole before it is written).
+    whole before it is written).  ``_halves`` may run half the blocks on
+    the helper thread.
     """
     _check_sign(sign)
     ndim = np.ndim(x)
@@ -150,11 +228,16 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
     cols = _block_columns(n)
     w = min(post, cols) or 1
     k = cols // w
-    for i in range(0, pre, k):
-        for j in range(0, post, w):
+    across = -(-post // w)  # blocks across the trailing indices
+
+    def run(blocks):
+        for b in blocks:
+            i, j = b // across * k, b % across * w
             part = src[i:i + k, :, j:j + w].transpose(1, 0, 2)
             block = np.ascontiguousarray(part).reshape(n, part.shape[1] * part.shape[2])
             dst[i:i + k, :, j:j + w] = _pass0(block, sign).reshape(part.shape).transpose(1, 0, 2)
+
+    _halves(run, range(-(-pre // k) * across), x.size)
     return out
 
 

@@ -59,7 +59,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .fftcore import TAU, _block_columns, fft2
+from .fftcore import TAU, _block_columns, _halves, fft2
 from .fields import QuaternionField2D
 from .quat import conj_arr, exp_arr, mul_arr
 from .split import OpsContext, split_arr
@@ -200,7 +200,13 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
     """The table row through its frame W, in the one output array: plane p
     (0 is +, 1 is -) is ``x @ A[:, 2p:2p + 2]``, transformed in place with
     the signs from ``planes`` and broadcast; x is the data, summed first
-    along each axis whose sign is 0 there (then the plane is a line)."""
+    along each axis whose sign is 0 there (then the plane is a line).
+
+    The two planes share nothing until ``@ B``, so ``_halves`` runs them
+    as two jobs, and then the row blocks of ``@ B`` as jobs of their own:
+    on a grid that splits, plane - and the second half of the blocks go to
+    the helper thread, whose slot the nested ``fft2`` passes then find
+    taken."""
     k = KERNELS[variant.family, inverse]
     n1, n2 = data.shape[:2]
     W = variant.ctx.frame
@@ -211,23 +217,32 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
         B = conj_arr(B)  # conj(y @ W.T) = y @ B
     out = np.empty((n1, n2, 4))
     spec = out.view(np.complex128).reshape(n1, 2, n2)  # row k1: plane +, then plane -
-    planes = []
-    for p, (c1, c2) in enumerate(k.planes):
-        x = data.sum(axis=0, keepdims=True) if c1 == 0 else data
-        if c2 == 0:  # a BLAS product: numpy's strided sum over axis 1 is slower
-            x = (np.ones(x.shape[1]) @ x)[:, None, :]
-        plane = spec[:, p] if x is data else np.empty(x.shape[:2], np.complex128)
-        np.matmul(x, A[:, 2 * p:2 * p + 2], out=plane.view(np.float64).reshape(*x.shape[:2], 2))
-        fft2(plane, c1 or 1, c2 or 1, out=plane)
-        planes.append(np.broadcast_to(plane, (n1, n2)))
+    signs, planes = k.planes, [None, None]
+
+    def transform(jobs):
+        for p in jobs:
+            c1, c2 = signs[p]
+            x = data.sum(axis=0, keepdims=True) if c1 == 0 else data
+            if c2 == 0:  # a BLAS product: numpy's strided sum over axis 1 is slower
+                x = (np.ones(x.shape[1]) @ x)[:, None, :]
+            plane = spec[:, p] if x is data else np.empty(x.shape[:2], np.complex128)
+            np.matmul(x, A[:, 2 * p:2 * p + 2], out=plane.view(np.float64).reshape(*x.shape[:2], 2))
+            fft2(plane, c1 or 1, c2 or 1, out=plane)
+            planes[p] = np.broadcast_to(plane, (n1, n2))
+
+    _halves(transform, range(2), n1 * n2)
     # each block of rows is interleaved into z before z @ B overwrites it
     step = _block_columns(n2)
-    z = np.empty((min(step, n1), n2, 2), dtype=np.complex128)
-    for i in range(0, n1, step):
-        rows = z[:min(step, n1 - i)]
-        for p in (0, 1):
-            rows[..., p] = planes[p][i:i + step]
-        np.matmul(rows.view(np.float64).reshape(-1, 4), B, out=out[i:i + step].reshape(-1, 4))
+
+    def product(starts):
+        z = np.empty((min(step, n1), n2, 2), dtype=np.complex128)
+        for i in starts:
+            rows = z[:min(step, n1 - i)]
+            for p in (0, 1):
+                rows[..., p] = planes[p][i:i + step]
+            np.matmul(rows.view(np.float64).reshape(-1, 4), B, out=out[i:i + step].reshape(-1, 4))
+
+    _halves(product, range(0, n1, step), n1 * n2)
     return out
 
 

@@ -13,6 +13,7 @@ import pytest
 import opsqft
 from opsqft import cli, verify
 from opsqft.cli import main
+from opsqft.fftcore import _SPLIT_MIN
 from opsqft.fields import QuaternionField2D
 from opsqft.formats import read_field, write_field
 
@@ -373,12 +374,10 @@ def test_transform_overflow_exit_3(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["a.qf2d"]
 
 
-def test_transform_overflow_prints_one_diagnostic(tmp_path):
-    # a fresh process with the default warning filters, where numpy would print
-    # its overflow warnings on stderr
-    a = tmp_path / "a.qf2d"
-    s = tmp_path / "s.qf2d"
-    write_field(QuaternionField2D(np.full((4, 4, 4), 1e308)), a)
+def _one_diagnostic_in_fresh_process(a, s):
+    """Transform ``a`` in a fresh process with the default warning filters,
+    where numpy would print its overflow warnings on stderr; it must exit 3
+    with the one ``opsqft:`` line and write nothing."""
     src = os.path.dirname(os.path.dirname(opsqft.__file__))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     out = subprocess.run(
@@ -386,9 +385,32 @@ def test_transform_overflow_prints_one_diagnostic(tmp_path):
          "--f", "1,0,0", "--g", "0,1,0", "--in", str(a), "--out", str(s)],
         capture_output=True, text=True, env={**env, "PYTHONPATH": src})
     assert out.returncode == 3
-    assert os.listdir(tmp_path) == ["a.qf2d"]
+    assert os.listdir(a.parent) == [a.name]
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("opsqft:"), out.stderr
+
+
+def test_transform_overflow_prints_one_diagnostic(tmp_path):
+    a = tmp_path / "a.qf2d"
+    write_field(QuaternionField2D(np.full((4, 4, 4), 1e308)), a)
+    _one_diagnostic_in_fresh_process(a, tmp_path / "s.qf2d")
+
+
+def test_transform_overflow_on_two_threads(tmp_path, capsys):
+    # a grid large enough for the fast path to split its jobs over the
+    # helper thread: the command's error state must hold there too, in
+    # process (where every warning is an error) and in a fresh one
+    n1, n2 = 512, 256
+    assert n1 * n2 >= _SPLIT_MIN
+    a = tmp_path / "a.qf2d"
+    s = tmp_path / "s.qf2d"
+    write_field(QuaternionField2D(np.full((n1, n2, 4), 1e308)), a)
+    assert main(["transform", "--variant", "twosided", "--f", "1,0,0",
+                 "--g", "0,1,0", "--in", str(a), "--out", str(s)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("opsqft:") and "byte 16" in lines[0]
+    assert os.listdir(tmp_path) == ["a.qf2d"]
+    _one_diagnostic_in_fresh_process(a, s)
 
 
 def test_overflowing_norm_is_quiet(tmp_path):

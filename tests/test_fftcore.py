@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import opsqft
-from opsqft.fftcore import _BLOCK, _plan, fft1, fft2
+from opsqft import fftcore
+from opsqft.fftcore import _BLOCK, _HELPER, _SPLIT_MIN, _block_columns, _plan, fft1, fft2
 
 SEED = 77103
 
@@ -217,6 +219,63 @@ def test_fft2_in_place_on_interleaved_planes(n1, n2):
         with pytest.raises(ValueError, match=rf"got {bad.dtype} \({bad.shape[0]}, {bad.shape[1]}\)"):
             fft1(before[..., 0], -1, axis=1, out=bad)
         assert not bad.any()
+
+
+def test_split_blocks_give_the_one_thread_bits(monkeypatch):
+    # a standalone fft2 large enough to split each pass's blocks over the
+    # helper thread, with an odd number of blocks in each pass (17), so the
+    # halves are uneven: the same bits as with the helper slot held
+    n1, n2 = 1031, 131
+    assert n1 * n2 >= _SPLIT_MIN
+    assert -(-n2 // _block_columns(n1)) == -(-n1 // _block_columns(n2)) == 17
+    x = rand_c(np.random.default_rng(SEED + 15), (n1, n2))
+    threads = set()
+    pass0 = fftcore._pass0
+
+    def spy(block, sign):
+        threads.add(threading.get_ident())
+        return pass0(block, sign)
+
+    monkeypatch.setattr(fftcore, "_pass0", spy)
+    split = fft2(x, -1, 1)
+    in_place = x.copy()
+    fft2(in_place, -1, 1, out=in_place)
+    assert len(threads) > 1
+    threads.clear()
+    assert _HELPER.acquire(blocking=False)
+    try:
+        one = fft2(x, -1, 1)
+    finally:
+        _HELPER.release()
+    assert threads == {threading.get_ident()}
+    assert np.array_equal(split, one) and np.array_equal(in_place, one)
+
+
+def test_first_split_sets_bundled_openblas_to_one_thread():
+    # in a fresh process: a grid under the floor leaves numpy's bundled
+    # OpenBLAS as it is; the first split sets it to one thread, and it stays
+    src = os.path.dirname(os.path.dirname(opsqft.__file__))
+    code = """if True:
+        import ctypes, pathlib, numpy as np
+        from opsqft.fftcore import fft2
+        libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+        found = sorted(libs.glob("libscipy_openblas64_*"))
+        get = ctypes.CDLL(str(found[0])).scipy_openblas_get_num_threads64_ if found else None
+        if get:
+            get.argtypes, get.restype = [], ctypes.c_int
+        counts = [get() if get else None]
+        for n in (64, 512, 64):
+            fft2(np.ones((n, n), complex), -1, 1)
+            counts.append(get() if get else None)
+        print(*counts)
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    counts = out.stdout.split()
+    if counts[0] == "None":
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    start, small, split, after = map(int, counts)
+    assert small == start and split == after == 1
 
 
 def test_fft1_refuses_an_out_with_no_block_view():

@@ -21,10 +21,12 @@ N = 512
 MIB = 1 << 20
 PLANE = N * N * 16
 FIELD = 2 * PLANE
-# fft1's block scratch, about four blocks of 2^15 complex samples
+# fft1's block scratch, about four blocks of 2^14 complex samples on
+# each of its two threads
 SCRATCH = 2 * MIB
-# in place, fft1 holds three blocks of 2^15 complex samples at once: the
-# gathered block and the two stages of its four-step pass
+# in place, each of fft1's two threads holds three blocks of 2^14 complex
+# samples at once: the gathered block and the two stages of its four-step
+# pass
 IN_PLACE_SCRATCH = 3 * (1 << 15) * 16 + 64 * 1024
 # the fast path's block scratch: fft1's, and the block of rows that is
 # interleaved before its product with B overwrites it

@@ -1,11 +1,14 @@
 import importlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsqft.fftcore import _block_columns
+from opsqft import fftcore
+from opsqft.fftcore import _HELPER, _SPLIT_MIN, _block_columns
 from opsqft.fields import QuaternionField2D
 from opsqft.quat import QI, QJ, PureUnitQuaternion
 from opsqft.split import make_context, split_arr
@@ -348,8 +351,12 @@ def test_fast_path_is_scale_and_pair_invariant(k, n1, n2, sign, eps, seed):
 
 
 # Grids whose fast passes split both axes into at least two blocks and end
-# in a ragged one; 67, 103 (in 515 = 5 * 103) and 1031 are Bluestein lengths.
-RAGGED_GRIDS = ((67, 515), (515, 67), (1031, 40))
+# in a ragged one; 67, 103 (in 515 = 5 * 103), 131 and 1031 are Bluestein
+# lengths.  The last is large enough for ``_halves`` to split its jobs over
+# two threads, and each of its passes and its @ B loop has an odd number of
+# blocks (17), so the two threads' halves are uneven.
+RAGGED_GRIDS = ((67, 515), (515, 67), (1031, 131))
+SPLIT_GRID = RAGGED_GRIDS[-1]
 
 
 def signed_dft(z, axis, c):
@@ -407,3 +414,102 @@ def test_fast_path_in_ragged_blocks(n1, n2):
         want = transform_sample(samples, axis_triple(ctx.f), axis_triple(ctx.g),
                                 family.value, k1, k2, inverse)
         assert np.max(np.abs(got[k1, k2] - want)) <= 1e-12 * rms(got)
+
+
+def split_inputs():
+    """A field on SPLIT_GRID and a generic context, after the grid's checks."""
+    n1, n2 = SPLIT_GRID
+    cols, rows = _block_columns(n1), _block_columns(n2)
+    assert n1 * n2 >= _SPLIT_MIN and -(-n2 // cols) % 2 and -(-n1 // rows) % 2
+    rng = np.random.default_rng(SEED + 17)
+    return rng.standard_normal((n1, n2, 4)), context_zoo(rng)[0]
+
+
+def fast_results(data, ctx):
+    """forward_fast and inverse_fast of every family on ``data``."""
+    out = []
+    for family in Family:
+        variant = TransformVariant(family, ctx)
+        out.append(forward_fast(variant, QuaternionField2D(data)).data)
+        out.append(inverse_fast(variant, Spectrum(QuaternionField2D(data), variant)).data)
+    return out
+
+
+def with_helper_held(fn):
+    """fn() while the test holds the helper slot, so every job runs in the caller."""
+    assert _HELPER.acquire(blocking=False)
+    try:
+        return fn()
+    finally:
+        _HELPER.release()
+
+
+def test_split_jobs_give_the_one_thread_bits(monkeypatch):
+    data, ctx = split_inputs()
+    threads = set()
+    pass0 = fftcore._pass0
+
+    def spy(x, sign):
+        threads.add(threading.get_ident())
+        return pass0(x, sign)
+
+    monkeypatch.setattr(fftcore, "_pass0", spy)
+    alive = threading.active_count()
+    split = fast_results(data, ctx)
+    assert len(threads) > 1 and threading.active_count() == alive
+    threads.clear()
+    one = with_helper_held(lambda: fast_results(data, ctx))
+    assert threads == {threading.get_ident()}
+    for got, want in zip(split, one):
+        assert np.array_equal(got, want)
+
+
+class HelperFailure(Exception):
+    pass
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    data, ctx = split_inputs()
+    caller = threading.get_ident()
+    pass0 = fftcore._pass0
+
+    def fail_off_the_caller(x, sign):
+        if threading.get_ident() != caller:
+            raise HelperFailure("on the helper's half")
+        return pass0(x, sign)
+
+    monkeypatch.setattr(fftcore, "_pass0", fail_off_the_caller)
+    alive = threading.active_count()
+    with pytest.raises(HelperFailure, match="on the helper's half"):
+        forward_fast(TransformVariant(Family.TWO_SIDED, ctx), QuaternionField2D(data))
+    # the helper was joined and its slot is free
+    assert threading.active_count() == alive
+    assert _HELPER.acquire(blocking=False)
+    _HELPER.release()
+
+
+def test_concurrent_callers_get_the_one_thread_bits():
+    # more callers than cores, switching often: one holds the helper slot
+    # at a time, the others run their jobs alone, and all get the same bits
+    data, ctx = split_inputs()
+    want = with_helper_held(lambda: fast_results(data, ctx))
+    got = [None] * 3
+
+    def call(i):
+        got[i] = fast_results(data, ctx)
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(len(got))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for result in got:
+        assert result is not None and len(result) == len(want)
+        for g, w in zip(result, want):
+            assert np.array_equal(g, w)
