@@ -19,24 +19,22 @@ DFT matrices, twiddles and chirps are built on first use and cached per
 ``exp``.
 
 An axis pass gathers blocks of about 2^14 samples along the axis, runs
-the kernel on each and writes it straight into the output, so no array
-is ever transposed whole.  ``fft2`` holds one new plane, the output
-that both passes write, or none when it is given an output to write (the
-input itself, say), plus the scratch of a few blocks: 1.5 MiB, or up to
-about 4.5 MiB on a Bluestein axis, whose padded buffer is two to four
-times the block.  That holds with the blocks on two threads: each holds
-the scratch of half-size blocks.
+the kernel on each in the calling thread and writes it straight into the
+output, so no array is ever transposed whole.  ``fft2`` holds one new
+plane, the output that both passes write, or none when it is given an
+output to write (the input itself, say), plus the scratch of a few
+blocks: 0.75 MiB, or up to about 2.25 MiB on a Bluestein axis, whose
+padded buffer is two to four times the block.  ``transform._fast``
+transforms its two planes on two threads, so a transform holds twice
+that.
 
-Independent jobs, such as the blocks of a pass, go through ``_halves``:
-on a grid of at least 2^17 samples it runs the second half on a helper
-thread, while the caller runs the first.  A process has one helper
-slot; a call that finds it taken, because an enclosing call or another
-thread holds it, runs all its jobs itself, so at most two threads
-transform at once and the nested passes of a split call stay whole.
-The results are the same bits either way: a job's blocks do not depend
-on the thread that runs them.  Before its first split, ``_halves`` sets
-numpy's bundled OpenBLAS to one thread for the rest of the process, so
-the two threads are the only ones: OpenBLAS's own threads, which the
+``_halves`` runs the independent jobs of a transform, its two planes and
+then the row blocks of its last product, on a grid of at least 2^17
+samples: the second half on a helper thread, the first in the caller.
+The results are the same bits either way: a job's output does not
+depend on the thread that runs it.  Before its first split, ``_halves``
+sets numpy's bundled OpenBLAS to one thread for the rest of the process,
+so the two threads are the only ones: OpenBLAS's own threads, which the
 block products would otherwise spread over both cores, gain nothing
 beside a second Python thread and stall when another process takes a
 core.  The count is not set back after a split, since the BLAS worker
@@ -72,8 +70,6 @@ _BLOCK = 1 << 14
 # it (320 x 320, say) the helper's start and the two threads' turns at the
 # interpreter lock cost more than the half it takes.
 _SPLIT_MIN = 1 << 17
-# The process's one helper thread, held by the ``_halves`` call that runs it.
-_HELPER = threading.Semaphore(1)
 
 
 def _check_sign(s: int) -> int:
@@ -140,37 +136,34 @@ def _pin_blas() -> None:
 def _halves(run, jobs: Sequence, samples: int) -> None:
     """``run(jobs)`` for independent jobs over a grid of ``samples`` samples.
 
-    From _SPLIT_MIN samples, and when the helper slot is free, the second
-    half of the jobs runs on a helper thread and the first in the caller;
-    otherwise ``run`` takes them all in the caller.  The helper starts in
-    a copy of the caller's context, so numpy's error state (a context
-    variable) holds there too; it is joined before the call returns, and
-    an exception it raised is raised here.
+    From _SPLIT_MIN samples the second half of the jobs runs on a helper
+    thread and the first in the caller; below it ``run`` takes them all in
+    the caller.  Each call starts its own helper, in a copy of the
+    caller's context, so numpy's error state (a context variable) holds
+    there too; it is joined before the call returns, and an exception it
+    raised is raised here.
     """
-    if len(jobs) < 2 or samples < _SPLIT_MIN or not _HELPER.acquire(blocking=False):
+    if len(jobs) < 2 or samples < _SPLIT_MIN:
         run(jobs)
         return
-    try:
-        _pin_blas()
-        half = len(jobs) // 2
-        raised = []
+    _pin_blas()
+    half = len(jobs) // 2
+    raised = []
 
-        def second():
-            try:
-                run(jobs[half:])
-            except BaseException as e:  # re-raised in the caller
-                raised.append(e)
-
-        helper = threading.Thread(target=contextvars.copy_context().run, args=(second,))
-        helper.start()
+    def second():
         try:
-            run(jobs[:half])
-        finally:
-            helper.join()
-        if raised:
-            raise raised[0]
+            run(jobs[half:])
+        except BaseException as e:  # re-raised in the caller
+            raised.append(e)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(second,))
+    helper.start()
+    try:
+        run(jobs[:half])
     finally:
-        _HELPER.release()
+        helper.join()
+    if raised:
+        raise raised[0]
 
 
 def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
@@ -204,8 +197,7 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
     (O(n) once n exceeds one), into ``out``: a new C-contiguous array by
     default, or a given complex128 array of the input's shape (any other
     raises ValueError), which may be the input itself (a block is read
-    whole before it is written).  ``_halves`` may run half the blocks on
-    the helper thread.
+    whole before it is written).  The blocks run in the calling thread.
     """
     _check_sign(sign)
     ndim = np.ndim(x)
@@ -230,14 +222,11 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
     k = cols // w
     across = -(-post // w)  # blocks across the trailing indices
 
-    def run(blocks):
-        for b in blocks:
-            i, j = b // across * k, b % across * w
-            part = src[i:i + k, :, j:j + w].transpose(1, 0, 2)
-            block = np.ascontiguousarray(part).reshape(n, part.shape[1] * part.shape[2])
-            dst[i:i + k, :, j:j + w] = _pass0(block, sign).reshape(part.shape).transpose(1, 0, 2)
-
-    _halves(run, range(-(-pre // k) * across), x.size)
+    for b in range(-(-pre // k) * across):
+        i, j = b // across * k, b % across * w
+        part = src[i:i + k, :, j:j + w].transpose(1, 0, 2)
+        block = np.ascontiguousarray(part).reshape(n, part.shape[1] * part.shape[2])
+        dst[i:i + k, :, j:j + w] = _pass0(block, sign).reshape(part.shape).transpose(1, 0, 2)
     return out
 
 

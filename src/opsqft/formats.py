@@ -88,27 +88,41 @@ def _require_finite(path, data: np.ndarray) -> None:
                               f"is {data.reshape(-1)[i]}")
 
 
-def write_field(field: QuaternionField2D, path) -> None:
-    """Write ``field`` as QF2D; a file already at ``path`` is replaced whole or kept.
+def _write(path, parts) -> None:
+    """Write the byte buffers ``parts`` to ``path``, replacing a file whole or keeping it.
 
-    The bytes go to a temporary file beside the file ``path`` resolves to,
-    which is renamed over it (a symbolic link at ``path`` stays a link),
-    and the temporary file is removed if any step fails.  A non-finite
-    sample raises ``NonFiniteSample`` before anything is written.
+    Unless ``path`` names an existing target that is not a regular file
+    once links are followed (a pipe, a terminal, ``/dev/null``: written in
+    place), the bytes go to a temporary file beside the file ``path``
+    resolves to, which is renamed over it (a symbolic link at ``path``
+    stays a link) and removed if any step fails.
     """
+    try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "wb") as fh:
+                fh.writelines(parts)
+            return
+        target = os.path.realpath(path)
+        tmp = f"{target}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
+        try:
+            with open(tmp, "xb") as fh:
+                fh.writelines(parts)
+            os.replace(tmp, target)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
+    except OSError as e:
+        raise IoFailure(path, e) from e
+
+
+def write_field(field: QuaternionField2D, path) -> None:
+    """Write ``field`` as QF2D through ``_write``: a file already at ``path``
+    is replaced whole or kept.  A non-finite sample raises
+    ``NonFiniteSample`` before anything is written."""
     payload = np.ascontiguousarray(field.data, dtype="<f8")
     _require_finite(path, payload)
-    target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(HEADER.pack(MAGIC, VERSION, field.n1, field.n2))
-            fh.write(payload)
-        os.replace(tmp, target)
-    except OSError as e:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise IoFailure(path, e) from e
+    _write(path, (HEADER.pack(MAGIC, VERSION, field.n1, field.n2), payload))
 
 
 def read_field(path) -> QuaternionField2D:
@@ -267,7 +281,7 @@ def read_image_ppm(path) -> QuaternionField2D:
 
 
 def export_magnitude_pgm(spectrum_or_field, path, centered: bool = False) -> None:
-    """Write per-sample quaternion magnitude as a P5 graymap.
+    """Write per-sample quaternion magnitude as a P5 graymap through ``_write``.
 
     Magnitudes are scaled so the peak maps to 255 (an all-zero grid maps
     to an all-zero image).  ``centered`` rolls sample (0, 0) to the grid
@@ -277,17 +291,11 @@ def export_magnitude_pgm(spectrum_or_field, path, centered: bool = False) -> Non
     # the image is relative to its peak: scaled by the largest component, no norm overflows
     top = float(np.max(np.abs(field.data), initial=0.0))
     mags = norm_arr(field.data / top if top > 0.0 else field.data)
-    if centered:
-        mags = np.roll(mags, (field.n1 // 2, field.n2 // 2), axis=(0, 1))
     peak = float(mags.max())
     if peak > 0.0:
-        img = np.rint(mags * (255.0 / peak))
+        img = np.rint(mags * (255.0 / peak)).astype(np.uint8)  # each at most 255: mags <= peak
     else:
-        img = np.zeros_like(mags)
-    img = np.clip(img, 0, 255).astype(np.uint8)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{field.n2} {field.n1}\n255\n".encode("ascii"))
-            fh.write(img.tobytes())
-    except OSError as e:
-        raise IoFailure(path, e) from e
+        img = np.zeros(mags.shape, dtype=np.uint8)
+    if centered:
+        img = np.roll(img, (field.n1 // 2, field.n2 // 2), axis=(0, 1))
+    _write(path, (f"P5\n{field.n2} {field.n1}\n255\n".encode("ascii"), img))

@@ -205,8 +205,8 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
     The two planes share nothing until ``@ B``, so ``_halves`` runs them
     as two jobs, and then the row blocks of ``@ B`` as jobs of their own:
     on a grid that splits, plane - and the second half of the blocks go to
-    the helper thread, whose slot the nested ``fft2`` passes then find
-    taken."""
+    a helper thread, one per call, which writes only this call's planes
+    and rows."""
     k = KERNELS[variant.family, inverse]
     n1, n2 = data.shape[:2]
     W = variant.ctx.frame

@@ -10,7 +10,7 @@ import pytest
 
 import opsqft
 from opsqft import fftcore
-from opsqft.fftcore import _BLOCK, _HELPER, _SPLIT_MIN, _block_columns, _plan, fft1, fft2
+from opsqft.fftcore import _BLOCK, _SPLIT_MIN, _plan, fft1, fft2
 
 SEED = 77103
 
@@ -221,43 +221,34 @@ def test_fft2_in_place_on_interleaved_planes(n1, n2):
         assert not bad.any()
 
 
-def test_split_blocks_give_the_one_thread_bits(monkeypatch):
-    # a standalone fft2 large enough to split each pass's blocks over the
-    # helper thread, with an odd number of blocks in each pass (17), so the
-    # halves are uneven: the same bits as with the helper slot held
+def test_standalone_fft2_runs_its_blocks_in_the_caller(monkeypatch):
+    # a grid on which a transform splits its jobs over two threads: the
+    # passes of a standalone fft2 run every block on the calling thread
     n1, n2 = 1031, 131
     assert n1 * n2 >= _SPLIT_MIN
-    assert -(-n2 // _block_columns(n1)) == -(-n1 // _block_columns(n2)) == 17
     x = rand_c(np.random.default_rng(SEED + 15), (n1, n2))
-    threads = set()
+    threads = []
     pass0 = fftcore._pass0
 
     def spy(block, sign):
-        threads.add(threading.get_ident())
+        threads.append(threading.get_ident())
         return pass0(block, sign)
 
     monkeypatch.setattr(fftcore, "_pass0", spy)
-    split = fft2(x, -1, 1)
-    in_place = x.copy()
-    fft2(in_place, -1, 1, out=in_place)
-    assert len(threads) > 1
-    threads.clear()
-    assert _HELPER.acquire(blocking=False)
-    try:
-        one = fft2(x, -1, 1)
-    finally:
-        _HELPER.release()
-    assert threads == {threading.get_ident()}
-    assert np.array_equal(split, one) and np.array_equal(in_place, one)
+    fft2(x, -1, 1)
+    assert threads and set(threads) == {threading.get_ident()}
 
 
 def test_first_split_sets_bundled_openblas_to_one_thread():
-    # in a fresh process: a grid under the floor leaves numpy's bundled
-    # OpenBLAS as it is; the first split sets it to one thread, and it stays
+    # in a fresh process: a transform under the floor leaves numpy's
+    # bundled OpenBLAS as it is; the first split sets it to one thread, and
+    # it stays
     src = os.path.dirname(os.path.dirname(opsqft.__file__))
     code = """if True:
         import ctypes, pathlib, numpy as np
-        from opsqft.fftcore import fft2
+        from opsqft import (QI, QJ, Family, QuaternionField2D, TransformVariant,
+                            forward_fast, make_context)
+        variant = TransformVariant(Family.TWO_SIDED, make_context(QI, QJ))
         libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
         found = sorted(libs.glob("libscipy_openblas64_*"))
         get = ctypes.CDLL(str(found[0])).scipy_openblas_get_num_threads64_ if found else None
@@ -265,7 +256,7 @@ def test_first_split_sets_bundled_openblas_to_one_thread():
             get.argtypes, get.restype = [], ctypes.c_int
         counts = [get() if get else None]
         for n in (64, 512, 64):
-            fft2(np.ones((n, n), complex), -1, 1)
+            forward_fast(variant, QuaternionField2D(np.ones((n, n, 4))))
             counts.append(get() if get else None)
         print(*counts)
     """

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import stat
 import struct
 import tracemalloc
 
@@ -182,37 +183,53 @@ def test_write_rejects_non_finite_samples(tmp_path, bad):
     assert os.listdir(tmp_path) == []
 
 
-def test_failed_write_keeps_target_and_leaves_no_temporary(tmp_path, monkeypatch):
-    p = tmp_path / "kept.qf2d"
-    write_field(QuaternionField2D(np.ones((2, 2, 4))), p)
-    before = p.read_bytes()
+WRITERS = (write_field, export_magnitude_pgm)
 
+
+def test_failed_write_keeps_target_and_leaves_no_temporary(tmp_path, monkeypatch):
     def no_space(src, dst):
         raise OSError(28, "No space left on device")
 
-    with monkeypatch.context() as m:
-        m.setattr(formats.os, "replace", no_space)
-        with pytest.raises(IoFailure):
-            write_field(QuaternionField2D(np.zeros((3, 3, 4))), p)
-    assert p.read_bytes() == before
-    assert sorted(os.listdir(tmp_path)) == ["kept.qf2d"]
+    for write in WRITERS:
+        d = tmp_path / write.__name__
+        d.mkdir()
+        p = d / "kept"
+        write(QuaternionField2D(np.ones((2, 2, 4))), p)
+        before = p.read_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(formats.os, "replace", no_space)
+            with pytest.raises(IoFailure):
+                write(QuaternionField2D(np.zeros((3, 3, 4))), p)
+        assert p.read_bytes() == before
+        assert sorted(os.listdir(d)) == ["kept"]
 
-    (tmp_path / "taken").mkdir()
-    with pytest.raises(IoFailure):
-        write_field(QuaternionField2D(np.zeros((3, 3, 4))), tmp_path / "taken")
-    assert (tmp_path / "taken").is_dir()
-    assert sorted(os.listdir(tmp_path)) == ["kept.qf2d", "taken"]
+        (d / "taken").mkdir()
+        with pytest.raises(IoFailure):
+            write(QuaternionField2D(np.zeros((3, 3, 4))), d / "taken")
+        assert (d / "taken").is_dir()
+        assert sorted(os.listdir(d)) == ["kept", "taken"]
 
 
 def test_write_through_symlink_keeps_link(tmp_path):
-    real = tmp_path / "real.qf2d"
-    link = tmp_path / "link.qf2d"
-    write_field(QuaternionField2D(np.zeros((1, 1, 4))), real)
-    link.symlink_to(real)
-    field = QuaternionField2D(np.ones((2, 1, 4)))
-    write_field(field, link)
-    assert link.is_symlink()
-    assert np.array_equal(read_field(real).data, field.data)
+    for write in WRITERS:
+        d = tmp_path / write.__name__
+        d.mkdir()
+        real, link = d / "real", d / "link"
+        write(QuaternionField2D(np.zeros((1, 1, 4))), real)
+        link.symlink_to(real)
+        field = QuaternionField2D(np.ones((2, 1, 4)))
+        write(field, link)
+        assert link.is_symlink()
+        write(field, d / "direct")
+        assert real.read_bytes() == (d / "direct").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null here")
+def test_writers_write_a_device_in_place():
+    # a target that is not a regular file is written, not replaced
+    for write in WRITERS:
+        write(QuaternionField2D(np.ones((2, 3, 4))), "/dev/null")
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
 
 
 def test_read_field_holds_the_payload_once(tmp_path):

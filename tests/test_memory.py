@@ -21,15 +21,16 @@ N = 512
 MIB = 1 << 20
 PLANE = N * N * 16
 FIELD = 2 * PLANE
-# fft1's block scratch, about four blocks of 2^14 complex samples on
-# each of its two threads
+# fft1's block scratch, about four blocks of 2^14 complex samples, twice
+# over: the budget also holds the two planes of a transform at once
 SCRATCH = 2 * MIB
-# in place, each of fft1's two threads holds three blocks of 2^14 complex
-# samples at once: the gathered block and the two stages of its four-step
-# pass
+# in place, fft1 holds three blocks of 2^14 complex samples at once (the
+# gathered block and the two stages of its four-step pass), twice over as
+# in SCRATCH
 IN_PLACE_SCRATCH = 3 * (1 << 15) * 16 + 64 * 1024
-# the fast path's block scratch: fft1's, and the block of rows that is
-# interleaved before its product with B overwrites it
+# the fast path's block scratch: fft1's on each of the two threads that
+# transform its planes, and the block of rows that is interleaved before
+# its product with B overwrites it
 BLOCK_SCRATCH = 4 * MIB
 
 

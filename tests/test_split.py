@@ -1,6 +1,10 @@
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
+import opsqft
 from opsqft.quat import (
     ONE,
     QI,
@@ -350,3 +354,13 @@ def test_determine_context_rejects_bad_frames():
         # a must be pure
         determine_context(Quaternion(1.0, 0, 0, 0), QJ, QK, QI,
                           PlaneAssignment.AB_TO_MINUS)
+
+
+def test_package_split_is_the_function_and_the_module_stays_importable():
+    # the package re-exports the function under its submodule's name, as
+    # README's quick start imports it; the module's own names are reached
+    # by a from-import or importlib, not as attributes of opsqft.split
+    module = importlib.import_module("opsqft.split")
+    assert inspect.ismodule(module)
+    assert opsqft.split is split is module.split
+    assert module.split_arr is split_arr and module.make_context is make_context

@@ -1,4 +1,5 @@
 import importlib
+import math
 import sys
 import threading
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsqft import fftcore
-from opsqft.fftcore import _HELPER, _SPLIT_MIN, _block_columns
+from opsqft.fftcore import _SPLIT_MIN, _block_columns
 from opsqft.fields import QuaternionField2D
 from opsqft.quat import QI, QJ, PureUnitQuaternion
 from opsqft.split import make_context, split_arr
@@ -353,8 +354,8 @@ def test_fast_path_is_scale_and_pair_invariant(k, n1, n2, sign, eps, seed):
 # Grids whose fast passes split both axes into at least two blocks and end
 # in a ragged one; 67, 103 (in 515 = 5 * 103), 131 and 1031 are Bluestein
 # lengths.  The last is large enough for ``_halves`` to split its jobs over
-# two threads, and each of its passes and its @ B loop has an odd number of
-# blocks (17), so the two threads' halves are uneven.
+# two threads, and its @ B loop has an odd number of blocks (17), so the two
+# threads' halves are uneven.
 RAGGED_GRIDS = ((67, 515), (515, 67), (1031, 131))
 SPLIT_GRID = RAGGED_GRIDS[-1]
 
@@ -419,8 +420,7 @@ def test_fast_path_in_ragged_blocks(n1, n2):
 def split_inputs():
     """A field on SPLIT_GRID and a generic context, after the grid's checks."""
     n1, n2 = SPLIT_GRID
-    cols, rows = _block_columns(n1), _block_columns(n2)
-    assert n1 * n2 >= _SPLIT_MIN and -(-n2 // cols) % 2 and -(-n1 // rows) % 2
+    assert n1 * n2 >= _SPLIT_MIN and -(-n1 // _block_columns(n2)) % 2
     rng = np.random.default_rng(SEED + 17)
     return rng.standard_normal((n1, n2, 4)), context_zoo(rng)[0]
 
@@ -435,13 +435,14 @@ def fast_results(data, ctx):
     return out
 
 
-def with_helper_held(fn):
-    """fn() while the test holds the helper slot, so every job runs in the caller."""
-    assert _HELPER.acquire(blocking=False)
+def on_one_thread(fn):
+    """fn() with the split floor out of reach, so every job runs in the caller."""
+    floor = fftcore._SPLIT_MIN
+    fftcore._SPLIT_MIN = math.inf
     try:
         return fn()
     finally:
-        _HELPER.release()
+        fftcore._SPLIT_MIN = floor
 
 
 def test_split_jobs_give_the_one_thread_bits(monkeypatch):
@@ -458,7 +459,7 @@ def test_split_jobs_give_the_one_thread_bits(monkeypatch):
     split = fast_results(data, ctx)
     assert len(threads) > 1 and threading.active_count() == alive
     threads.clear()
-    one = with_helper_held(lambda: fast_results(data, ctx))
+    one = on_one_thread(lambda: fast_results(data, ctx))
     assert threads == {threading.get_ident()}
     for got, want in zip(split, one):
         assert np.array_equal(got, want)
@@ -482,17 +483,16 @@ def test_helper_exception_reaches_the_caller(monkeypatch):
     alive = threading.active_count()
     with pytest.raises(HelperFailure, match="on the helper's half"):
         forward_fast(TransformVariant(Family.TWO_SIDED, ctx), QuaternionField2D(data))
-    # the helper was joined and its slot is free
+    # the helper was joined
     assert threading.active_count() == alive
-    assert _HELPER.acquire(blocking=False)
-    _HELPER.release()
 
 
 def test_concurrent_callers_get_the_one_thread_bits():
-    # more callers than cores, switching often: one holds the helper slot
-    # at a time, the others run their jobs alone, and all get the same bits
+    # more callers than cores, switching often: each starts its own
+    # helpers, which write only its own planes and rows, and all get the
+    # one-thread bits
     data, ctx = split_inputs()
-    want = with_helper_held(lambda: fast_results(data, ctx))
+    want = on_one_thread(lambda: fast_results(data, ctx))
     got = [None] * 3
 
     def call(i):
