@@ -18,15 +18,24 @@ DFT matrices, twiddles and chirps are built on first use and cached per
 (length, sign); every angle is reduced exactly in integers before
 ``exp``.
 
-An axis pass gathers blocks of about 2^14 samples along the axis, runs
-the kernel on each in the calling thread and writes it straight into the
-output, so no array is ever transposed whole.  ``fft2`` holds one new
-plane, the output that both passes write, or none when it is given an
-output to write (the input itself, say), plus the scratch of a few
-blocks: 0.75 MiB, or up to about 2.25 MiB on a Bluestein axis, whose
-padded buffer is two to four times the block.  ``transform._fast``
-transforms its two planes on two threads, so a transform holds twice
-that.
+An axis pass of ``fft1`` gathers blocks of about 2^14 samples along the
+axis, runs the kernel on each in the calling thread and writes it
+straight into the output, so no array is ever transposed whole.
+``fft2`` holds one new plane, the output that both passes write, or none
+when it is given an output to write (the input itself, say), plus the
+scratch of a few blocks: 0.75 MiB, or up to about 2.25 MiB on a
+Bluestein axis, whose padded buffer is two to four times the block.
+
+A transform's axis 0 skips the blocks where its length n = a b is a
+four-step with both factors dense (512, 1000, 1024, 4096, ...).
+``transform._fast`` writes each plane's rows in the four-step's input
+order, row b m1 + m2 from input a m2 + m1, which its rotation reads out
+of place at no cost, so ``_pass0_grouped`` runs the two stages in place
+over groups of rows, with no gather, transpose or copy of blocks, beside
+a scratch of at most 2^15 samples (512 KiB).  Its axis 1, and every
+standalone ``fft1`` and ``fft2``, whose input comes in natural order,
+take the blocked passes.  ``transform._fast`` transforms its two planes
+on two threads, so a transform holds twice one pass's scratch.
 
 ``_halves`` runs the independent jobs of a transform, its two planes and
 then the row blocks of its last product, on a grid of at least 2^17
@@ -66,6 +75,9 @@ _PLAN_CACHE = 64
 # of both threads stay in cache and the pass needs no transposed copy of
 # the array.
 _BLOCK = 1 << 14
+# Samples in the scratch of ``_pass0_grouped`` (512 KiB): whole rows of a
+# 1024-wide plane for one group of 32 rows.
+_GROUP = 1 << 15
 # Fewest samples in a grid whose jobs are split over two threads: below
 # it (320 x 320, say) the helper's start and the two threads' turns at the
 # interpreter lock cost more than the half it takes.
@@ -188,6 +200,43 @@ def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
     y = _pass0(y, 1)[:n]
     y *= p
     return y
+
+
+def _grouped(n: int, sign: int) -> int:
+    """a when length n is a four-step n = a b with b (so a) dense, else 0."""
+    if n <= _DENSE_MAX:
+        return 0
+    kind, a, _ = _plan(n, sign)
+    return a if kind == "four-step" and n // a <= _DENSE_MAX else 0
+
+
+def _pass0_grouped(x: np.ndarray, sign: int) -> None:
+    """Signed transform along axis 0 of an (n, r) complex array in place,
+    n = a b with a = ``_grouped(n, sign)``, whose row b m1 + m2 holds input
+    a m2 + m1: the four-step of ``_pass0`` with its transpose left to the
+    writer of x.  Afterwards row k holds output k.
+
+    Each contiguous group of b rows (one m1) is transformed into a scratch
+    and multiplied by its twiddles on the way back; then each strided group
+    of a rows (one k2).  The columns go in chunks of at most _GROUP / b.
+    """
+    n, r = x.shape
+    _, a, twiddles = _plan(n, sign)
+    b = n // a
+    ma, mb = _plan(a, sign)[1], _plan(b, sign)[1]
+    groups = x.view()
+    groups.shape = (a, b, r)  # never a copy, unlike reshape
+    w = 1 << (_GROUP // b).bit_length() - 1  # a power of two, as in _block_columns
+    z = np.empty((b, min(w, r)), dtype=np.complex128)
+    for j in range(0, r, w):
+        cols = slice(j, j + w)
+        s = z[:, :min(w, r - j)]
+        for m1 in range(a):
+            np.matmul(mb, groups[m1, :, cols], out=s)
+            np.multiply(s, twiddles[:, m1, None], out=groups[m1, :, cols])
+        for k2 in range(b):
+            np.matmul(ma, groups[:, k2, cols], out=s[:a])
+            groups[:, k2, cols] = s[:a]
 
 
 def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:

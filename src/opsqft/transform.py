@@ -37,9 +37,13 @@ diag(1, -1, -1, -1) after B (forward) or before A (inverse), so neither
 the conjugation nor the weight costs a pass over the data.
 Everything happens in the one output array, seen as (N1, 2, N2) complex
 (row k1: plane +, then plane -): each plane of data @ A is written into
-it and ``fft2`` transforms it in place; then each block of rows is
-interleaved into a small scratch whose product with B overwrites those
-rows.  No other full-size array is made.
+it and transformed in place.  Where N1 = a b is a four-step of two dense
+factors, the rotation writes plane row b m1 + m2 from data row a m2 + m1,
+the order in which ``fftcore._pass0_grouped`` runs axis 0 over groups of
+rows, and ``fft1`` then runs axis 1; any other plane goes through
+``fft2``.  Then each block of rows is interleaved into a small scratch
+whose product with B overwrites those rows.  No other full-size array is
+made.
 
 The phase-angle family is where the zeros fall: forward, its plus plane
 gets (0, 1) and its minus plane (-1, 0), so the plus spectrum is
@@ -59,7 +63,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .fftcore import TAU, _block_columns, _halves, fft2
+from .fftcore import TAU, _block_columns, _grouped, _halves, _pass0_grouped, fft1, fft2
 from .fields import QuaternionField2D
 from .quat import conj_arr, exp_arr, mul_arr
 from .split import OpsContext, split_arr
@@ -200,7 +204,11 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
     """The table row through its frame W, in the one output array: plane p
     (0 is +, 1 is -) is ``x @ A[:, 2p:2p + 2]``, transformed in place with
     the signs from ``planes`` and broadcast; x is the data, summed first
-    along each axis whose sign is 0 there (then the plane is a line).
+    along each axis whose sign is 0 there (then the plane is a line).  A
+    full plane whose axis-0 length has two dense four-step factors a b
+    takes its rows in the four-step's input order from the rotation and
+    runs axis 0 over row groups (``_pass0_grouped``), axis 1 by ``fft1``;
+    every other plane runs ``fft2``.
 
     The two planes share nothing until ``@ B``, so ``_halves`` runs them
     as two jobs, and then the row blocks of ``@ B`` as jobs of their own:
@@ -226,8 +234,15 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
             if c2 == 0:  # a BLAS product: numpy's strided sum over axis 1 is slower
                 x = (np.ones(x.shape[1]) @ x)[:, None, :]
             plane = spec[:, p] if x is data else np.empty(x.shape[:2], np.complex128)
-            np.matmul(x, A[:, 2 * p:2 * p + 2], out=plane.view(np.float64).reshape(*x.shape[:2], 2))
-            fft2(plane, c1 or 1, c2 or 1, out=plane)
+            a = _grouped(n1, c1) if x is data else 0
+            if a:  # plane row b m1 + m2 from data row a m2 + m1, as _pass0_grouped reads it
+                x = data.reshape(n1 // a, a, n2, 4).transpose(1, 0, 2, 3)
+            np.matmul(x, A[:, 2 * p:2 * p + 2], out=plane.view(np.float64).reshape(*x.shape[:-1], 2))
+            if a:
+                _pass0_grouped(plane, c1)
+                fft1(plane, c2, axis=1, out=plane)
+            else:
+                fft2(plane, c1 or 1, c2 or 1, out=plane)
             planes[p] = np.broadcast_to(plane, (n1, n2))
 
     _halves(transform, range(2), n1 * n2)

@@ -64,8 +64,11 @@ def transform_sample(h, f, g, family, k1, k2, inverse=False):
     acc = (0.0, 0.0, 0.0, 0.0)
     for m1 in range(n1):
         for m2 in range(n2):
-            a = m1 * k1 / n1
-            b = m2 * k2 / n2
+            # m k reduced mod 2n, exactly in integers: every phase below has
+            # period 2 in a and b, and a float m k / n of up to n would put
+            # an error of about n ulps into the angle
+            a = m1 * k1 % (2 * n1) / n1
+            b = m2 * k2 % (2 * n2) / n2
             sample = h[m1][m2]
             if family == 'twosided':
                 left = qexp(f, sgn * tau * a)

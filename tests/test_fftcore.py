@@ -297,3 +297,20 @@ def test_import_builds_no_plan():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("n1, n2", [(65, 64), (1000, 64), (1024, 64), (122, 576)])
+def test_grouped_pass_gives_the_fft2_bits(n1, n2):
+    # a plane of an interleaved stack, as a transform holds it, with row
+    # b m1 + m2 holding row a m2 + m1 of the natural-order plane; 122 x 576
+    # ends in a partial chunk of 64 columns.  n2 is a multiple of 64, so
+    # every product has whole BLAS column panels, as in fft1's blocks.
+    x = rand_c(np.random.default_rng(SEED + 16), (n1, n2))
+    for s1, s2 in ((-1, 1), (1, -1)):
+        a = fftcore._grouped(n1, s1)
+        stack = np.empty((n1, 2, n2), dtype=np.complex128)
+        plane = stack[:, 1]
+        plane[:] = x.reshape(n1 // a, a, n2).transpose(1, 0, 2).reshape(n1, n2)
+        fftcore._pass0_grouped(plane, s1)
+        fft1(plane, s2, axis=1, out=plane)
+        assert np.array_equal(plane, fft2(x, s1, s2))

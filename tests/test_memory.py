@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opsqft.fftcore import fft2
+from opsqft.fftcore import _pass0_grouped, fft2
 from opsqft.fields import QuaternionField2D
 from opsqft.quat import PureUnitQuaternion, norm_arr
 from opsqft.split import make_context
@@ -21,16 +21,15 @@ N = 512
 MIB = 1 << 20
 PLANE = N * N * 16
 FIELD = 2 * PLANE
-# fft1's block scratch, about four blocks of 2^14 complex samples, twice
-# over: the budget also holds the two planes of a transform at once
-SCRATCH = 2 * MIB
-# in place, fft1 holds three blocks of 2^14 complex samples at once (the
-# gathered block and the two stages of its four-step pass), twice over as
-# in SCRATCH
-IN_PLACE_SCRATCH = 3 * (1 << 15) * 16 + 64 * 1024
-# the fast path's block scratch: fft1's on each of the two threads that
-# transform its planes, and the block of rows that is interleaved before
-# its product with B overwrites it
+# fft2 runs its passes in the calling thread, and fft1 holds three blocks
+# of 2^14 complex samples at once, in place or not: the gathered block and
+# the two stages of its four-step pass (0.75 MiB).  The 64 KiB margin is
+# for the plans and views; twice the blocks would not fit.
+SCRATCH = 3 * (1 << 14) * 16 + 64 * 1024
+# the fast path's scratch, on each of the two threads that transform its
+# planes: the 2^15-sample chunk of the grouped axis-0 pass (here 32 x 512
+# samples, 256 KiB), then fft1's blocks on axis 1; and the block of rows
+# that is interleaved before its product with B overwrites it
 BLOCK_SCRATCH = 4 * MIB
 
 
@@ -56,7 +55,17 @@ def test_fft2_holds_one_plane():
     assert traced_peak(lambda: fft2(x, -1, 1)) <= PLANE + SCRATCH
     # written over its input, it holds no plane, and the twiddles are
     # multiplied in place, without a ufunc buffer
-    assert traced_peak(lambda: fft2(x, -1, 1, out=x)) <= IN_PLACE_SCRATCH
+    assert traced_peak(lambda: fft2(x, -1, 1, out=x)) <= SCRATCH
+
+
+def test_grouped_pass_holds_one_chunk_at_any_width():
+    # a transform's axis-0 pass over row groups holds one chunk of at most
+    # 2^15 complex samples (512 KiB), whatever the width: here 13 x 2048
+    # of a 65 x 8192 plane (8.1 MiB), 65 = 5 * 13; besides it, numpy's two
+    # ufunc buffers while the twiddles are multiplied in on the way back
+    x = np.random.default_rng(8).standard_normal((65, 8192)).astype(np.complex128)
+    buffers = 2 * np.getbufsize() * 16
+    assert traced_peak(lambda: _pass0_grouped(x, -1)) <= (1 << 15) * 16 + buffers + 64 * 1024
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -69,7 +78,8 @@ def test_fast_transforms_hold_one_field(family):
     field = QuaternionField2D(data)
     spectrum = Spectrum(field, variant)
     # the rotation, both FFTs and @ B write into the output field; besides
-    # it only block scratch is live (the phase-angle lines are O(N))
+    # it only the grouped pass's column chunk and block scratch are live
+    # (the phase-angle lines are O(N))
     limit = FIELD + BLOCK_SCRATCH
     assert traced_peak(lambda: forward_fast(variant, field)) <= limit
     assert traced_peak(lambda: inverse_fast(variant, spectrum)) <= limit

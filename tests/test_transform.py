@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsqft import fftcore
+from opsqft import fftcore, transform
 from opsqft.fftcore import _SPLIT_MIN, _block_columns
 from opsqft.fields import QuaternionField2D
 from opsqft.quat import QI, QJ, PureUnitQuaternion
@@ -353,11 +353,15 @@ def test_fast_path_is_scale_and_pair_invariant(k, n1, n2, sign, eps, seed):
 
 # Grids whose fast passes split both axes into at least two blocks and end
 # in a ragged one; 67, 103 (in 515 = 5 * 103), 131 and 1031 are Bluestein
-# lengths.  The last is large enough for ``_halves`` to split its jobs over
-# two threads, and its @ B loop has an odd number of blocks (17), so the two
-# threads' halves are uneven.
+# lengths.
 RAGGED_GRIDS = ((67, 515), (515, 67), (1031, 131))
-SPLIT_GRID = RAGGED_GRIDS[-1]
+# Grids large enough for ``_halves`` to split a transform's jobs over two
+# threads, each with an odd number of @ B blocks (17 and 19), so the two
+# threads' halves are uneven, and the axis-0 pass that each plane runs: a
+# Bluestein length in blocks, and 1200 = 30 * 40 over row groups.
+SPLIT_GRIDS = {(1031, 131): "_pass0", (1200, 131): "_pass0_grouped"}
+# where each pass is looked up when a transform runs it
+PASSES = {"_pass0": fftcore, "_pass0_grouped": transform}
 
 
 def signed_dft(z, axis, c):
@@ -383,13 +387,10 @@ def numpy_composition(variant, data, inverse):
     return out / data[..., 0].size if inverse else out * conj
 
 
-@pytest.mark.parametrize("n1, n2", RAGGED_GRIDS)
-def test_fast_path_in_ragged_blocks(n1, n2):
-    # the axis-0 pass runs on column blocks, the axis-1 pass and @ B on
-    # row blocks; both end ragged
-    cols, rows = _block_columns(n1), _block_columns(n2)
-    assert n2 > cols and n2 % cols and n1 > rows and n1 % rows
-    rng = np.random.default_rng(SEED + 16)
+def assert_fast_path_matches_numpy(n1, n2, rng):
+    """forward_fast and inverse_fast of every family on a random n1 x n2
+    field, at generic, g = f and g = -f pairs, against
+    ``numpy_composition``, and a few samples against the scalar oracle."""
     data = rng.standard_normal((n1, n2, 4))
     before = data.copy()
     checked = []
@@ -417,10 +418,74 @@ def test_fast_path_in_ragged_blocks(n1, n2):
         assert np.max(np.abs(got[k1, k2] - want)) <= 1e-12 * rms(got)
 
 
-def split_inputs():
-    """A field on SPLIT_GRID and a generic context, after the grid's checks."""
-    n1, n2 = SPLIT_GRID
+@pytest.mark.parametrize("n1, n2", RAGGED_GRIDS)
+def test_fast_path_in_ragged_blocks(n1, n2):
+    # the axis-0 pass runs on column blocks, the axis-1 pass and @ B on
+    # row blocks; both end ragged
+    cols, rows = _block_columns(n1), _block_columns(n2)
+    assert n2 > cols and n2 % cols and n1 > rows and n1 % rows
+    assert_fast_path_matches_numpy(n1, n2, np.random.default_rng(SEED + 16))
+
+
+# Axis-0 lengths n = a b of a four-step plan whose factors are both dense
+# (5 13, 2 61, 16 32, 25 40, 32 32, 64 64): a transform runs that axis in
+# place over the plane's row groups (``fftcore._pass0_grouped``).  With
+# n2 = 600 the length-122 pass, 512 columns a chunk, ends in a partial one.
+GROUPED_GRIDS = ((65, 40), (122, 600), (512, 48), (1000, 24), (1024, 16), (4096, 4))
+# a dense length, a prime and a four-step length with a factor above 64
+BLOCKED_LENGTHS = (64, 67, 515)
+
+
+def test_grouped_route_takes_two_dense_factors_only():
+    for n1, _ in GROUPED_GRIDS:
+        for sign in (-1, 1):
+            a = fftcore._grouped(n1, sign)
+            assert a > 1 and n1 % a == 0 and n1 // a <= fftcore._DENSE_MAX
+    for n in (0, 1) + BLOCKED_LENGTHS:
+        assert fftcore._grouped(n, -1) == fftcore._grouped(n, 1) == 0
+    # 122 = 2 * 61 takes chunks of 512 columns: the last of 600 has 88
+    chunk = 1 << (fftcore._GROUP // 61).bit_length() - 1
+    assert fftcore._grouped(122, -1) == 2 and 600 // chunk == 1 and 600 % chunk
+
+
+@pytest.mark.parametrize("n1, n2", GROUPED_GRIDS + tuple((n, 30) for n in BLOCKED_LENGTHS))
+def test_fast_path_on_grouped_and_blocked_axis_0(n1, n2):
+    assert_fast_path_matches_numpy(n1, n2, np.random.default_rng(SEED + 18))
+
+
+def test_transform_runs_axis_0_over_row_groups(monkeypatch):
+    # at 1024 x 1024 each plane of a full transform runs axis 0 as one
+    # grouped pass and only axis 1 through fft1; the phase-angle lines,
+    # a (1, n) and an (n, 1) plane, still take fft1 on both axes
+    calls = []
+    run_fft1 = fftcore.fft1
+
+    def fft1(x, sign, axis=-1, out=None):
+        calls.append(("fft1", np.shape(x), axis % np.ndim(x)))
+        return run_fft1(x, sign, axis, out)
+
+    for module in (fftcore, transform):
+        monkeypatch.setattr(module, "fft1", fft1)
+    watch_passes(monkeypatch, lambda name: calls.append((name,)))
+    n = 1024
+    rng = np.random.default_rng(SEED + 19)
+    field = rand_field(rng, n, n)
+    ctx = context_zoo(rng)[0]
+    forward_fast(TransformVariant(Family.TWO_SIDED, ctx), field)
+    assert sorted(c for c in calls if c[0] != "_pass0") == [
+        ("_pass0_grouped",)] * 2 + [("fft1", (n, n), 1)] * 2
+    calls.clear()
+    forward_fast(TransformVariant(Family.PHASE_ANGLE, ctx), field)
+    assert ("_pass0_grouped",) not in calls
+    assert sorted(c for c in calls if c[0] == "fft1") == [
+        ("fft1", (1, n), 0), ("fft1", (1, n), 1), ("fft1", (n, 1), 0), ("fft1", (n, 1), 1)]
+
+
+def split_inputs(grid):
+    """A field on one of SPLIT_GRIDS and a generic context, after the grid's checks."""
+    n1, n2 = grid
     assert n1 * n2 >= _SPLIT_MIN and -(-n1 // _block_columns(n2)) % 2
+    assert bool(fftcore._grouped(n1, -1)) == (SPLIT_GRIDS[grid] == "_pass0_grouped")
     rng = np.random.default_rng(SEED + 17)
     return rng.standard_normal((n1, n2, 4)), context_zoo(rng)[0]
 
@@ -445,24 +510,30 @@ def on_one_thread(fn):
         fftcore._SPLIT_MIN = floor
 
 
+def watch_passes(monkeypatch, before):
+    """Call before(name) ahead of every ``_pass0`` and grouped axis-0 pass."""
+    for name, module in PASSES.items():
+        def spy(x, sign, name=name, run=getattr(module, name)):
+            before(name)
+            return run(x, sign)
+
+        monkeypatch.setattr(module, name, spy)
+
+
 def test_split_jobs_give_the_one_thread_bits(monkeypatch):
-    data, ctx = split_inputs()
-    threads = set()
-    pass0 = fftcore._pass0
-
-    def spy(x, sign):
-        threads.add(threading.get_ident())
-        return pass0(x, sign)
-
-    monkeypatch.setattr(fftcore, "_pass0", spy)
-    alive = threading.active_count()
-    split = fast_results(data, ctx)
-    assert len(threads) > 1 and threading.active_count() == alive
-    threads.clear()
-    one = on_one_thread(lambda: fast_results(data, ctx))
-    assert threads == {threading.get_ident()}
-    for got, want in zip(split, one):
-        assert np.array_equal(got, want)
+    threads = {}
+    watch_passes(monkeypatch, lambda name: threads.setdefault(name, set()).add(threading.get_ident()))
+    for grid, axis0 in SPLIT_GRIDS.items():
+        data, ctx = split_inputs(grid)
+        threads.clear()
+        alive = threading.active_count()
+        split = fast_results(data, ctx)
+        assert len(threads[axis0]) > 1 and threading.active_count() == alive
+        threads.clear()
+        one = on_one_thread(lambda: fast_results(data, ctx))
+        assert set().union(*threads.values()) == {threading.get_ident()} and axis0 in threads
+        for got, want in zip(split, one):
+            assert np.array_equal(got, want)
 
 
 class HelperFailure(Exception):
@@ -470,33 +541,33 @@ class HelperFailure(Exception):
 
 
 def test_helper_exception_reaches_the_caller(monkeypatch):
-    data, ctx = split_inputs()
     caller = threading.get_ident()
-    pass0 = fftcore._pass0
 
-    def fail_off_the_caller(x, sign):
+    def fail_off_the_caller(name):
         if threading.get_ident() != caller:
-            raise HelperFailure("on the helper's half")
-        return pass0(x, sign)
+            raise HelperFailure(f"{name} on the helper's half")
 
-    monkeypatch.setattr(fftcore, "_pass0", fail_off_the_caller)
-    alive = threading.active_count()
-    with pytest.raises(HelperFailure, match="on the helper's half"):
-        forward_fast(TransformVariant(Family.TWO_SIDED, ctx), QuaternionField2D(data))
-    # the helper was joined
-    assert threading.active_count() == alive
+    watch_passes(monkeypatch, fail_off_the_caller)
+    for grid, axis0 in SPLIT_GRIDS.items():
+        data, ctx = split_inputs(grid)
+        alive = threading.active_count()
+        # plane - starts with its axis-0 pass on the helper
+        with pytest.raises(HelperFailure, match=f"^{axis0} on the helper's half"):
+            forward_fast(TransformVariant(Family.TWO_SIDED, ctx), QuaternionField2D(data))
+        # the helper was joined
+        assert threading.active_count() == alive
 
 
 def test_concurrent_callers_get_the_one_thread_bits():
     # more callers than cores, switching often: each starts its own
     # helpers, which write only its own planes and rows, and all get the
     # one-thread bits
-    data, ctx = split_inputs()
-    want = on_one_thread(lambda: fast_results(data, ctx))
+    inputs = [split_inputs(grid) for grid in SPLIT_GRIDS]
+    want = on_one_thread(lambda: [fast_results(*args) for args in inputs])
     got = [None] * 3
 
     def call(i):
-        got[i] = fast_results(data, ctx)
+        got[i] = [fast_results(*args) for args in inputs]
 
     callers = [threading.Thread(target=call, args=(i,)) for i in range(len(got))]
     interval = sys.getswitchinterval()
@@ -511,5 +582,7 @@ def test_concurrent_callers_get_the_one_thread_bits():
     assert not any(t.is_alive() for t in callers)
     for result in got:
         assert result is not None and len(result) == len(want)
-        for g, w in zip(result, want):
-            assert np.array_equal(g, w)
+        for grid_got, grid_want in zip(result, want):
+            assert len(grid_got) == len(grid_want)
+            for g, w in zip(grid_got, grid_want):
+                assert np.array_equal(g, w)
