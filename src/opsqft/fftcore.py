@@ -26,16 +26,22 @@ when it is given an output to write (the input itself, say), plus the
 scratch of a few blocks: 0.75 MiB, or up to about 2.25 MiB on a
 Bluestein axis, whose padded buffer is two to four times the block.
 
-A transform's axis 0 skips the blocks where its length n = a b is a
-four-step with both factors dense (512, 1000, 1024, 4096, ...).
+Where the length n = a b is a four-step with both factors dense (65,
+130, 512, 1000, 1024, 4096, ...), two passes skip the kernel's blocks.
+Along a last axis, the axis along each row, ``fft1`` takes the row
+route ``_pass1_grouped``: a block of rows is gathered once as (b, rows,
+a), in runs of a samples, each stage is one product over the whole
+block, Mb on the left and Ma on the right with the twiddles between, and
+the block is written back in natural order, beside two blocks of
+scratch.  A transform's axis 0 runs ``_pass0_grouped``:
 ``transform._fast`` writes each plane's rows in the four-step's input
 order, row b m1 + m2 from input a m2 + m1, which its rotation reads out
-of place at no cost, so ``_pass0_grouped`` runs the two stages in place
-over groups of rows, with no gather, transpose or copy of blocks, beside
-a scratch of at most 2^15 samples (512 KiB).  Its axis 1, and every
-standalone ``fft1`` and ``fft2``, whose input comes in natural order,
-take the blocked passes.  ``transform._fast`` transforms its two planes
-on two threads, so a transform holds twice one pass's scratch.
+of place at no cost, so the two stages run in place over groups of rows,
+each group's twiddles folded into its stage-1 matrix, with no gather,
+transpose or copy of blocks, beside a scratch of at most 2^15 samples
+(512 KiB).  Its axis 1 is a last axis.  ``transform._fast`` transforms
+its two planes on two threads, so a transform holds twice one pass's
+scratch.
 
 ``_halves`` runs the independent jobs of a transform, its two planes and
 then the row blocks of its last product, on a grid of at least 2^17
@@ -48,7 +54,9 @@ block products would otherwise spread over both cores, gain nothing
 beside a second Python thread and stall when another process takes a
 core.  The count is not set back after a split, since the BLAS worker
 that an earlier product of the caller left spinning would then take
-back the second core.
+back the second core.  Where no count was set (numpy uses another BLAS,
+or keeps its OpenBLAS elsewhere), ``_halves`` runs every job in the
+caller.
 """
 
 from __future__ import annotations
@@ -82,6 +90,8 @@ _GROUP = 1 << 15
 # it (320 x 320, say) the helper's start and the two threads' turns at the
 # interpreter lock cost more than the half it takes.
 _SPLIT_MIN = 1 << 17
+# Where numpy's Linux wheels keep their bundled OpenBLAS.
+_BLAS_LIBS = Path(np.__file__).parent.parent / "numpy.libs"
 
 
 def _check_sign(s: int) -> int:
@@ -128,37 +138,42 @@ def _plan(n: int, sign: int):
 
 
 def _block_columns(n: int) -> int:
-    """Columns of length n per block: a power of two, so BLAS keeps each
-    column's bits in any block, near _BLOCK / n."""
+    """Columns of length n per block: a power of two near _BLOCK / n, so
+    every block but the last has one shape.  (On OpenBLAS's SkylakeX
+    kernels a column's bits then do not depend on its block; its Haswell
+    kernels make no such promise.)"""
     return 1 << max(1, _BLOCK // max(n, 1)).bit_length() - 1
 
 
 @cache
-def _pin_blas() -> None:
-    """Set numpy's bundled OpenBLAS, if there is one, to one thread."""
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+def _pin_blas() -> bool:
+    """Set numpy's bundled OpenBLAS, if there is one, to one thread, and
+    say whether a count was set."""
+    pinned = False
+    for path in _BLAS_LIBS.glob("libscipy_openblas64_*"):
         try:
             setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], None
         setter(1)
+        pinned = True
+    return pinned
 
 
 def _halves(run, jobs: Sequence, samples: int) -> None:
     """``run(jobs)`` for independent jobs over a grid of ``samples`` samples.
 
-    From _SPLIT_MIN samples the second half of the jobs runs on a helper
-    thread and the first in the caller; below it ``run`` takes them all in
-    the caller.  Each call starts its own helper, in a copy of the
-    caller's context, so numpy's error state (a context variable) holds
-    there too; it is joined before the call returns, and an exception it
-    raised is raised here.
+    From _SPLIT_MIN samples, once ``_pin_blas`` has set the BLAS to one
+    thread, the second half of the jobs runs on a helper thread and the
+    first in the caller; otherwise ``run`` takes them all in the caller.
+    Each call starts its own helper, in a copy of the caller's context, so
+    numpy's error state (a context variable) holds there too; it is joined
+    before the call returns, and an exception it raised is raised here.
     """
-    if len(jobs) < 2 or samples < _SPLIT_MIN:
+    if len(jobs) < 2 or samples < _SPLIT_MIN or not _pin_blas():
         run(jobs)
         return
-    _pin_blas()
     half = len(jobs) // 2
     raised = []
 
@@ -216,9 +231,10 @@ def _pass0_grouped(x: np.ndarray, sign: int) -> None:
     a m2 + m1: the four-step of ``_pass0`` with its transpose left to the
     writer of x.  Afterwards row k holds output k.
 
-    Each contiguous group of b rows (one m1) is transformed into a scratch
-    and multiplied by its twiddles on the way back; then each strided group
-    of a rows (one k2).  The columns go in chunks of at most _GROUP / b.
+    Each contiguous group of b rows (one m1) is multiplied by the stage-1
+    matrix with its twiddles folded in, diag(T[:, m1]) Mb, into a scratch
+    and copied back; then each strided group of a rows (one k2) by Ma.  The
+    columns go in chunks of at most _GROUP / b.
     """
     n, r = x.shape
     _, a, twiddles = _plan(n, sign)
@@ -228,15 +244,48 @@ def _pass0_grouped(x: np.ndarray, sign: int) -> None:
     groups.shape = (a, b, r)  # never a copy, unlike reshape
     w = 1 << (_GROUP // b).bit_length() - 1  # a power of two, as in _block_columns
     z = np.empty((b, min(w, r)), dtype=np.complex128)
+    d = np.empty((b, b), dtype=np.complex128)
     for j in range(0, r, w):
         cols = slice(j, j + w)
         s = z[:, :min(w, r - j)]
         for m1 in range(a):
-            np.matmul(mb, groups[m1, :, cols], out=s)
-            np.multiply(s, twiddles[:, m1, None], out=groups[m1, :, cols])
+            np.multiply(twiddles[:, m1, None], mb, out=d)
+            np.matmul(d, groups[m1, :, cols], out=s)
+            groups[m1, :, cols] = s
         for k2 in range(b):
             np.matmul(ma, groups[:, k2, cols], out=s[:a])
             groups[:, k2, cols] = s[:a]
+
+
+def _pass1_grouped(x: np.ndarray, out: np.ndarray, sign: int) -> None:
+    """Signed transform along axis 1 of an (r, n) complex array into
+    ``out`` of its shape, which may be x itself, n = a b with a =
+    ``_grouped(n, sign)``: the four-step of ``_pass0`` on rows.
+
+    Each block of ``_block_columns(n)`` rows, input index a m2 + m1, is
+    gathered once as (b, rows, a) in runs of a samples, multiplied by Mb
+    on the left in one product, by the twiddles T[k2, m1], and by Ma on the
+    right in one product, which leaves (k2, row, k1) for output k2 + b k1;
+    then it is written back in natural order.  The two blocks of scratch
+    are sized to the rows present.
+    """
+    r, n = x.shape
+    _, a, twiddles = _plan(n, sign)
+    b = n // a
+    ma, mb = _plan(a, sign)[1], _plan(b, sign)[1]
+    src, dst = x.reshape(r, b, a), out.view()
+    dst.shape = (r, a, b)  # never a copy, unlike reshape
+    k = min(_block_columns(n), r) or 1
+    g, y = np.empty((2, n * k), dtype=np.complex128)
+    for i in range(0, r, k):
+        rows = min(k, r - i)
+        gathered = g[:n * rows].reshape(b, rows, a)
+        stage = y[:n * rows].reshape(b, rows, a)
+        np.copyto(gathered, src[i:i + rows].transpose(1, 0, 2))
+        np.matmul(mb, gathered.reshape(b, rows * a), out=stage.reshape(b, rows * a))
+        stage *= twiddles[:, None, :]
+        np.matmul(stage.reshape(b * rows, a), ma, out=gathered.reshape(b * rows, a))
+        np.copyto(dst[i:i + rows], gathered.transpose(1, 2, 0))
 
 
 def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
@@ -247,6 +296,9 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
     default, or a given complex128 array of the input's shape (any other
     raises ValueError), which may be the input itself (a block is read
     whole before it is written).  The blocks run in the calling thread.
+    Along a last axis (one sample after it) whose length is a four-step of
+    two dense factors, they are blocks of rows (``_pass1_grouped``);
+    otherwise, blocks of the kernel's columns.
     """
     _check_sign(sign)
     ndim = np.ndim(x)
@@ -265,6 +317,9 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
         dst.shape = (pre, n, post)  # never a copy, unlike reshape
     except AttributeError:
         raise ValueError(f"out of strides {out.strides} has no ({pre}, {n}, {post}) view") from None
+    if post == 1 and _grouped(n, sign):
+        _pass1_grouped(src[:, :, 0], dst[:, :, 0], sign)
+        return out
     # a block is k leading by w trailing indices, k w = cols columns of length n
     cols = _block_columns(n)
     w = min(post, cols) or 1

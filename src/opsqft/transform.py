@@ -40,8 +40,8 @@ Everything happens in the one output array, seen as (N1, 2, N2) complex
 it and transformed in place.  Where N1 = a b is a four-step of two dense
 factors, the rotation writes plane row b m1 + m2 from data row a m2 + m1,
 the order in which ``fftcore._pass0_grouped`` runs axis 0 over groups of
-rows, and ``fft1`` then runs axis 1; any other plane goes through
-``fft2``.  Then each block of rows is interleaved into a small scratch
+rows, and ``fft1`` then runs axis 1 (by its row route where N2 is such a
+length too); any other plane goes through ``fft2``.  Then each block of rows is interleaved into a small scratch
 whose product with B overwrites those rows.  No other full-size array is
 made.
 

@@ -129,6 +129,11 @@ def rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def rms_err(got, want):
+    """Largest deviation relative to the RMS of the reference."""
+    return np.max(np.abs(got - want)) / np.sqrt(np.mean(np.abs(want) ** 2))
+
+
 @pytest.mark.parametrize("n", KERNEL_LENGTHS)
 def test_fft1_every_length_both_signs(n):
     rng = np.random.default_rng(SEED + 7 + n)
@@ -195,10 +200,12 @@ def test_fft2_returns_c_contiguous():
             assert fft2(source, -1, 1).flags.c_contiguous
 
 
-@pytest.mark.parametrize("n1, n2", [(67, 515), (129, 33), (1, 5)])
+@pytest.mark.parametrize("n1, n2", [(67, 515), (129, 33), (1, 5), (67, 130)])
 def test_fft2_in_place_on_interleaved_planes(n1, n2):
     # each plane of an (n1, n2, 2) stack is a strided view; both axis passes
-    # span several blocks, end in a ragged one and write over their input
+    # span several blocks, end in a ragged one and write over their input.
+    # 130 = 10 * 13 takes the row route along axis 1: 64 rows a block, the
+    # last of 67 with 3
     rng = np.random.default_rng(SEED + 13)
     stack = rand_c(rng, (n1, n2, 2))
     before = stack.copy()
@@ -279,7 +286,7 @@ def test_fft1_refuses_an_out_with_no_block_view():
     assert not bad.any()
 
 
-@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3), (0, 1000)])
 def test_zero_length_axes_give_empty_results(shape):
     x = np.zeros(shape)
     for axis in range(len(shape)):
@@ -303,8 +310,10 @@ def test_import_builds_no_plan():
 def test_grouped_pass_gives_the_fft2_bits(n1, n2):
     # a plane of an interleaved stack, as a transform holds it, with row
     # b m1 + m2 holding row a m2 + m1 of the natural-order plane; 122 x 576
-    # ends in a partial chunk of 64 columns.  n2 is a multiple of 64, so
-    # every product has whole BLAS column panels, as in fft1's blocks.
+    # ends in a partial chunk of 64 columns.  The grouped pass folds its
+    # twiddles into its stage-1 matrices, and the BLAS may round a column
+    # by its operand's shape, so the two routes agree to rounding, not
+    # bit for bit.
     x = rand_c(np.random.default_rng(SEED + 16), (n1, n2))
     for s1, s2 in ((-1, 1), (1, -1)):
         a = fftcore._grouped(n1, s1)
@@ -313,4 +322,60 @@ def test_grouped_pass_gives_the_fft2_bits(n1, n2):
         plane[:] = x.reshape(n1 // a, a, n2).transpose(1, 0, 2).reshape(n1, n2)
         fftcore._pass0_grouped(plane, s1)
         fft1(plane, s2, axis=1, out=plane)
-        assert np.array_equal(plane, fft2(x, s1, s2))
+        assert rms_err(plane, fft2(x, s1, s2)) < 1e-14
+
+
+# Lengths n = a b whose factors are both dense take the row route along a
+# last axis (``_pass1_grouped``); a dense length, primes and 515 = 5 * 103
+# do not.
+ROW_ROUTE_LENGTHS = (65, 70, 122, 130, 512, 1000, 1024, 4096)
+BLOCKED_LENGTHS = (2, 64, 67, 131, 515, 1021)
+
+
+def watch_row_route(monkeypatch):
+    """The list of the lengths ``_pass1_grouped`` runs from here on."""
+    lengths = []
+    run = fftcore._pass1_grouped
+
+    def spy(x, out, sign):
+        lengths.append(x.shape[1])
+        return run(x, out, sign)
+
+    monkeypatch.setattr(fftcore, "_pass1_grouped", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("n", ROW_ROUTE_LENGTHS + BLOCKED_LENGTHS)
+def test_row_route_takes_two_dense_factors_only(n, monkeypatch):
+    # rows of a C-contiguous array and of a transposed view (strided along
+    # the axis), in three blocks of rows with a partial last one, and an
+    # (n, 1) column along axis 0, which has one sample after the axis too
+    lengths = watch_row_route(monkeypatch)
+    rows = 2 * fftcore._block_columns(n) + 3
+    rng = np.random.default_rng(SEED + 17 + n)
+    x = rand_c(rng, (rows, n))
+    for source, axis in ((x, 1), (x.T.copy().T, 1), (x[:1].T, 0)):
+        for sign in (-1, 1):
+            assert rms_err(fft1(source, sign, axis=axis), signed_numpy(source, sign, axis)) < 1e-14
+    assert lengths == [n] * 6 * (n in ROW_ROUTE_LENGTHS)
+    assert bool(fftcore._grouped(n, -1)) == (n in ROW_ROUTE_LENGTHS)
+
+
+def test_row_route_in_place_gives_the_out_of_place_bits(monkeypatch):
+    # a plane of an interleaved stack, its rows strided: written over
+    # itself, into a new array and into the other plane, in two blocks and
+    # a partial one, the route runs the same products, so the same bits
+    lengths = watch_row_route(monkeypatch)
+    n = 1000
+    rows = 2 * fftcore._block_columns(n) + 5
+    stack = rand_c(np.random.default_rng(SEED + 18), (rows, 2, n))
+    plane = stack[:, 0].copy()
+    want = fft1(plane, 1)
+    other = stack[:, 1]
+    assert fft1(stack[:, 0], 1, out=other) is other
+    assert np.array_equal(other, want)
+    assert np.array_equal(stack[:, 0], plane)
+    fft1(stack[:, 0], 1, out=stack[:, 0])
+    assert np.array_equal(stack[:, 0], want)
+    assert rms_err(want, n * np.fft.ifft(plane)) < 1e-14
+    assert lengths == [n] * 3

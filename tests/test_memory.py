@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opsqft.fftcore import _pass0_grouped, fft2
+from opsqft.fftcore import _pass0_grouped, fft1, fft2
 from opsqft.fields import QuaternionField2D
 from opsqft.quat import PureUnitQuaternion, norm_arr
 from opsqft.split import make_context
@@ -21,16 +21,25 @@ N = 512
 MIB = 1 << 20
 PLANE = N * N * 16
 FIELD = 2 * PLANE
-# fft2 runs its passes in the calling thread, and fft1 holds three blocks
-# of 2^14 complex samples at once, in place or not: the gathered block and
-# the two stages of its four-step pass (0.75 MiB).  The 64 KiB margin is
-# for the plans and views; twice the blocks would not fit.
-SCRATCH = 3 * (1 << 14) * 16 + 64 * 1024
+# bytes in one block of an axis pass, 2^14 complex samples
+BLOCK = (1 << 14) * 16
+# numpy's buffer for a ufunc whose operand is broadcast, as the twiddles are
+UFUNC_BUFFER = np.getbufsize() * 16
+# fft2 runs its passes in the calling thread.  fft1's blocked pass (axis 0
+# here) holds three blocks of 2^14 complex samples at once, in place or
+# not: the gathered block and the two stages of its four-step pass (0.75
+# MiB).  Its row route along a last axis of two dense factors (axis 1
+# here, 512 = 16 32) holds two: the gathered block and one stage.  The 64
+# KiB margin is for the plans and views; twice the blocks would not fit.
+SCRATCH = 3 * BLOCK + 64 * 1024
+ROW_SCRATCH = 2 * BLOCK + UFUNC_BUFFER + 64 * 1024
 # the fast path's scratch, on each of the two threads that transform its
-# planes: the 2^15-sample chunk of the grouped axis-0 pass (here 32 x 512
-# samples, 256 KiB), then fft1's blocks on axis 1; and the block of rows
-# that is interleaved before its product with B overwrites it
-BLOCK_SCRATCH = 4 * MIB
+# planes: first the 2^15-sample chunk of the grouped axis-0 pass (here
+# 32 x 512 samples, 256 KiB), then the row route's ROW_SCRATCH on axis 1,
+# and last the two-block slab of rows that is interleaved before its
+# product with B overwrites it.  Measured: 1.01-1.26 MiB, as the two
+# threads' stages overlap; twice the blocks would not fit.
+BLOCK_SCRATCH = 2 * ROW_SCRATCH
 
 
 def traced_peak(fn):
@@ -58,14 +67,24 @@ def test_fft2_holds_one_plane():
     assert traced_peak(lambda: fft2(x, -1, 1, out=x)) <= SCRATCH
 
 
+def test_row_route_holds_two_blocks_for_the_rows_present():
+    # in place along axis 1 of a plane, the row route holds two blocks of
+    # 2^14 samples, and a line of one row two rows, not two blocks
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    assert traced_peak(lambda: fft1(x, -1, axis=1, out=x)) <= ROW_SCRATCH
+    line = rng.standard_normal((1, 4 * N)).astype(np.complex128)
+    assert traced_peak(lambda: fft1(line, -1, out=line)) <= 2 * line.nbytes + UFUNC_BUFFER + 64 * 1024
+
+
 def test_grouped_pass_holds_one_chunk_at_any_width():
     # a transform's axis-0 pass over row groups holds one chunk of at most
     # 2^15 complex samples (512 KiB), whatever the width: here 13 x 2048
-    # of a 65 x 8192 plane (8.1 MiB), 65 = 5 * 13; besides it, numpy's two
-    # ufunc buffers while the twiddles are multiplied in on the way back
+    # of a 65 x 8192 plane (8.1 MiB), 65 = 5 * 13.  The twiddles are folded
+    # into a 13 x 13 matrix per group, so no ufunc buffer of the chunk's
+    # size is made; the 64 KiB margin takes that matrix and the views.
     x = np.random.default_rng(8).standard_normal((65, 8192)).astype(np.complex128)
-    buffers = 2 * np.getbufsize() * 16
-    assert traced_peak(lambda: _pass0_grouped(x, -1)) <= (1 << 15) * 16 + buffers + 64 * 1024
+    assert traced_peak(lambda: _pass0_grouped(x, -1)) <= (1 << 15) * 16 + 64 * 1024
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -78,8 +97,8 @@ def test_fast_transforms_hold_one_field(family):
     field = QuaternionField2D(data)
     spectrum = Spectrum(field, variant)
     # the rotation, both FFTs and @ B write into the output field; besides
-    # it only the grouped pass's column chunk and block scratch are live
-    # (the phase-angle lines are O(N))
+    # it only the passes' block scratch is live (the phase-angle lines are
+    # O(N))
     limit = FIELD + BLOCK_SCRATCH
     assert traced_peak(lambda: forward_fast(variant, field)) <= limit
     assert traced_peak(lambda: inverse_fast(variant, spectrum)) <= limit

@@ -356,12 +356,14 @@ def test_fast_path_is_scale_and_pair_invariant(k, n1, n2, sign, eps, seed):
 # lengths.
 RAGGED_GRIDS = ((67, 515), (515, 67), (1031, 131))
 # Grids large enough for ``_halves`` to split a transform's jobs over two
-# threads, each with an odd number of @ B blocks (17 and 19), so the two
-# threads' halves are uneven, and the axis-0 pass that each plane runs: a
-# Bluestein length in blocks, and 1200 = 30 * 40 over row groups.
-SPLIT_GRIDS = {(1031, 131): "_pass0", (1200, 131): "_pass0_grouped"}
+# threads, each with an odd number of @ B blocks (17, 19 and 19), so the
+# two threads' halves are uneven, and the passes that each plane runs on
+# axis 0 and axis 1: a Bluestein length in blocks, 1200 = 30 * 40 over row
+# groups, and 130 = 10 * 13 by the row route.
+SPLIT_GRIDS = {(1031, 131): ("_pass0", "_pass0"), (1200, 131): ("_pass0_grouped", "_pass0"),
+               (1200, 130): ("_pass0_grouped", "_pass1_grouped")}
 # where each pass is looked up when a transform runs it
-PASSES = {"_pass0": fftcore, "_pass0_grouped": transform}
+PASSES = {"_pass0": fftcore, "_pass0_grouped": transform, "_pass1_grouped": fftcore}
 
 
 def signed_dft(z, axis, c):
@@ -455,8 +457,9 @@ def test_fast_path_on_grouped_and_blocked_axis_0(n1, n2):
 
 def test_transform_runs_axis_0_over_row_groups(monkeypatch):
     # at 1024 x 1024 each plane of a full transform runs axis 0 as one
-    # grouped pass and only axis 1 through fft1; the phase-angle lines,
-    # a (1, n) and an (n, 1) plane, still take fft1 on both axes
+    # grouped pass and only axis 1 through fft1, which takes the row route;
+    # the phase-angle lines, a (1, n) and an (n, 1) plane, take fft1 on
+    # both axes: the row route along n, a block of _pass0 along 1
     calls = []
     run_fft1 = fftcore.fft1
 
@@ -472,12 +475,11 @@ def test_transform_runs_axis_0_over_row_groups(monkeypatch):
     field = rand_field(rng, n, n)
     ctx = context_zoo(rng)[0]
     forward_fast(TransformVariant(Family.TWO_SIDED, ctx), field)
-    assert sorted(c for c in calls if c[0] != "_pass0") == [
-        ("_pass0_grouped",)] * 2 + [("fft1", (n, n), 1)] * 2
+    assert sorted(calls) == [("_pass0_grouped",)] * 2 + [("_pass1_grouped",)] * 2 + [
+        ("fft1", (n, n), 1)] * 2
     calls.clear()
     forward_fast(TransformVariant(Family.PHASE_ANGLE, ctx), field)
-    assert ("_pass0_grouped",) not in calls
-    assert sorted(c for c in calls if c[0] == "fft1") == [
+    assert sorted(calls) == [("_pass0",)] * 2 + [("_pass1_grouped",)] * 2 + [
         ("fft1", (1, n), 0), ("fft1", (1, n), 1), ("fft1", (n, 1), 0), ("fft1", (n, 1), 1)]
 
 
@@ -485,7 +487,9 @@ def split_inputs(grid):
     """A field on one of SPLIT_GRIDS and a generic context, after the grid's checks."""
     n1, n2 = grid
     assert n1 * n2 >= _SPLIT_MIN and -(-n1 // _block_columns(n2)) % 2
-    assert bool(fftcore._grouped(n1, -1)) == (SPLIT_GRIDS[grid] == "_pass0_grouped")
+    axis0, axis1 = SPLIT_GRIDS[grid]
+    assert bool(fftcore._grouped(n1, -1)) == (axis0 == "_pass0_grouped")
+    assert bool(fftcore._grouped(n2, -1)) == (axis1 == "_pass1_grouped")
     rng = np.random.default_rng(SEED + 17)
     return rng.standard_normal((n1, n2, 4)), context_zoo(rng)[0]
 
@@ -511,11 +515,11 @@ def on_one_thread(fn):
 
 
 def watch_passes(monkeypatch, before):
-    """Call before(name) ahead of every ``_pass0`` and grouped axis-0 pass."""
+    """Call before(name) ahead of every pass of PASSES."""
     for name, module in PASSES.items():
-        def spy(x, sign, name=name, run=getattr(module, name)):
+        def spy(*args, name=name, run=getattr(module, name)):
             before(name)
-            return run(x, sign)
+            return run(*args)
 
         monkeypatch.setattr(module, name, spy)
 
@@ -523,17 +527,42 @@ def watch_passes(monkeypatch, before):
 def test_split_jobs_give_the_one_thread_bits(monkeypatch):
     threads = {}
     watch_passes(monkeypatch, lambda name: threads.setdefault(name, set()).add(threading.get_ident()))
-    for grid, axis0 in SPLIT_GRIDS.items():
+    for grid, passes in SPLIT_GRIDS.items():
         data, ctx = split_inputs(grid)
         threads.clear()
         alive = threading.active_count()
         split = fast_results(data, ctx)
-        assert len(threads[axis0]) > 1 and threading.active_count() == alive
+        assert all(len(threads[name]) > 1 for name in passes)
+        assert threading.active_count() == alive
         threads.clear()
         one = on_one_thread(lambda: fast_results(data, ctx))
-        assert set().union(*threads.values()) == {threading.get_ident()} and axis0 in threads
+        assert set().union(*threads.values()) == {threading.get_ident()}
+        assert set(passes) <= threads.keys()
         for got, want in zip(split, one):
             assert np.array_equal(got, want)
+
+
+def test_no_helper_where_the_blas_count_is_not_set(monkeypatch, tmp_path):
+    # with the library search pointed at an empty directory, no OpenBLAS
+    # count is set, so a grid that splits runs every job in the caller, with
+    # the bits of the split
+    data, ctx = split_inputs((1200, 130))
+    want = fast_results(data, ctx)
+
+    class NoThreads:
+        def Thread(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(fftcore, "threading", NoThreads)
+    monkeypatch.setattr(fftcore, "_BLAS_LIBS", tmp_path)
+    fftcore._pin_blas.cache_clear()
+    try:
+        got = fast_results(data, ctx)
+        assert fftcore._pin_blas() is False
+    finally:
+        fftcore._pin_blas.cache_clear()  # the next call searches numpy's own directory
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 class HelperFailure(Exception):
@@ -548,7 +577,7 @@ def test_helper_exception_reaches_the_caller(monkeypatch):
             raise HelperFailure(f"{name} on the helper's half")
 
     watch_passes(monkeypatch, fail_off_the_caller)
-    for grid, axis0 in SPLIT_GRIDS.items():
+    for grid, (axis0, _) in SPLIT_GRIDS.items():
         data, ctx = split_inputs(grid)
         alive = threading.active_count()
         # plane - starts with its axis-0 pass on the helper
