@@ -18,6 +18,8 @@ family here run through a pair of complex FFTs.
     True
 """
 
+import importlib
+
 from .quat import (
     ONE,
     QI,
@@ -51,34 +53,39 @@ from .split import (
     split,
     split_arr,
 )
-from .fftcore import fft1, fft2
-from .transform import (
-    Family,
-    Spectrum,
-    TransformVariant,
-    VariantMismatch,
-    forward_direct,
-    forward_fast,
-    inverse_direct,
-    inverse_fast,
-    split_spectra,
-)
-from .formats import (
-    BadMagic,
-    BadVersion,
-    FileFormatError,
-    IoFailure,
-    MalformedHeader,
-    NonFiniteSample,
-    TrailingBytes,
-    TruncatedPayload,
-    UnsupportedFormat,
-    export_magnitude_pgm,
-    read_field,
-    read_image_ppm,
-    write_field,
-)
-from .verify import CheckResult, run_all
+
+# The FFT, transform, file-format and verification modules load on first
+# use of one of their names (PEP 562), so a command that needs none of
+# them does not pay for their import.  ``split`` stays eager: the function
+# ``split`` shadows its submodule's name, and a lazy import of the
+# submodule would bind ``opsqft.split`` to the module.
+_LAZY = {
+    "fftcore": ("fft1", "fft2"),
+    "transform": ("Family", "TransformVariant", "Spectrum", "VariantMismatch",
+                  "forward_fast", "forward_direct", "inverse_fast", "inverse_direct",
+                  "split_spectra"),
+    "formats": ("FileFormatError", "BadMagic", "BadVersion", "TruncatedPayload",
+                "TrailingBytes", "MalformedHeader", "NonFiniteSample", "UnsupportedFormat",
+                "IoFailure", "read_field", "write_field", "read_image_ppm",
+                "export_magnitude_pgm"),
+    "verify": ("CheckResult", "run_all"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_HOME))
+
 
 __version__ = "0.1.0"
 

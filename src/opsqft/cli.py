@@ -5,6 +5,10 @@ export-pgm, info.  Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 I/O or format error.  Results go to stdout,
 diagnostics to stderr.  Reals print with 17 significant digits so a
 reader can reconstruct the exact double.
+
+A command imports only what it runs: ``transform`` loads the transform
+and FFT modules and ``verify`` the identity suites, each inside its
+handler, so the other commands start without them.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .formats import (
     export_magnitude_pgm,
     write_field,
 )
-from .quat import ONE, PureUnitQuaternion, Quaternion, norm_arr
+from .quat import ONE, PureUnitQuaternion, Quaternion, max_norm_arr
 from .split import (
     DegenerateContext,
     InvalidFrame,
@@ -34,19 +38,15 @@ from .split import (
     coefficients_arr,
     determine_context,
     make_context,
-    split_arr,
+    split_part_arr,
 )
-from .transform import (
-    Family,
-    Spectrum,
-    TransformVariant,
-    VariantMismatch,
-    forward_direct,
-    forward_fast,
-    inverse_direct,
-    inverse_fast,
-)
-from .verify import PROFILES, run_all
+
+# The values of ``transform.Family`` and the names of ``verify.PROFILES``,
+# spelled out so that building the parser imports neither module.
+VARIANTS = ("twosided", "phased", "conjc")
+PROFILE_NAMES = ("quick", "full")
+# Coefficient rows formatted per write, so the text held stays bounded.
+COEFF_ROWS = 1 << 12
 
 
 class UsageError(Exception):
@@ -99,27 +99,32 @@ def _context(args) -> OpsContext:
 # Subcommand handlers.
 
 def _cmd_transform(args) -> int:
-    variant = TransformVariant(Family(args.variant), _context(args))
+    from . import transform
+
+    variant = transform.TransformVariant(transform.Family(args.variant), _context(args))
     field = read_field(args.infile)
     # numpy stays quiet on overflow: write_field refuses a non-finite result
     # with the command's one diagnostic
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.inverse:
-            apply_ = inverse_direct if args.direct else inverse_fast
-            out = apply_(variant, Spectrum(field, variant))
-        else:
-            apply_ = forward_direct if args.direct else forward_fast
-            out = apply_(variant, field).field
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.inverse:
+                apply_ = transform.inverse_direct if args.direct else transform.inverse_fast
+                out = apply_(variant, transform.Spectrum(field, variant))
+            else:
+                apply_ = transform.forward_direct if args.direct else transform.forward_fast
+                out = apply_(variant, field).field
+    except transform.VariantMismatch as e:
+        raise UsageError(str(e)) from e
     write_field(out, args.outfile)
     return 0
 
 
 def _cmd_split(args) -> int:
     ctx = _context(args)
-    field = read_field(args.infile)
-    plus, minus = split_arr(ctx, field.data)
-    write_field(QuaternionField2D(plus), args.out_plus)
-    write_field(QuaternionField2D(minus), args.out_minus)
+    data = read_field(args.infile).data
+    # one part at a time, each freed once written
+    for sign, path in ((1, args.out_plus), (-1, args.out_minus)):
+        write_field(QuaternionField2D(split_part_arr(ctx, data, sign)), path)
     return 0
 
 
@@ -127,8 +132,10 @@ def _cmd_coeffs(args) -> int:
     ctx = _context(args)
     data = (_quaternion(args.q, "--q", (4,)).to_array() if args.q is not None
             else read_field(args.infile).data)
-    for row in coefficients_arr(ctx, data).reshape(-1, 4):
-        print(" ".join(_fmt(c) for c in row))
+    rows = coefficients_arr(ctx, data).reshape(-1, 4)
+    for start in range(0, len(rows), COEFF_ROWS):
+        sys.stdout.write("".join("%.17g %.17g %.17g %.17g\n" % tuple(row)
+                                 for row in rows[start:start + COEFF_ROWS].tolist()))
     return 0
 
 
@@ -146,6 +153,8 @@ def _cmd_planes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_all
+
     results = run_all(args.seed, profile=args.profile)
     for r in results:
         print(r.line())
@@ -174,7 +183,7 @@ def _cmd_info(args) -> int:
     print(f"n2 = {field.n2}")
     print(f"samples = {field.n1 * field.n2}")
     with np.errstate(over="ignore"):  # a norm past the largest double prints as inf
-        print(f"max_norm = {_fmt(float(norm_arr(field.data).max()))}")
+        print(f"max_norm = {_fmt(max_norm_arr(field.data))}")
     return 0
 
 
@@ -194,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", help="apply a transform family to a field file")
-    p.add_argument("--variant", required=True,
-                   choices=[f.value for f in Family])
+    p.add_argument("--variant", required=True, choices=VARIANTS)
     _axis_flags(p)
     p.add_argument("--inverse", action="store_true")
     mode = p.add_mutually_exclusive_group()
@@ -230,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded identity suites")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--profile", choices=list(PROFILES), default="quick")
+    p.add_argument("--profile", choices=PROFILE_NAMES, default="quick")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("import-ppm", help="read a P3/P6 image as a pure-quaternion field")
@@ -262,7 +270,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (UsageError, InvalidFrame, DegenerateContext, VariantMismatch) as e:
+    except (UsageError, InvalidFrame, DegenerateContext) as e:
         print(f"opsqft: {e}", file=sys.stderr)
         return 2
     except (FileFormatError, OSError) as e:

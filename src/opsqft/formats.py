@@ -13,6 +13,10 @@ pixel becomes the pure quaternion (r/255) i + (g/255) j + (b/255) k,
 image row y on the first grid index and column x on the second.
 Spectra go out as P5 graymaps of per-sample magnitude scaled by the
 peak value.
+
+The per-sample passes (the finiteness check of every read and write,
+the magnitudes) run over blocks of the field, so none holds a second
+array of the field's size.
 """
 
 from __future__ import annotations
@@ -21,12 +25,11 @@ import contextlib
 import os
 import re
 import struct
-import uuid
 
 import numpy as np
 
 from .fields import QuaternionField2D
-from .quat import norm_arr
+from .quat import sq_norm_blocks
 
 MAGIC = b"QF2D"
 VERSION = 1
@@ -76,16 +79,24 @@ class IoFailure(FileFormatError):
         self.cause = cause
 
 
+# Components per block of ``_require_finite``'s check.
+_FINITE_BLOCK = 1 << 16
+
+
 def _require_finite(path, data: np.ndarray) -> None:
-    """Raise ``NonFiniteSample`` at the first NaN or infinite component."""
-    finite = np.isfinite(data)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        n, c = divmod(i, 4)
-        n2 = data.shape[1]
-        raise NonFiniteSample(path, HEADER.size + 8 * i,
-                              f"sample [{n // n2}, {n % n2}] component {c} "
-                              f"is {data.reshape(-1)[i]}")
+    """Raise ``NonFiniteSample`` at the first NaN or infinite component,
+    checking the components in blocks, so no field-size mask is made."""
+    flat = data.reshape(-1)
+    mask = np.empty(min(_FINITE_BLOCK, flat.size), dtype=bool)
+    for start in range(0, flat.size, _FINITE_BLOCK):
+        finite = np.isfinite(flat[start:start + _FINITE_BLOCK], out=mask[:flat.size - start])
+        if not finite.all():
+            i = start + int(np.argmin(finite))
+            n, c = divmod(i, 4)
+            n2 = data.shape[1]
+            raise NonFiniteSample(path, HEADER.size + 8 * i,
+                                  f"sample [{n // n2}, {n % n2}] component {c} "
+                                  f"is {flat[i]}")
 
 
 def _write(path, parts) -> None:
@@ -103,7 +114,7 @@ def _write(path, parts) -> None:
                 fh.writelines(parts)
             return
         target = os.path.realpath(path)
-        tmp = f"{target}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
+        tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
         try:
             with open(tmp, "xb") as fh:
                 fh.writelines(parts)
@@ -190,7 +201,8 @@ def _integer(path, off: int, tok: bytes, what: str) -> int:
     return int(tok)
 
 
-_WHITESPACE = np.frombuffer(b" \t\r\n", dtype=np.uint8)
+# The bytes that separate words.
+_SPACES = b" \t\r\n"
 
 
 def _p3_values(path, raw: bytes, start: int, count: int) -> np.ndarray:
@@ -202,20 +214,29 @@ def _p3_values(path, raw: bytes, start: int, count: int) -> np.ndarray:
     to three decimal digits are decoded in bulk; any other word goes
     through ``_integer`` on its own.
     """
-    body = _COMMENT.sub(lambda m: b" " * len(m[0]), raw[start:])
+    body = raw[start:]
+    if b"#" in body:
+        body = _COMMENT.sub(lambda m: b" " * len(m[0]), body)
     b = np.frombuffer(body, dtype=np.uint8)
-    ws = np.concatenate(([True], np.isin(b, _WHITESPACE), [True]))
-    edge = np.diff(ws.astype(np.int8))
+    # whitespace flags with one space before and after the body
+    ws = np.ones(len(b) + 2, dtype=bool)
+    inner = ws[1:-1]
+    np.equal(b, _SPACES[0], out=inner)
+    for c in _SPACES[1:]:
+        inner |= b == c
+    edge = np.diff(ws.view(np.int8))
     starts = np.flatnonzero(edge == -1)[:count]
     ends = np.flatnonzero(edge == 1)[:count]
     length = ends - starts
-    value = np.zeros(len(starts), dtype=np.int64)
+    value = np.zeros(len(starts), dtype=np.int16)
     plain = length <= 3
     for place in range(3):
         present = length > place
-        digit = b[np.where(present, ends - 1 - place, 0)].astype(np.int64) - ord("0")
-        plain &= ~present | ((digit >= 0) & (digit <= 9))
-        value += np.where(present, digit, 0) * 10 ** place
+        # a byte below '0' wraps past 9; a place past the word reads 0
+        digit = b.take(ends - 1 - place, mode="clip") - np.uint8(ord("0"))
+        plain &= ~present | (digit <= 9)
+        digit *= present
+        value += digit * np.int16(10 ** place)
     plain &= value <= 255
     values = value.astype(np.float64)
     for j in np.flatnonzero(~plain):
@@ -270,13 +291,12 @@ def read_image_ppm(path) -> QuaternionField2D:
         if len(pixels) < count:
             raise MalformedHeader(path, min(pix_off, len(raw)) + len(pixels),
                                   f"pixel data needs {count} bytes, got {len(pixels)}")
-        rgb = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64)
+        rgb = np.frombuffer(pixels, dtype=np.uint8)
     else:
         rgb = _p3_values(path, raw, maxval_end, count)
 
-    rgb = rgb.reshape(height, width, 3) / 255.0
     data = np.zeros((height, width, 4))
-    data[:, :, 1:] = rgb
+    np.divide(rgb.reshape(height, width, 3), 255.0, out=data[:, :, 1:])
     return QuaternionField2D(data)
 
 
@@ -285,17 +305,22 @@ def export_magnitude_pgm(spectrum_or_field, path, centered: bool = False) -> Non
 
     Magnitudes are scaled so the peak maps to 255 (an all-zero grid maps
     to an all-zero image).  ``centered`` rolls sample (0, 0) to the grid
-    midpoint (floor(n1/2), floor(n2/2)) for display.
+    midpoint (floor(n1/2), floor(n2/2)) for display.  Each magnitude is
+    the square root of the sum of squares of the sample divided by its
+    largest component, so none overflows, taken block by block into the
+    n1 x n2 image.
     """
     field = getattr(spectrum_or_field, "field", spectrum_or_field)
-    # the image is relative to its peak: scaled by the largest component, no norm overflows
-    top = float(np.max(np.abs(field.data), initial=0.0))
-    mags = norm_arr(field.data / top if top > 0.0 else field.data)
-    peak = float(mags.max())
-    if peak > 0.0:
-        img = np.rint(mags * (255.0 / peak)).astype(np.uint8)  # each at most 255: mags <= peak
+    data = field.data
+    top = float(max(data.max(), -data.min()))
+    if top > 0.0:
+        mags = np.empty(field.n1 * field.n2)
+        for start, s in sq_norm_blocks(data, top):
+            np.sqrt(s, out=mags[start:start + len(s)])
+        mags *= 255.0 / float(mags.max())  # each at most 255: the peak maps to it
+        img = np.rint(mags, out=mags).astype(np.uint8).reshape(field.n1, field.n2)
     else:
-        img = np.zeros(mags.shape, dtype=np.uint8)
+        img = np.zeros((field.n1, field.n2), dtype=np.uint8)
     if centered:
         img = np.roll(img, (field.n1 // 2, field.n2 // 2), axis=(0, 1))
     _write(path, (f"P5\n{field.n2} {field.n1}\n255\n".encode("ascii"), img))

@@ -191,6 +191,53 @@ def norm_arr(q: np.ndarray) -> np.ndarray:
     return np.hypot(np.hypot(q[..., 0], q[..., 1]), np.hypot(q[..., 2], q[..., 3]))
 
 
+# Samples per block of the blocked passes below: 512 KiB of data.
+_BLOCK = 1 << 14
+# Relative margin within which a sum of squares may rank a sample below one
+# of larger norm: far above the few ulps ``sq_norm_blocks`` and ``hypot`` err by.
+_NEAR = 2.0 ** -40
+
+
+def sq_norm_blocks(q: np.ndarray, top: float):
+    """Yield ``(start, s)`` over blocks of the samples of ``q`` seen as an
+    (N, 4) array: ``s[i]`` is the sum of the squared components of sample
+    ``start + i`` divided by ``top``.  With ``top`` the largest |component|
+    each square is at most 1, so none overflows; only one block of
+    scratch is held beside ``q``."""
+    flat = q.reshape(-1, 4)
+    scratch = np.empty((min(_BLOCK, len(flat)), 4))
+    for start in range(0, len(flat), _BLOCK):
+        x = np.divide(flat[start:start + _BLOCK], top, out=scratch[:len(flat) - start])
+        x *= x
+        s = x[:, 0] + x[:, 1]  # column adds: several times faster than sum(axis=1)
+        s += x[:, 2]
+        s += x[:, 3]
+        yield start, s
+
+
+def max_norm_arr(q: np.ndarray) -> float:
+    """``float(norm_arr(q).max())`` bit for bit, in one blocked pass.
+
+    The scaled sums of squares of ``sq_norm_blocks`` rank the samples;
+    ``norm_arr`` runs only on those within ``_NEAR`` of the largest sum so
+    far, one of which has the largest norm.  Past the largest double the
+    result is inf, as ``norm_arr``'s.
+    """
+    top = float(max(q.max(), -q.min()))
+    if top == 0.0:
+        return 0.0
+    if not math.isfinite(top):  # NaN or inf data: no scale to divide by
+        return float(norm_arr(q).max())
+    flat = q.reshape(-1, 4)
+    best_s = best = 0.0
+    for start, s in sq_norm_blocks(q, top):
+        best_s = max(best_s, float(s.max()))
+        near = np.flatnonzero(s >= best_s * (1.0 - _NEAR))
+        if len(near):
+            best = max(best, float(norm_arr(flat[start + near]).max()))
+    return best
+
+
 def exp_arr(f: Quaternion, angles: np.ndarray) -> np.ndarray:
     """exp_pure over an array of angles; output shape angles.shape + (4,)."""
     angles = np.asarray(angles, dtype=np.float64)

@@ -153,10 +153,16 @@ def _basis_rows(ctx: OpsContext, message: str) -> np.ndarray:
     return np.array([b.to_array() for b in ctx.basis_plus + ctx.basis_minus])
 
 
+def split_part_arr(ctx: OpsContext, data: np.ndarray, sign: int) -> np.ndarray:
+    """One part of a (..., 4) array: ``data @ P+`` for ``sign`` +1,
+    ``data @ P-`` for -1."""
+    w = ctx.frame[:, :2] if sign > 0 else ctx.frame[:, 2:]
+    return _times(data, w @ w.T)
+
+
 def split_arr(ctx: OpsContext, data: np.ndarray):
     """(plus, minus) of a (..., 4) array: ``data @ P+`` and ``data @ P-``."""
-    w = ctx.frame
-    return _times(data, w[:, :2] @ w[:, :2].T), _times(data, w[:, 2:] @ w[:, 2:].T)
+    return split_part_arr(ctx, data, 1), split_part_arr(ctx, data, -1)
 
 
 def split(ctx: OpsContext, q: Quaternion) -> SplitParts:

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import opsqft
-from opsqft import cli, verify
+from opsqft import cli, transform, verify
 from opsqft.cli import main
 from opsqft.fftcore import _SPLIT_MIN
 from opsqft.fields import QuaternionField2D
 from opsqft.formats import read_field, write_field
+from opsqft.quat import PureUnitQuaternion, norm_arr
+from opsqft.split import coefficients_arr, make_context
 
 SEED = 68422
 
@@ -159,6 +161,24 @@ def test_coeffs_file_matches_inline_for_every_sample(tmp_path, capsys):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def test_coeffs_prints_each_value_as_17_digits(tmp_path, capsys):
+    # every value as "%.17g" % value, four to a line, over more rows than
+    # one write takes: -0.0, a subnormal and both ends of the range too
+    rng = np.random.default_rng(SEED + 16)
+    data = rng.standard_normal((70, 70, 4))
+    data[0, 0] = [-0.0, 5e-324, -0.0, 0.0]
+    data[0, 1] = [1e308, -1e308, 0.0, 2.5e-310]
+    data[69, 69] = [-1e308, 0.0, -1e308, 1e-320]
+    a = tmp_path / "a.qf2d"
+    write_field(QuaternionField2D(data), a)
+    assert 70 * 70 > cli.COEFF_ROWS
+    assert main(["coeffs", "--f", "1,0,0", "--g", "0,1,0", "--in", str(a)]) == 0
+    ctx = make_context(PureUnitQuaternion(1, 0, 0), PureUnitQuaternion(0, 1, 0))
+    rows = coefficients_arr(ctx, data).reshape(-1, 4)
+    assert capsys.readouterr().out == "".join(" ".join("%.17g" % c for c in row) + "\n"
+                                              for row in rows)
+
+
 def test_coeffs_requires_exactly_one_source(tmp_path, capsys):
     assert main(["coeffs", "--f", "1,0,0", "--g", "0,1,0"]) == 2
     a = tmp_path / "a.qf2d"
@@ -247,6 +267,17 @@ def test_verify_profiles_are_quick_and_full(monkeypatch, capsys):
         verify.run_all(0, "Quick")
 
 
+def test_parser_choices_are_the_families_and_profiles():
+    # spelled out in the CLI so that its parser imports neither module
+    assert cli.VARIANTS == tuple(f.value for f in transform.Family)
+    assert cli.PROFILE_NAMES == tuple(verify.PROFILES)
+    parser = cli.build_parser()
+    for family in transform.Family:
+        args = parser.parse_args(["transform", "--variant", family.value, "--f", "1,0,0",
+                                  "--g", "0,1,0", "--in", "a", "--out", "b"])
+        assert transform.Family(args.variant) is family
+
+
 def test_import_export_images(tmp_path):
     rng = np.random.default_rng(SEED + 4)
     pix = rng.integers(0, 256, size=(4, 6, 3), dtype=np.uint8)
@@ -287,6 +318,27 @@ def test_info_prints_header(tmp_path, capsys):
         assert max_norm == pytest.approx(scale * peak, rel=1e-14)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_info_max_norm_is_the_largest_exact_norm(tmp_path, capsys, scale):
+    # max_norm prints norm_arr's largest value bit for bit, here with the
+    # two largest norms one ulp apart; at 1e308 the norm prints as inf
+    rng = np.random.default_rng(SEED + 17)
+    data = rng.standard_normal((131, 130, 4))
+    v = 5.0 * rng.standard_normal(4)
+    w = v.copy()
+    w[2] = np.nextafter(v[2], 2 * v[2])
+    data[7, 9], data[100, 3] = w, v
+    data *= scale
+    a = tmp_path / "a.qf2d"
+    write_field(QuaternionField2D(data), a)
+    assert main(["info", "--in", str(a)]) == 0
+    assert f"max_norm = {'%.17g' % norm_arr(data).max()}\n" in capsys.readouterr().out
+    data[50, 50] = [1.5e308, -1.5e308, 0.0, 0.0]
+    write_field(QuaternionField2D(data), a)
+    assert main(["info", "--in", str(a)]) == 0
+    assert "max_norm = inf\n" in capsys.readouterr().out
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     # unknown subcommand, bad choice, malformed axis token, missing flag
     assert main(["bogus"]) == 2
@@ -315,10 +367,24 @@ def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     def broken(variant, field):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, "forward_fast", broken)
+    # the handler looks the transform up in its module when it runs
+    monkeypatch.setattr(transform, "forward_fast", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["transform", "--variant", "twosided", "--f", "1,0,0", "--g", "0,1,0",
               "--in", str(a), "--out", str(tmp_path / "s.qf2d")])
+
+
+def test_variant_mismatch_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    a = tmp_path / "a.qf2d"
+    write_random_field(a, np.random.default_rng(SEED + 18))
+
+    def mismatched(variant, spectrum):
+        raise transform.VariantMismatch("spectrum was produced by conjc")
+
+    monkeypatch.setattr(transform, "inverse_fast", mismatched)
+    assert main(["transform", "--variant", "twosided", "--inverse", "--f", "1,0,0",
+                 "--g", "0,1,0", "--in", str(a), "--out", str(tmp_path / "s.qf2d")]) == 2
+    assert capsys.readouterr().err == "opsqft: spectrum was produced by conjc\n"
 
 
 def test_zero_axis_is_usage_error(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from opsqft import formats
 from opsqft.cli import main
 from opsqft.fields import QuaternionField2D
+from opsqft.quat import norm_arr
 from opsqft.formats import (
     BadMagic,
     BadVersion,
@@ -183,6 +184,41 @@ def test_write_rejects_non_finite_samples(tmp_path, bad):
     assert os.listdir(tmp_path) == []
 
 
+# Grids of two whole blocks of the finiteness check, and of one block and
+# a ragged 2064 components; the positions are each block's first and last
+# component.
+BLOCK = formats._FINITE_BLOCK
+FINITE_CASES = [(shape, i) for shape in ((128, 256), (130, 130))
+                for i in (0, BLOCK - 1, BLOCK, shape[0] * shape[1] * 4 - 1)]
+
+
+def _non_finite_message(i, n2, bad):
+    n, c = divmod(i, 4)
+    return f"byte {16 + 8 * i}: sample [{n // n2}, {n % n2}] component {c} is {bad}"
+
+
+@pytest.mark.parametrize("shape, i", FINITE_CASES)
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_blocked_finiteness_check_names_the_first_bad_component(tmp_path, shape, i, bad):
+    data = np.random.default_rng(SEED + i).standard_normal(shape + (4,))
+    flat = data.reshape(-1)
+    flat[i] = bad
+    flat[-1 if i < flat.size - 1 else 0] = np.inf  # a later one on the last block, or none
+    if i == flat.size - 1:
+        flat[0] = 1.0
+    message = _non_finite_message(i, shape[1], np.float64(bad))
+    with pytest.raises(NonFiniteSample) as err:
+        write_field(QuaternionField2D(data), tmp_path / "w.qf2d")
+    assert str(err.value).endswith(message)
+    assert os.listdir(tmp_path) == []
+    p = tmp_path / "r.qf2d"
+    p.write_bytes(b"QF2D" + struct.pack("<III", 1, *shape) + data.astype("<f8").tobytes())
+    with pytest.raises(NonFiniteSample) as err:
+        read_field(p)
+    assert err.value.offset == 16 + 8 * i
+    assert str(err.value).endswith(message)
+
+
 WRITERS = (write_field, export_magnitude_pgm)
 
 
@@ -328,6 +364,57 @@ def test_p3_body_errors_name_offsets(tmp_path, tail, offset, message):
     p.write_bytes(P3_BODY + tail)
     with pytest.raises(MalformedHeader, match=f"byte {offset}: .*{message}"):
         read_image_ppm(p)
+
+
+def _p3_file(words, seps, comments):
+    """A 1-row P3 file of ``words``, each followed by a separator from ``seps``
+    and, where ``comments`` says so, a comment ending at a newline."""
+    body = b"".join(w + s + (b"# 1 x\n" if c else b"") for w, s, c in zip(words, seps, comments))
+    return b"P3\n%d 1\n255\n" % (len(words) // 3) + body
+
+
+@pytest.mark.parametrize("comments", [False, True])
+def test_p3_words_and_separators(tmp_path, comments):
+    # every separator byte, with and without comments between the words,
+    # leading zeros and four-digit words: the values are those of int()
+    rng = np.random.default_rng(SEED + 3 + comments)
+    values = rng.integers(0, 256, 3 * 400)
+    words = [b"%d" % v for v in values]
+    words[5], words[6], words[7], words[8] = b"007", b"0255", b"0000", b"00000000042"
+    values[5:9] = 7, 255, 0, 42
+    seps = [b" \t\r\n"[k:k + 1] * (1 + k % 2) for k in rng.integers(0, 4, len(words))]
+    marks = rng.random(len(words)) < 0.2 if comments else [False] * len(words)
+    p = tmp_path / "a.ppm"
+    p.write_bytes(_p3_file(words, seps, marks))
+    got = read_image_ppm(p).data
+    assert np.array_equal(got[0, :, 1:].reshape(-1), values / 255.0)
+    assert not got[..., 0].any()
+
+
+@pytest.mark.parametrize("comments", [False, True])
+@pytest.mark.parametrize("bad, message", [
+    (b"256", "pixel value 256 out of range"),
+    (b"1000", "pixel value 1000 out of range"),
+    (b"-1", "pixel value -1 out of range"),
+    (b"2a", "not an integer"),
+    (b"a2", "not an integer"),
+    (b"/", "not an integer"),
+    (b":", "not an integer"),
+])
+def test_p3_bad_word_offsets(tmp_path, comments, bad, message):
+    # the first bad word is named at its byte, with a later bad word present
+    rng = np.random.default_rng(SEED + 5)
+    words = [b"%d" % v for v in rng.integers(0, 256, 3 * 50)]
+    words[61], words[90] = bad, b"999"
+    seps = [b" \t\r\n"[k:k + 1] for k in rng.integers(0, 4, len(words))]
+    marks = [comments and k % 7 == 0 for k in range(len(words))]
+    raw = _p3_file(words, seps, marks)
+    head = _p3_file(words[:61], seps[:61], marks[:61])
+    p = tmp_path / "a.ppm"
+    p.write_bytes(raw)
+    with pytest.raises(MalformedHeader, match=f"byte {len(head)}: .*{message}") as err:
+        read_image_ppm(p)
+    assert err.value.offset == len(head)
 
 
 def test_ppm_header_comments_and_whitespace(tmp_path):
@@ -572,3 +659,24 @@ def test_export_centered_moves_origin(tmp_path):
     img = read_pgm(p)
     assert img[2, 3] == 255
     assert img.sum() == 255
+
+
+def test_export_matches_the_exact_norm_image(tmp_path):
+    # the image of hypot norms divided by the largest component, as the
+    # magnitudes were once taken, on a field whose peak sample has norm 5
+    # and one sample exactly half that, which rounds half to even (127.5
+    # to 128); the sum of squares is exact on both and agrees elsewhere
+    data = np.random.default_rng(SEED + 6).uniform(-2.0, 2.0, (67, 70, 4))
+    data[3, 4] = [0.0, 3.0, 4.0, 0.0]
+    data[9, 1] = [0.0, 1.5, 0.0, -2.0]
+    top = np.max(np.abs(data))
+    mags = norm_arr(data / top)
+    for centered in (False, True):
+        want = np.rint(mags * (255.0 / mags.max())).astype(np.uint8)
+        if centered:
+            want = np.roll(want, (33, 35), axis=(0, 1))
+        p = tmp_path / "a.pgm"
+        export_magnitude_pgm(QuaternionField2D(data), p, centered=centered)
+        assert np.array_equal(read_pgm(p), want)
+    img = read_pgm(p)
+    assert (img[36, 39], img[42, 36]) == (255, 128)

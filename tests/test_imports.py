@@ -1,0 +1,98 @@
+"""What a command and the package load: each `opsqft` command imports only
+the modules it runs, and the package's lazy names resolve as eager ones did.
+
+Each command runs in a fresh interpreter, which then reports the package
+modules it holds.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import opsqft
+from opsqft.fields import QuaternionField2D
+from opsqft.formats import write_field
+
+SRC = os.path.dirname(os.path.dirname(opsqft.__file__))
+AXES = ["--f", "1,0,0", "--g", "0.6,0.8,0"]
+HEAVY = {"opsqft.fftcore", "opsqft.transform", "opsqft.verify"}
+
+
+def _fresh(code, *args):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env={**env, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def _loaded(argv):
+    """The package modules a fresh interpreter holds after ``main(argv)``."""
+    code = ("import json, sys\n"
+            "from opsqft.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(json.dumps([rc] + sorted(m for m in sys.modules if m.startswith('opsqft'))))")
+    rc, *modules = json.loads(_fresh(code, *map(str, argv)).splitlines()[-1])
+    assert rc == 0
+    return set(modules)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("imports")
+    write_field(QuaternionField2D(np.random.default_rng(3).standard_normal((4, 4, 4))),
+                d / "a.qf2d")
+    (d / "a.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(range(48)))
+    return d
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["info", "--in", "{d}/a.qf2d"], HEAVY),
+    (["export-pgm", "--in", "{d}/a.qf2d", "--out", "{d}/a.pgm"], HEAVY),
+    (["import-ppm", "--in", "{d}/a.ppm", "--out", "{d}/b.qf2d"], HEAVY),
+    (["coeffs", *AXES, "--in", "{d}/a.qf2d"], {"opsqft.transform", "opsqft.verify"}),
+    (["split", *AXES, "--in", "{d}/a.qf2d", "--out-plus", "{d}/p.qf2d",
+      "--out-minus", "{d}/m.qf2d"], {"opsqft.transform", "opsqft.verify"}),
+    (["transform", "--variant", "twosided", *AXES, "--in", "{d}/a.qf2d",
+      "--out", "{d}/s.qf2d"], {"opsqft.verify"}),
+], ids=["info", "export-pgm", "import-ppm", "coeffs", "split", "transform"])
+def test_command_loads_only_what_it_runs(files, argv, absent):
+    loaded = _loaded([a.format(d=files) for a in argv])
+    assert "opsqft.formats" in loaded
+    assert not loaded & absent
+    if argv[0] == "transform":
+        assert "opsqft.transform" in loaded
+
+
+def test_every_public_name_resolves_and_is_listed():
+    for name in opsqft.__all__:
+        assert getattr(opsqft, name) is not None, name
+    assert set(opsqft.__all__) <= set(dir(opsqft))
+    assert {"forward_fast", "read_field", "run_all", "fft2", "transform"} <= set(dir(opsqft))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        opsqft.no_such_name
+
+
+def test_star_import_in_a_fresh_process():
+    code = ("from opsqft import *\n"
+            "import importlib, opsqft\n"
+            "module = importlib.import_module('opsqft.split')\n"
+            "names = [n for n in opsqft.__all__ if n != '__version__']\n"
+            "assert all(globals()[n] is getattr(opsqft, n) for n in names)\n"
+            "assert split is opsqft.split is module.split\n"
+            "print(len(names))")
+    assert int(_fresh(code)) == len(opsqft.__all__) - 1
+
+
+def test_split_stays_the_function_after_the_lazy_modules_load():
+    # verify and transform import from the split module; the package's
+    # name still holds the function
+    code = ("import inspect, opsqft\n"
+            "opsqft.run_all, opsqft.forward_fast\n"
+            "assert inspect.isfunction(opsqft.split), opsqft.split\n"
+            "print('ok')")
+    assert _fresh(code).strip() == "ok"

@@ -11,8 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from opsqft.cli import main
 from opsqft.fftcore import _pass0_grouped, fft1, fft2
 from opsqft.fields import QuaternionField2D
+from opsqft.formats import write_field
 from opsqft.quat import PureUnitQuaternion, norm_arr
 from opsqft.split import make_context
 from opsqft.transform import Family, Spectrum, TransformVariant, forward_fast, inverse_fast
@@ -40,6 +42,10 @@ ROW_SCRATCH = 2 * BLOCK + UFUNC_BUFFER + 64 * 1024
 # product with B overwrites it.  Measured: 1.01-1.26 MiB, as the two
 # threads' stages overlap; twice the blocks would not fit.
 BLOCK_SCRATCH = 2 * ROW_SCRATCH
+# the blocked norm passes of info and export-pgm: one block of 2^14
+# samples divided by the largest component (512 KiB) and the sums of two
+# consecutive blocks (128 KiB each).  Measured 0.80 MiB with the views.
+NORM_SCRATCH = (1 << 14) * (32 + 2 * 8) + 128 * 1024
 
 
 def traced_peak(fn):
@@ -109,3 +115,29 @@ def test_norm_arr_holds_three_sample_planes():
     # sample each, and no temporary the size of the input
     q = np.random.default_rng(7).standard_normal((N, N, 4))
     assert traced_peak(lambda: norm_arr(q)) <= 3 * N * N * 8 + 64 * 1024
+
+
+@pytest.fixture(scope="module")
+def field_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("memory") / "a.qf2d"
+    write_field(QuaternionField2D(np.random.default_rng(10).standard_normal((N, N, 4))), path)
+    return path
+
+
+def test_split_command_holds_the_input_and_one_part(field_file, tmp_path):
+    # the read field and one part at a time, each freed once written.  The
+    # margin takes the finiteness check's 64 KiB mask and the parser;
+    # measured 125 KiB.  Holding both parts at once would be a third field.
+    argv = ["split", "--f", "1,0,0", "--g", "0.6,0.8,0", "--in", str(field_file),
+            "--out-plus", str(tmp_path / "p.qf2d"), "--out-minus", str(tmp_path / "m.qf2d")]
+    assert traced_peak(lambda: main(argv)) <= 2 * FIELD + 256 * 1024
+
+
+def test_info_and_export_hold_the_field_and_one_image(field_file, tmp_path, capsys):
+    # info holds the read field and the norm pass's blocks; export-pgm also
+    # the n1 x n2 magnitudes, which become the image.  Neither divides the
+    # whole field by its largest component, which would be a second field.
+    assert traced_peak(lambda: main(["info", "--in", str(field_file)])) <= FIELD + NORM_SCRATCH
+    argv = ["export-pgm", "--in", str(field_file), "--out", str(tmp_path / "a.pgm")]
+    assert traced_peak(lambda: main(argv)) <= FIELD + N * N * 8 + NORM_SCRATCH
+    capsys.readouterr()

@@ -18,6 +18,7 @@ from opsqft.quat import (
     exp_pure,
     inner,
     inverse,
+    max_norm_arr,
     mul,
     mul_arr,
     norm,
@@ -216,3 +217,41 @@ def test_exp_arr_matches_exp_pure():
     for idx in np.ndindex(3, 5):
         want = exp_pure(f, angles[idx]).to_array()
         assert np.max(np.abs(got[idx] - want)) < 1e-15
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-310, 1.0, 1e150, 1e300])
+@pytest.mark.parametrize("shape", [(1, 1), (67, 70), (130, 131), (515, 67)])
+def test_max_norm_arr_is_the_largest_norm_arr_bit_for_bit(shape, scale):
+    q = scale * np.random.default_rng(SEED + shape[0]).standard_normal(shape + (4,))
+    assert max_norm_arr(q) == float(norm_arr(q).max())
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_max_norm_arr_splits_norms_one_ulp_apart(scale):
+    # two samples whose norms differ in the last place, the larger one in
+    # either order and in either block of 2^14 samples
+    rng = np.random.default_rng(SEED + 1)
+    for trial in range(40):
+        q = rng.standard_normal((131, 130, 4))
+        flat = q.reshape(-1, 4)
+        v = 4.0 * rng.standard_normal(4)
+        w = v.copy()
+        w[trial % 4] = np.nextafter(v[trial % 4], 2 * v[trial % 4])
+        i, k = rng.choice(len(flat), 2, replace=False)
+        flat[i], flat[k] = v, w
+        q *= scale
+        assert max_norm_arr(q) == float(norm_arr(q).max())
+
+
+def test_max_norm_arr_past_the_largest_double_is_inf():
+    q = np.zeros((3, 3, 4))
+    q[1, 2] = [1.5e308, -1.5e308, 0.0, 0.0]
+    q[0, 0] = [1e308, 0.0, 0.0, 0.0]
+    assert max_norm_arr(q[:1, :1]) == 1e308
+    with np.errstate(over="ignore"):
+        assert max_norm_arr(q) == np.inf
+        # non-finite data: norm_arr's answer, inf or NaN
+        q[2, 2, 3] = np.inf
+        assert max_norm_arr(q) == np.inf
+        q[2, 2, 3] = np.nan
+        assert np.isnan(max_norm_arr(q))
