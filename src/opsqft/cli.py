@@ -105,16 +105,13 @@ def _cmd_transform(args) -> int:
     field = read_field(args.infile)
     # numpy stays quiet on overflow: write_field refuses a non-finite result
     # with the command's one diagnostic
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if args.inverse:
-                apply_ = transform.inverse_direct if args.direct else transform.inverse_fast
-                out = apply_(variant, transform.Spectrum(field, variant))
-            else:
-                apply_ = transform.forward_direct if args.direct else transform.forward_fast
-                out = apply_(variant, field).field
-    except transform.VariantMismatch as e:
-        raise UsageError(str(e)) from e
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.inverse:
+            apply_ = transform.inverse_direct if args.direct else transform.inverse_fast
+            out = apply_(variant, transform.Spectrum(field, variant))
+        else:
+            apply_ = transform.forward_direct if args.direct else transform.forward_fast
+            out = apply_(variant, field).field
     write_field(out, args.outfile)
     return 0
 

@@ -19,55 +19,25 @@ DFT matrices, twiddles and chirps are built on first use and cached per
 ``exp``.
 
 An axis pass of ``fft1`` gathers blocks of about 2^14 samples along the
-axis, runs the kernel on each in the calling thread and writes it
-straight into the output, so no array is ever transposed whole.
-``fft2`` holds one new plane, the output that both passes write, or none
-when it is given an output to write (the input itself, say), plus the
-scratch of a few blocks: 0.75 MiB, or up to about 2.25 MiB on a
-Bluestein axis, whose padded buffer is two to four times the block.
+axis, runs the kernel on each and writes it straight into the output, so
+no array is ever transposed whole.  ``fft2`` holds one new plane, the
+output that both passes write, or none when it is given an output to
+write (the input itself, say), plus the scratch of a few blocks: 0.75
+MiB, or up to about 2.25 MiB on a Bluestein axis, whose padded buffer is
+two to four times the block.
 
 Where the length n = a b is a four-step with both factors dense (65,
-130, 512, 1000, 1024, 4096, ...), two passes skip the kernel's blocks.
-Along a last axis, the axis along each row, ``fft1`` takes the row
-route ``_pass1_grouped``: a block of rows is gathered once as (b, rows,
-a), in runs of a samples, each stage is one product over the whole
-block, Mb on the left and Ma on the right with the twiddles between, and
-the block is written back in natural order, beside two blocks of
-scratch.  A transform's axis 0 runs ``_pass0_grouped``:
-``transform._fast`` writes each plane's rows in the four-step's input
-order, row b m1 + m2 from input a m2 + m1, which its rotation reads out
-of place at no cost, so the two stages run in place over groups of rows,
-each group's twiddles folded into its stage-1 matrix, with no gather,
-transpose or copy of blocks, beside a scratch of at most 2^15 samples
-(512 KiB).  Its axis 1 is a last axis.  ``transform._fast`` transforms
-its two planes on two threads, so a transform holds twice one pass's
-scratch.
-
-``_halves`` runs the independent jobs of a transform, its two planes and
-then the row blocks of its last product, on a grid of at least 2^17
-samples: the second half on a helper thread, the first in the caller.
-The results are the same bits either way: a job's output does not
-depend on the thread that runs it.  Before its first split, ``_halves``
-sets numpy's bundled OpenBLAS to one thread for the rest of the process,
-so the two threads are the only ones: OpenBLAS's own threads, which the
-block products would otherwise spread over both cores, gain nothing
-beside a second Python thread and stall when another process takes a
-core.  The count is not set back after a split, since the BLAS worker
-that an earlier product of the caller left spinning would then take
-back the second core.  Where no count was set (numpy uses another BLAS,
-or keeps its OpenBLAS elsewhere), ``_halves`` runs every job in the
-caller.
+130, 512, 1000, 1024, 4096, ...; ``_grouped`` gives a, ``_factors`` the
+stages' matrices), a pass along a last axis, the axis along each row,
+takes the row route ``_pass1_grouped`` in place of the kernel's blocks:
+each stage is one product over a whole block of rows, beside two blocks
+of scratch.
 """
 
 from __future__ import annotations
 
-import contextvars
-import ctypes
 import math
-import threading
-from collections.abc import Sequence
-from functools import cache, lru_cache
-from pathlib import Path
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,18 +50,9 @@ _DENSE_MAX = 64
 _PLAN_CACHE = 64
 # Samples in one block of an axis pass (256 KiB): enough columns for
 # BLAS-sized products, few enough that the blocks and the kernel's scratch
-# of both threads stay in cache and the pass needs no transposed copy of
-# the array.
+# of two passes running at once stay in cache and the pass needs no
+# transposed copy of the array.
 _BLOCK = 1 << 14
-# Samples in the scratch of ``_pass0_grouped`` (512 KiB): whole rows of a
-# 1024-wide plane for one group of 32 rows.
-_GROUP = 1 << 15
-# Fewest samples in a grid whose jobs are split over two threads: below
-# it (320 x 320, say) the helper's start and the two threads' turns at the
-# interpreter lock cost more than the half it takes.
-_SPLIT_MIN = 1 << 17
-# Where numpy's Linux wheels keep their bundled OpenBLAS.
-_BLAS_LIBS = Path(np.__file__).parent.parent / "numpy.libs"
 
 
 def _check_sign(s: int) -> int:
@@ -145,54 +106,6 @@ def _block_columns(n: int) -> int:
     return 1 << max(1, _BLOCK // max(n, 1)).bit_length() - 1
 
 
-@cache
-def _pin_blas() -> bool:
-    """Set numpy's bundled OpenBLAS, if there is one, to one thread, and
-    say whether a count was set."""
-    pinned = False
-    for path in _BLAS_LIBS.glob("libscipy_openblas64_*"):
-        try:
-            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
-        pinned = True
-    return pinned
-
-
-def _halves(run, jobs: Sequence, samples: int) -> None:
-    """``run(jobs)`` for independent jobs over a grid of ``samples`` samples.
-
-    From _SPLIT_MIN samples, once ``_pin_blas`` has set the BLAS to one
-    thread, the second half of the jobs runs on a helper thread and the
-    first in the caller; otherwise ``run`` takes them all in the caller.
-    Each call starts its own helper, in a copy of the caller's context, so
-    numpy's error state (a context variable) holds there too; it is joined
-    before the call returns, and an exception it raised is raised here.
-    """
-    if len(jobs) < 2 or samples < _SPLIT_MIN or not _pin_blas():
-        run(jobs)
-        return
-    half = len(jobs) // 2
-    raised = []
-
-    def second():
-        try:
-            run(jobs[half:])
-        except BaseException as e:  # re-raised in the caller
-            raised.append(e)
-
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(second,))
-    helper.start()
-    try:
-        run(jobs[:half])
-    finally:
-        helper.join()
-    if raised:
-        raise raised[0]
-
-
 def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
     """Signed transform along axis 0 of a C-contiguous (n, r) complex array."""
     n, r = x.shape
@@ -225,36 +138,11 @@ def _grouped(n: int, sign: int) -> int:
     return a if kind == "four-step" and n // a <= _DENSE_MAX else 0
 
 
-def _pass0_grouped(x: np.ndarray, sign: int) -> None:
-    """Signed transform along axis 0 of an (n, r) complex array in place,
-    n = a b with a = ``_grouped(n, sign)``, whose row b m1 + m2 holds input
-    a m2 + m1: the four-step of ``_pass0`` with its transpose left to the
-    writer of x.  Afterwards row k holds output k.
-
-    Each contiguous group of b rows (one m1) is multiplied by the stage-1
-    matrix with its twiddles folded in, diag(T[:, m1]) Mb, into a scratch
-    and copied back; then each strided group of a rows (one k2) by Ma.  The
-    columns go in chunks of at most _GROUP / b.
-    """
-    n, r = x.shape
+def _factors(n: int, sign: int):
+    """(a, T, Ma, Mb) of a length n = a b with a = ``_grouped(n, sign)``:
+    the twiddles T[k2, m1] = w^(m1 k2) and the DFT matrices of a and b."""
     _, a, twiddles = _plan(n, sign)
-    b = n // a
-    ma, mb = _plan(a, sign)[1], _plan(b, sign)[1]
-    groups = x.view()
-    groups.shape = (a, b, r)  # never a copy, unlike reshape
-    w = 1 << (_GROUP // b).bit_length() - 1  # a power of two, as in _block_columns
-    z = np.empty((b, min(w, r)), dtype=np.complex128)
-    d = np.empty((b, b), dtype=np.complex128)
-    for j in range(0, r, w):
-        cols = slice(j, j + w)
-        s = z[:, :min(w, r - j)]
-        for m1 in range(a):
-            np.multiply(twiddles[:, m1, None], mb, out=d)
-            np.matmul(d, groups[m1, :, cols], out=s)
-            groups[m1, :, cols] = s
-        for k2 in range(b):
-            np.matmul(ma, groups[:, k2, cols], out=s[:a])
-            groups[:, k2, cols] = s[:a]
+    return a, twiddles, _plan(a, sign)[1], _plan(n // a, sign)[1]
 
 
 def _pass1_grouped(x: np.ndarray, out: np.ndarray, sign: int) -> None:
@@ -270,9 +158,8 @@ def _pass1_grouped(x: np.ndarray, out: np.ndarray, sign: int) -> None:
     are sized to the rows present.
     """
     r, n = x.shape
-    _, a, twiddles = _plan(n, sign)
+    a, twiddles, ma, mb = _factors(n, sign)
     b = n // a
-    ma, mb = _plan(a, sign)[1], _plan(b, sign)[1]
     src, dst = x.reshape(r, b, a), out.view()
     dst.shape = (r, a, b)  # never a copy, unlike reshape
     k = min(_block_columns(n), r) or 1

@@ -37,13 +37,31 @@ diag(1, -1, -1, -1) after B (forward) or before A (inverse), so neither
 the conjugation nor the weight costs a pass over the data.
 Everything happens in the one output array, seen as (N1, 2, N2) complex
 (row k1: plane +, then plane -): each plane of data @ A is written into
-it and transformed in place.  Where N1 = a b is a four-step of two dense
-factors, the rotation writes plane row b m1 + m2 from data row a m2 + m1,
-the order in which ``fftcore._pass0_grouped`` runs axis 0 over groups of
-rows, and ``fft1`` then runs axis 1 (by its row route where N2 is such a
-length too); any other plane goes through ``fft2``.  Then each block of rows is interleaved into a small scratch
-whose product with B overwrites those rows.  No other full-size array is
-made.
+it and transformed in place, axis 0 then axis 1, and then each block of
+rows is interleaved into a small scratch whose product with B
+overwrites those rows.  No other full-size array is made.
+
+Where N1 = a b is a four-step of two dense factors
+(``fftcore._grouped``), the rotation writes plane row b m1 + m2 from
+data row a m2 + m1: the four-step's input order, read out of place at no
+cost.  ``_pass0_grouped`` then runs axis 0 in place over groups of rows,
+with no gather, transpose or copy of blocks, and ``fft1`` runs axis 1.
+Any other plane goes through ``fft2``.
+
+The two planes share nothing until ``@ B``, and the row blocks of
+``@ B`` share nothing, so ``_halves`` runs each as independent jobs, on a
+large grid half of them on a helper thread, which writes only its call's
+planes and rows.  A transform therefore holds twice one pass's scratch.
+The results are the same bits either way: a job's output does not depend
+on the thread that runs it.  Before its first split, ``_halves`` sets
+numpy's bundled OpenBLAS to one thread for the rest of the process, so
+the two threads are the only ones: OpenBLAS's own threads, which the
+block products would otherwise spread over both cores, gain nothing
+beside a second Python thread and stall when another process takes a
+core.  The count is not set back after a split, since the BLAS worker
+that an earlier product of the caller left spinning would then take back
+the second core.  Where no count was set (numpy uses another BLAS, or
+keeps its OpenBLAS elsewhere), ``_halves`` runs every job in the caller.
 
 The phase-angle family is where the zeros fall: forward, its plus plane
 gets (0, 1) and its minus plane (-1, 0), so the plus spectrum is
@@ -57,13 +75,19 @@ m1 and the minus part along m2 (``roundtrip/phased-lines``).
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from pathlib import Path
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .fftcore import TAU, _block_columns, _grouped, _halves, _pass0_grouped, fft1, fft2
+from .fftcore import TAU, _block_columns, _factors, _grouped, fft1, fft2
 from .fields import QuaternionField2D
 from .quat import conj_arr, exp_arr, mul_arr
 from .split import OpsContext, split_arr
@@ -200,21 +224,103 @@ def inverse_direct(variant: TransformVariant, spectrum: Spectrum) -> QuaternionF
 # ---------------------------------------------------------------------------
 # Fast path: data @ A, one fft2 per plane, @ B, all in the output array.
 
+# Samples in the scratch of ``_pass0_grouped`` (512 KiB): whole rows of a
+# 1024-wide plane for one group of 32 rows.
+_GROUP = 1 << 15
+# Fewest samples in a grid whose jobs are split over two threads: below
+# it (320 x 320, say) the helper's start and the two threads' turns at the
+# interpreter lock cost more than the half it takes.
+_SPLIT_MIN = 1 << 17
+# Where numpy's Linux wheels keep their bundled OpenBLAS.
+_BLAS_LIBS = Path(np.__file__).parent.parent / "numpy.libs"
+
+
+@cache
+def _pin_blas() -> bool:
+    """Set numpy's bundled OpenBLAS, if there is one, to one thread, and
+    say whether a count was set."""
+    pinned = False
+    for path in _BLAS_LIBS.glob("libscipy_openblas64_*"):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+        pinned = True
+    return pinned
+
+
+def _halves(run, jobs: Sequence, samples: int) -> None:
+    """``run(jobs)`` for independent jobs over a grid of ``samples`` samples.
+
+    From _SPLIT_MIN samples, once ``_pin_blas`` has set the BLAS to one
+    thread, the second half of the jobs runs on a helper thread and the
+    first in the caller; otherwise ``run`` takes them all in the caller.
+    Each call starts its own helper, in a copy of the caller's context, so
+    numpy's error state (a context variable) holds there too; it is joined
+    before the call returns, and an exception it raised is raised here.
+    """
+    if len(jobs) < 2 or samples < _SPLIT_MIN or not _pin_blas():
+        run(jobs)
+        return
+    half = len(jobs) // 2
+    raised = []
+
+    def second():
+        try:
+            run(jobs[half:])
+        except BaseException as e:  # re-raised in the caller
+            raised.append(e)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(second,))
+    helper.start()
+    try:
+        run(jobs[:half])
+    finally:
+        helper.join()
+    if raised:
+        raise raised[0]
+
+
+def _pass0_grouped(x: np.ndarray, sign: int) -> None:
+    """Signed transform along axis 0 of an (n, r) complex array in place,
+    n = a b with a = ``fftcore._grouped(n, sign)``, whose row b m1 + m2
+    holds input a m2 + m1: the four-step of ``fftcore._pass0`` with its
+    transpose left to the writer of x.  Afterwards row k holds output k.
+
+    Each contiguous group of b rows (one m1) is multiplied by the stage-1
+    matrix with its twiddles folded in, diag(T[:, m1]) Mb, into a scratch
+    and copied back; then each strided group of a rows (one k2) by Ma.  The
+    columns go in chunks of at most _GROUP / b.
+    """
+    n, r = x.shape
+    a, twiddles, ma, mb = _factors(n, sign)
+    b = n // a
+    groups = x.view()
+    groups.shape = (a, b, r)  # never a copy, unlike reshape
+    w = 1 << (_GROUP // b).bit_length() - 1  # a power of two, as in _block_columns
+    z = np.empty((b, min(w, r)), dtype=np.complex128)
+    d = np.empty((b, b), dtype=np.complex128)
+    for j in range(0, r, w):
+        cols = slice(j, j + w)
+        s = z[:, :min(w, r - j)]
+        for m1 in range(a):
+            np.multiply(twiddles[:, m1, None], mb, out=d)
+            np.matmul(d, groups[m1, :, cols], out=s)
+            groups[m1, :, cols] = s
+        for k2 in range(b):
+            np.matmul(ma, groups[:, k2, cols], out=s[:a])
+            groups[:, k2, cols] = s[:a]
+
+
 def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndarray:
     """The table row through its frame W, in the one output array: plane p
     (0 is +, 1 is -) is ``x @ A[:, 2p:2p + 2]``, transformed in place with
     the signs from ``planes`` and broadcast; x is the data, summed first
-    along each axis whose sign is 0 there (then the plane is a line).  A
-    full plane whose axis-0 length has two dense four-step factors a b
-    takes its rows in the four-step's input order from the rotation and
-    runs axis 0 over row groups (``_pass0_grouped``), axis 1 by ``fft1``;
-    every other plane runs ``fft2``.
-
-    The two planes share nothing until ``@ B``, so ``_halves`` runs them
-    as two jobs, and then the row blocks of ``@ B`` as jobs of their own:
-    on a grid that splits, plane - and the second half of the blocks go to
-    a helper thread, one per call, which writes only this call's planes
-    and rows."""
+    along each axis whose sign is 0 there (then the plane is a line).  The
+    row order, the axis passes and the two jobs of each ``_halves`` are as
+    the module docstring says."""
     k = KERNELS[variant.family, inverse]
     n1, n2 = data.shape[:2]
     W = variant.ctx.frame
@@ -235,7 +341,7 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
                 x = (np.ones(x.shape[1]) @ x)[:, None, :]
             plane = spec[:, p] if x is data else np.empty(x.shape[:2], np.complex128)
             a = _grouped(n1, c1) if x is data else 0
-            if a:  # plane row b m1 + m2 from data row a m2 + m1, as _pass0_grouped reads it
+            if a:  # the four-step's input order (module docstring)
                 x = data.reshape(n1 // a, a, n2, 4).transpose(1, 0, 2, 3)
             np.matmul(x, A[:, 2 * p:2 * p + 2], out=plane.view(np.float64).reshape(*x.shape[:-1], 2))
             if a:

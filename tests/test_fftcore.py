@@ -10,7 +10,8 @@ import pytest
 
 import opsqft
 from opsqft import fftcore
-from opsqft.fftcore import _BLOCK, _SPLIT_MIN, _plan, fft1, fft2
+from opsqft.fftcore import _BLOCK, _plan, fft1, fft2
+from opsqft.transform import _SPLIT_MIN
 
 SEED = 77103
 
@@ -246,36 +247,6 @@ def test_standalone_fft2_runs_its_blocks_in_the_caller(monkeypatch):
     assert threads and set(threads) == {threading.get_ident()}
 
 
-def test_first_split_sets_bundled_openblas_to_one_thread():
-    # in a fresh process: a transform under the floor leaves numpy's
-    # bundled OpenBLAS as it is; the first split sets it to one thread, and
-    # it stays
-    src = os.path.dirname(os.path.dirname(opsqft.__file__))
-    code = """if True:
-        import ctypes, pathlib, numpy as np
-        from opsqft import (QI, QJ, Family, QuaternionField2D, TransformVariant,
-                            forward_fast, make_context)
-        variant = TransformVariant(Family.TWO_SIDED, make_context(QI, QJ))
-        libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
-        found = sorted(libs.glob("libscipy_openblas64_*"))
-        get = ctypes.CDLL(str(found[0])).scipy_openblas_get_num_threads64_ if found else None
-        if get:
-            get.argtypes, get.restype = [], ctypes.c_int
-        counts = [get() if get else None]
-        for n in (64, 512, 64):
-            forward_fast(variant, QuaternionField2D(np.ones((n, n, 4))))
-            counts.append(get() if get else None)
-        print(*counts)
-    """
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    counts = out.stdout.split()
-    if counts[0] == "None":
-        pytest.skip("numpy has no bundled OpenBLAS here")
-    start, small, split, after = map(int, counts)
-    assert small == start and split == after == 1
-
-
 def test_fft1_refuses_an_out_with_no_block_view():
     # the right dtype and shape, but axis 0 of a (3, 4, 5) array cannot be
     # viewed as (1, 3, 20) in this layout: refused before a block is written
@@ -304,25 +275,6 @@ def test_import_builds_no_plan():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "0"
-
-
-@pytest.mark.parametrize("n1, n2", [(65, 64), (1000, 64), (1024, 64), (122, 576)])
-def test_grouped_pass_gives_the_fft2_bits(n1, n2):
-    # a plane of an interleaved stack, as a transform holds it, with row
-    # b m1 + m2 holding row a m2 + m1 of the natural-order plane; 122 x 576
-    # ends in a partial chunk of 64 columns.  The grouped pass folds its
-    # twiddles into its stage-1 matrices, and the BLAS may round a column
-    # by its operand's shape, so the two routes agree to rounding, not
-    # bit for bit.
-    x = rand_c(np.random.default_rng(SEED + 16), (n1, n2))
-    for s1, s2 in ((-1, 1), (1, -1)):
-        a = fftcore._grouped(n1, s1)
-        stack = np.empty((n1, 2, n2), dtype=np.complex128)
-        plane = stack[:, 1]
-        plane[:] = x.reshape(n1 // a, a, n2).transpose(1, 0, 2).reshape(n1, n2)
-        fftcore._pass0_grouped(plane, s1)
-        fft1(plane, s2, axis=1, out=plane)
-        assert rms_err(plane, fft2(x, s1, s2)) < 1e-14
 
 
 # Lengths n = a b whose factors are both dense take the row route along a

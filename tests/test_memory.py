@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from opsqft.cli import main
-from opsqft.fftcore import _pass0_grouped, fft1, fft2
+from opsqft.fftcore import fft1, fft2
 from opsqft.fields import QuaternionField2D
 from opsqft.formats import write_field
 from opsqft.quat import PureUnitQuaternion, norm_arr
 from opsqft.split import make_context
-from opsqft.transform import Family, Spectrum, TransformVariant, forward_fast, inverse_fast
+from opsqft.transform import (Family, Spectrum, TransformVariant, _pass0_grouped, forward_fast,
+                              inverse_fast)
 
 N = 512
 MIB = 1 << 20

@@ -1,5 +1,7 @@
 import importlib
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -9,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsqft import fftcore, transform
-from opsqft.fftcore import _SPLIT_MIN, _block_columns
+from opsqft.fftcore import _block_columns
 from opsqft.fields import QuaternionField2D
 from opsqft.quat import QI, QJ, PureUnitQuaternion
 from opsqft.split import make_context, split_arr
 from opsqft.transform import (
+    _SPLIT_MIN,
     KERNELS,
     Family,
     Kernel,
@@ -431,7 +434,7 @@ def test_fast_path_in_ragged_blocks(n1, n2):
 
 # Axis-0 lengths n = a b of a four-step plan whose factors are both dense
 # (5 13, 2 61, 16 32, 25 40, 32 32, 64 64): a transform runs that axis in
-# place over the plane's row groups (``fftcore._pass0_grouped``).  With
+# place over the plane's row groups (``_pass0_grouped``).  With
 # n2 = 600 the length-122 pass, 512 columns a chunk, ends in a partial one.
 GROUPED_GRIDS = ((65, 40), (122, 600), (512, 48), (1000, 24), (1024, 16), (4096, 4))
 # a dense length, a prime and a four-step length with a factor above 64
@@ -446,13 +449,34 @@ def test_grouped_route_takes_two_dense_factors_only():
     for n in (0, 1) + BLOCKED_LENGTHS:
         assert fftcore._grouped(n, -1) == fftcore._grouped(n, 1) == 0
     # 122 = 2 * 61 takes chunks of 512 columns: the last of 600 has 88
-    chunk = 1 << (fftcore._GROUP // 61).bit_length() - 1
+    chunk = 1 << (transform._GROUP // 61).bit_length() - 1
     assert fftcore._grouped(122, -1) == 2 and 600 // chunk == 1 and 600 % chunk
 
 
 @pytest.mark.parametrize("n1, n2", GROUPED_GRIDS + tuple((n, 30) for n in BLOCKED_LENGTHS))
 def test_fast_path_on_grouped_and_blocked_axis_0(n1, n2):
     assert_fast_path_matches_numpy(n1, n2, np.random.default_rng(SEED + 18))
+
+
+@pytest.mark.parametrize("n1, n2", [(65, 64), (1000, 64), (1024, 64), (122, 576)])
+def test_grouped_pass_gives_the_fft2_bits(n1, n2):
+    # a plane of an interleaved stack, as a transform holds it, with row
+    # b m1 + m2 holding row a m2 + m1 of the natural-order plane; 122 x 576
+    # ends in a partial chunk of 64 columns.  The grouped pass folds its
+    # twiddles into its stage-1 matrices, and the BLAS may round a column
+    # by its operand's shape, so the two routes agree to rounding, not
+    # bit for bit.
+    rng = np.random.default_rng(77119)
+    x = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+    for s1, s2 in ((-1, 1), (1, -1)):
+        a = fftcore._grouped(n1, s1)
+        stack = np.empty((n1, 2, n2), dtype=np.complex128)
+        plane = stack[:, 1]
+        plane[:] = x.reshape(n1 // a, a, n2).transpose(1, 0, 2).reshape(n1, n2)
+        transform._pass0_grouped(plane, s1)
+        fftcore.fft1(plane, s2, axis=1, out=plane)
+        want = fftcore.fft2(x, s1, s2)
+        assert np.max(np.abs(plane - want)) / np.sqrt(np.mean(np.abs(want) ** 2)) < 1e-14
 
 
 def test_transform_runs_axis_0_over_row_groups(monkeypatch):
@@ -506,12 +530,12 @@ def fast_results(data, ctx):
 
 def on_one_thread(fn):
     """fn() with the split floor out of reach, so every job runs in the caller."""
-    floor = fftcore._SPLIT_MIN
-    fftcore._SPLIT_MIN = math.inf
+    floor = transform._SPLIT_MIN
+    transform._SPLIT_MIN = math.inf
     try:
         return fn()
     finally:
-        fftcore._SPLIT_MIN = floor
+        transform._SPLIT_MIN = floor
 
 
 def watch_passes(monkeypatch, before):
@@ -553,16 +577,46 @@ def test_no_helper_where_the_blas_count_is_not_set(monkeypatch, tmp_path):
         def Thread(*args, **kwargs):
             raise AssertionError("a helper thread was started")
 
-    monkeypatch.setattr(fftcore, "threading", NoThreads)
-    monkeypatch.setattr(fftcore, "_BLAS_LIBS", tmp_path)
-    fftcore._pin_blas.cache_clear()
+    monkeypatch.setattr(transform, "threading", NoThreads)
+    monkeypatch.setattr(transform, "_BLAS_LIBS", tmp_path)
+    transform._pin_blas.cache_clear()
     try:
         got = fast_results(data, ctx)
-        assert fftcore._pin_blas() is False
+        assert transform._pin_blas() is False
     finally:
-        fftcore._pin_blas.cache_clear()  # the next call searches numpy's own directory
+        transform._pin_blas.cache_clear()  # the next call searches numpy's own directory
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_first_split_sets_bundled_openblas_to_one_thread():
+    # in a fresh process: a transform under the floor leaves numpy's
+    # bundled OpenBLAS as it is; the first split sets it to one thread, and
+    # it stays
+    src = os.path.dirname(os.path.dirname(transform.__file__))
+    code = """if True:
+        import ctypes, pathlib, numpy as np
+        from opsqft import (QI, QJ, Family, QuaternionField2D, TransformVariant,
+                            forward_fast, make_context)
+        variant = TransformVariant(Family.TWO_SIDED, make_context(QI, QJ))
+        libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+        found = sorted(libs.glob("libscipy_openblas64_*"))
+        get = ctypes.CDLL(str(found[0])).scipy_openblas_get_num_threads64_ if found else None
+        if get:
+            get.argtypes, get.restype = [], ctypes.c_int
+        counts = [get() if get else None]
+        for n in (64, 512, 64):
+            forward_fast(variant, QuaternionField2D(np.ones((n, n, 4))))
+            counts.append(get() if get else None)
+        print(*counts)
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    counts = out.stdout.split()
+    if counts[0] == "None":
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    start, small, split, after = map(int, counts)
+    assert small == start and split == after == 1
 
 
 class HelperFailure(Exception):
