@@ -82,7 +82,8 @@ class IoFailure(FileFormatError):
 
 # Components per block of ``_require_finite``'s check.
 _FINITE_BLOCK = 1 << 16
-# Bytes per read of a payload from a file with no size, such as a pipe.
+# Bytes by which a payload's array grows when the file has no size, such
+# as a pipe, and the most trailing bytes counted.
 _STREAM_CHUNK = 1 << 20
 
 
@@ -142,13 +143,14 @@ def write_field(field: QuaternionField2D, path) -> None:
 def read_field(path) -> QuaternionField2D:
     """Read a QF2D file into one writable float64 array.
 
-    The header is checked from its 16 bytes.  A regular file's payload
-    size is checked from the file's size before the payload is read, once,
-    into the array.  Any other file (a pipe, say) has no size to check, so
-    its payload is read in chunks of _STREAM_CHUNK bytes into an array
-    grown by each: a header that claims more than arrives costs only the
-    bytes received and one chunk.  A NaN or infinite component raises
-    ``NonFiniteSample`` at its byte offset.
+    The header is checked from its 16 bytes.  The payload is read into the
+    array until it is whole or the file ends.  A regular file's size sets
+    the array's first size, so a whole payload takes one read; any other
+    file (a pipe, say) has no size, so its array grows by _STREAM_CHUNK
+    bytes at a time, and a header that claims more than arrives costs only
+    the bytes received and one chunk.  Bytes after the payload are counted
+    up to one chunk, as a stream may not end: "1048576 or more".  A NaN or
+    infinite component raises ``NonFiniteSample`` at its byte offset.
     """
     try:
         with open(path, "rb") as fh:
@@ -166,36 +168,26 @@ def read_field(path) -> QuaternionField2D:
             expected = 32 * n1 * n2
             end = HEADER.size + expected
             info = os.fstat(fh.fileno())
-            if stat.S_ISREG(info.st_mode):
-                size = info.st_size
-                if size < end:
-                    raise TruncatedPayload(path, size,
-                                           f"payload needs {expected} bytes, got {size - HEADER.size}")
-                if size > end:
-                    raise TrailingBytes(path, end,
-                                        f"{size - end} bytes after the {expected}-byte payload")
-                data = np.empty((n1, n2, 4), dtype="<f8")
-                got = fh.readinto(data)
-            else:
-                data, got = np.empty(0, dtype="<f8"), 0
-                while got < expected:
+            size = info.st_size - HEADER.size if stat.S_ISREG(info.st_mode) else 0
+            data, got = np.empty(min(expected, max(size, 0)) // 8, dtype="<f8"), 0
+            while got < expected:
+                if got == data.nbytes:
                     data.resize(min(expected, got + _STREAM_CHUNK) // 8, refcheck=False)
-                    n = fh.readinto(data.view(np.uint8)[got:])
-                    if not n:
-                        break
-                    got += n
-                # a stream may not end, so at most one chunk past the payload is read
-                extra = len(fh.read(_STREAM_CHUNK)) if got == expected else 0
-                if extra:
-                    more = " or more" if extra == _STREAM_CHUNK else ""
-                    raise TrailingBytes(path, end,
-                                        f"{extra}{more} bytes after the {expected}-byte payload")
+                n = fh.readinto(data.view(np.uint8)[got:])
+                if not n:
+                    break
+                got += n
+            if got == expected and fh.read(1):
+                extra = 1 + len(fh.read(_STREAM_CHUNK - 1))
+                more = " or more" if extra == _STREAM_CHUNK else ""
+                raise TrailingBytes(path, end,
+                                    f"{extra}{more} bytes after the {expected}-byte payload")
     except OSError as e:
         raise IoFailure(path, e) from e
     if got < expected:
         raise TruncatedPayload(path, HEADER.size + got,
                                f"payload needs {expected} bytes, got {got}")
-    data.shape = (n1, n2, 4)  # a stream's array is flat; never a copy, unlike reshape
+    data.shape = (n1, n2, 4)  # never a copy, unlike reshape
     _require_finite(path, data)
     return QuaternionField2D(data)
 

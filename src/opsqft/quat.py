@@ -81,6 +81,11 @@ class PureUnitQuaternion(Quaternion):
     def __init__(self, x: float, y: float, z: float):
         x, y, z = float(x), float(y), float(z)
         m = math.hypot(x, y, z)
+        if math.isinf(m) and all(map(math.isfinite, (x, y, z))):
+            # the length overflows, not the direction: scale the largest to 1
+            s = max(abs(x), abs(y), abs(z))
+            x, y, z = x / s, y / s, z / s
+            m = math.hypot(x, y, z)
         if not math.isfinite(m) or m < 1e-9:
             raise ValueError(f"axis direction undefined: ({x}, {y}, {z})")
         object.__setattr__(self, "w", 0.0)

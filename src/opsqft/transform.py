@@ -224,9 +224,6 @@ def inverse_direct(variant: TransformVariant, spectrum: Spectrum) -> QuaternionF
 # ---------------------------------------------------------------------------
 # Fast path: data @ A, one fft2 per plane, @ B, all in the output array.
 
-# Samples in the scratch of ``_pass0_grouped`` (512 KiB): whole rows of a
-# 1024-wide plane for one group of 32 rows.
-_GROUP = 1 << 15
 # Fewest samples in a grid whose jobs are split over two threads: below
 # it (320 x 320, say) the helper's start and the two threads' turns at the
 # interpreter lock cost more than the half it takes.
@@ -292,14 +289,15 @@ def _pass0_grouped(x: np.ndarray, sign: int) -> None:
     Each contiguous group of b rows (one m1) is multiplied by the stage-1
     matrix with its twiddles folded in, diag(T[:, m1]) Mb, into a scratch
     and copied back; then each strided group of a rows (one k2) by Ma.  The
-    columns go in chunks of at most _GROUP / b.
+    columns go in chunks of 2 ``_block_columns(b)``, so the scratch holds at
+    most 2 ``fftcore._BLOCK`` samples (512 KiB).
     """
     n, r = x.shape
     a, twiddles, ma, mb = _factors(n, sign)
     b = n // a
     groups = x.view()
     groups.shape = (a, b, r)  # never a copy, unlike reshape
-    w = 1 << (_GROUP // b).bit_length() - 1  # a power of two, as in _block_columns
+    w = 2 * _block_columns(b)
     z = np.empty((b, min(w, r)), dtype=np.complex128)
     d = np.empty((b, b), dtype=np.complex128)
     for j in range(0, r, w):

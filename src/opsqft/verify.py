@@ -409,11 +409,12 @@ def check_commutation(rng, profile=QUICK) -> List[CheckResult]:
     The spectrum splits along (f, g), or along (g, f) where the forward
     row conjugates its spectrum, as conjugation carries the (f, g) planes
     onto the (g, f) planes.  Residuals are relative to the RMS of the
-    full spectrum, at scales from 1e-150 to 1e150; length 67 runs the
-    chirp plan and length 70 the four-step plan.
+    full spectrum, at scales from 1e-150 to 1e150.  67 x 70 runs the chirp
+    plan on axis 0 and the four-step plan on axis 1; 70 x 67 runs the
+    grouped pass on axis 0.
     """
     worst = dict.fromkeys(Family, 0.0)
-    for variant, h in _cases(rng, profile.n_contexts, Family, ((4, 6), (67, 70)), 1):
+    for variant, h in _cases(rng, profile.n_contexts, Family, ((4, 6), (67, 70), (70, 67)), 1):
         ctx = variant.ctx
         pair = make_context(ctx.g, ctx.f) if KERNELS[variant.family, False].conjugate else ctx
         for scale in (1e-150, 1.0, 1e8, 1e150):

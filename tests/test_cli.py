@@ -55,17 +55,19 @@ def test_transform_round_trip_of_large_samples(tmp_path):
 
 
 def test_transform_axis_of_huge_components(tmp_path):
-    # 1e200,0,0 names the same axis as 1,0,0, though its squared length overflows
+    # 1e200,0,0 names the same axis as 1,0,0, though its squared length
+    # overflows; the length of 1.5e308,1.5e308,1.5e308 overflows too
     rng = np.random.default_rng(SEED + 16)
     a = tmp_path / "a.qf2d"
     write_random_field(a, rng, 3, 5)
-    outs = []
-    for f in ("1e200,0,0", "1,0,0"):
-        out = tmp_path / f"s{len(outs)}.qf2d"
-        assert main(["transform", "--variant", "twosided", "--f", f, "--g", "0,1,0",
-                     "--in", str(a), "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    for huge, plain in (("1e200,0,0", "1,0,0"), ("1.5e308,1.5e308,1.5e308", "1,1,1")):
+        outs = []
+        for f in (huge, plain):
+            out = tmp_path / f"s{len(outs)}.qf2d"
+            assert main(["transform", "--variant", "twosided", "--f", f, "--g", "0,1,0",
+                         "--in", str(a), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 def test_transform_fast_and_direct_agree(tmp_path):
@@ -431,16 +433,19 @@ def test_field_piped_between_commands(tmp_path, capsys):
     assert (out.returncode, out.stdout, out.stderr) == (0, want, "")
 
 
-@needs_dev_stdin
-@pytest.mark.parametrize("case", ["truncated", "over-long", "over-long by chunks", "huge header"])
-def test_bad_piped_field_exit_3(tmp_path, case):
-    # each with one diagnostic at the byte where the stream goes wrong; the
-    # huge header's grid is never allocated, so no MemoryError
+BAD_FIELDS = ["truncated", "over-long", "over-long by chunks", "huge header"]
+
+
+def bad_field(tmp_path, case):
+    """(bytes, message) of a .qf2d file gone wrong as ``case`` names: one
+    diagnostic at the byte where it goes wrong, the same from a pipe as
+    from a regular file.  The huge header's grid is never allocated, so no
+    MemoryError."""
     a = tmp_path / "a.qf2d"
     write_random_field(a, np.random.default_rng(SEED + 20))
     whole = a.read_bytes()
     huge = 2 ** 32 - 1
-    stream, message = {
+    return {
         "truncated": (whole[:100], "byte 100: payload needs 512 bytes, got 84"),
         "over-long": (whole + b"extra", "byte 528: 5 bytes after the 512-byte payload"),
         "over-long by chunks": (whole + bytes(3 << 20),
@@ -448,9 +453,24 @@ def test_bad_piped_field_exit_3(tmp_path, case):
         "huge header": (struct.pack("<4sIII", b"QF2D", 1, huge, huge) + whole[16:116],
                         f"byte 116: payload needs {32 * huge * huge} bytes, got 100"),
     }[case]
+
+
+@needs_dev_stdin
+@pytest.mark.parametrize("case", BAD_FIELDS)
+def test_bad_piped_field_exit_3(tmp_path, case):
+    stream, message = bad_field(tmp_path, case)
     out = fresh_opsqft(["info", "--in", "/dev/stdin"], input=stream)
     assert out.returncode == 3
     assert out.stderr.decode() == f"opsqft: /dev/stdin: {message}\n"
+
+
+@pytest.mark.parametrize("case", BAD_FIELDS)
+def test_bad_field_file_exit_3(tmp_path, capsys, case):
+    contents, message = bad_field(tmp_path, case)
+    b = tmp_path / "b.qf2d"
+    b.write_bytes(contents)
+    assert main(["info", "--in", str(b)]) == 3
+    assert capsys.readouterr().err == f"opsqft: {b}: {message}\n"
 
 
 def test_non_finite_sample_exit_3(tmp_path, capsys):

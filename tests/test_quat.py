@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,13 @@ def test_pure_unit_normalizes():
     # x*x + y*y + z*z overflows; the direction is still well defined
     assert PureUnitQuaternion(1e200, 0.0, 0.0) == PureUnitQuaternion(1.0, 0.0, 0.0)
     assert PureUnitQuaternion(3e300, 0.0, 4e300) == u
+    # x*x + y*y + z*z overflows, and so does its square root
+    assert PureUnitQuaternion(1.5e308, 1.5e308, 1.5e308) == PureUnitQuaternion(1.0, 1.0, 1.0)
+    assert PureUnitQuaternion(-1.5e308, 0.0, 1.5e308) == PureUnitQuaternion(-1.0, 0.0, 1.0)
+    # a non-finite component is refused, and named as given
+    for bad in ((math.inf, 0.0, 0.0), (math.nan, 1.0, 0.0), (math.inf, math.inf, 1.0)):
+        with pytest.raises(ValueError, match=re.escape("({}, {}, {})".format(*bad))):
+            PureUnitQuaternion(*bad)
 
 
 def test_pure_unit_from_quaternion():

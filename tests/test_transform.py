@@ -449,7 +449,7 @@ def test_grouped_route_takes_two_dense_factors_only():
     for n in (0, 1) + BLOCKED_LENGTHS:
         assert fftcore._grouped(n, -1) == fftcore._grouped(n, 1) == 0
     # 122 = 2 * 61 takes chunks of 512 columns: the last of 600 has 88
-    chunk = 1 << (transform._GROUP // 61).bit_length() - 1
+    chunk = 2 * _block_columns(61)
     assert fftcore._grouped(122, -1) == 2 and 600 // chunk == 1 and 600 % chunk
 
 
