@@ -20,46 +20,21 @@ family here run through a pair of complex FFTs.
 
 import importlib
 
-from .quat import (
-    ONE,
-    QI,
-    QJ,
-    QK,
-    ZERO,
-    PureUnitQuaternion,
-    Quaternion,
-    ZeroQuaternion,
-    conj,
-    exp_pure,
-    inner,
-    inverse,
-    mul,
-    norm,
-    scalar_part,
-)
-from .fields import QuaternionField2D
-from .split import (
-    DegenerateContext,
-    InvalidFrame,
-    OpsContext,
-    PlaneAssignment,
-    SplitParts,
-    coefficients,
-    determine_context,
-    half_turn,
-    make_context,
-    reconstruct,
-    rotate_split,
-    split,
-    split_arr,
-)
-
-# The FFT, transform, file-format and verification modules load on first
-# use of one of their names (PEP 562), so a command that needs none of
-# them does not pay for their import.  ``split`` stays eager: the function
-# ``split`` shadows its submodule's name, and a lazy import of the
-# submodule would bind ``opsqft.split`` to the module.
-_LAZY = {
+# Each public name, under the module that defines it.  The names of
+# ``quat``, ``fields`` and ``split`` bind at import; the others load with
+# their module on first use (PEP 562), so a command that needs none of the
+# FFT, transform, file-format or verification modules does not pay for
+# their import.  Loading the submodule ``split`` binds ``opsqft.split`` to
+# the module, so its names bind after it loads and the name holds the
+# function.
+_PUBLIC = {
+    "quat": ("ONE", "QI", "QJ", "QK", "ZERO", "Quaternion", "PureUnitQuaternion",
+             "ZeroQuaternion", "mul", "conj", "norm", "scalar_part", "inner", "inverse",
+             "exp_pure"),
+    "fields": ("QuaternionField2D",),
+    "split": ("OpsContext", "PlaneAssignment", "SplitParts", "DegenerateContext",
+              "InvalidFrame", "make_context", "determine_context", "split", "split_arr",
+              "half_turn", "coefficients", "reconstruct", "rotate_split"),
     "fftcore": ("fft1", "fft2"),
     "transform": ("Family", "TransformVariant", "Spectrum", "VariantMismatch",
                   "forward_fast", "forward_direct", "inverse_fast", "inverse_direct",
@@ -70,42 +45,29 @@ _LAZY = {
                 "export_magnitude_pgm"),
     "verify": ("CheckResult", "run_all"),
 }
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+
+def _resolve(name):
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+globals().update((name, _resolve(name)) for name, module in _HOME.items()
+                 if module in ("quat", "fields", "split"))
 
 
 def __getattr__(name):
-    if name in _LAZY:
+    if name in _PUBLIC:
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    globals()[name] = value
+    value = globals()[name] = _resolve(name)
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY) | set(_HOME))
+    return sorted(set(globals()) | set(_PUBLIC) | set(_HOME))
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ONE", "QI", "QJ", "QK", "ZERO",
-    "Quaternion", "PureUnitQuaternion", "ZeroQuaternion",
-    "mul", "conj", "norm", "scalar_part", "inner", "inverse", "exp_pure",
-    "QuaternionField2D",
-    "OpsContext", "PlaneAssignment", "SplitParts",
-    "DegenerateContext", "InvalidFrame",
-    "make_context", "determine_context",
-    "split", "split_arr", "half_turn", "coefficients", "reconstruct",
-    "rotate_split",
-    "fft1", "fft2",
-    "Family", "TransformVariant", "Spectrum", "VariantMismatch",
-    "forward_fast", "forward_direct", "inverse_fast", "inverse_direct",
-    "split_spectra",
-    "FileFormatError", "BadMagic", "BadVersion", "TruncatedPayload", "TrailingBytes",
-    "MalformedHeader", "NonFiniteSample", "UnsupportedFormat", "IoFailure",
-    "read_field", "write_field", "read_image_ppm", "export_magnitude_pgm",
-    "CheckResult", "run_all",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]

@@ -87,7 +87,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .fftcore import TAU, _block_columns, _factors, _grouped, fft1, fft2
+from .fftcore import _block_columns, _factors, _grouped, fft1, fft2
 from .fields import QuaternionField2D
 from .quat import conj_arr, exp_arr, mul_arr
 from .split import OpsContext, split_arr
@@ -177,25 +177,33 @@ def direct_sum(H: np.ndarray, ctx: OpsContext, cl, cr) -> np.ndarray:
     time: the phases broadcast to (k2, m1, m2) and the quaternion triple
     product is summed over the full input grid for every k2 at once, so
     the work per output sample stays proportional to the grid size and
-    no factorization of the kernels is used.  A term with a zero
+    no factorization of the kernels is used.  Each coefficient must be a
+    multiple of 1/2, c = j / 2, so c t_i = pi (j m_i k_i mod 2 N_i) / N_i:
+    the product is reduced in integers before it becomes an angle, and an
+    angle's error does not grow with the axis length.  A term with a zero
     coefficient is a plain 0, so a kernel without t2 stays (1, m1, 1).
     """
     n1, n2 = H.shape[:2]
 
-    def phase_terms(c):
-        """c.t = k1 * first + second, each broadcastable to (k2, m1, m2)."""
-        first = (c[0] * TAU * np.arange(n1) / n1)[None, :, None] if c[0] else 0.0
-        second = (np.outer(np.arange(n2), c[1] * TAU * np.arange(n2) / n2)[:, None, :]
-                  if c[1] else 0.0)
-        return first, second
+    def in_halves(c, n):
+        """j = 2c mod 2n, for a coefficient c that is a multiple of 1/2."""
+        if not float(2 * c).is_integer():
+            raise ValueError(f"kernel coefficient {c!r} is not a multiple of 1/2")
+        return int(2 * c) % (2 * n)
 
-    l1, l2 = phase_terms(cl)
-    r1, r2 = phase_terms(cr)
+    def angle(j, km, n):
+        """pi j k m / n with j k m reduced mod 2n; 0 where j is 0."""
+        return np.pi / n * (j * km % (2 * n)) if j else 0.0
+
+    m1, m2 = np.arange(n1)[None, :, None], np.arange(n2)
+    k2m2 = np.multiply.outer(m2, m2)[:, None, :] % (2 * n2)
+    l1, r1 = in_halves(cl[0], n1), in_halves(cr[0], n1)
+    l2, r2 = angle(in_halves(cl[1], n2), k2m2, n2), angle(in_halves(cr[1], n2), k2m2, n2)
     out = np.empty((n1, n2, 4))
     Hb = H[None, :, :, :]
     for k1 in range(n1):
-        L = exp_arr(ctx.f, k1 * l1 + l2)
-        R = exp_arr(ctx.g, k1 * r1 + r2)
+        L = exp_arr(ctx.f, angle(l1 * k1 % (2 * n1), m1, n1) + l2)
+        R = exp_arr(ctx.g, angle(r1 * k1 % (2 * n1), m1, n1) + r2)
         out[k1] = mul_arr(mul_arr(L, Hb), R).sum(axis=(1, 2))
     return out
 

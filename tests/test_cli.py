@@ -394,6 +394,16 @@ def test_io_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_import_ppm_of_a_missing_file_exit_3(tmp_path, capsys):
+    # the image's open fails: one line naming the path, and no output file
+    missing = tmp_path / "missing.ppm"
+    assert main(["import-ppm", "--in", str(missing), "--out", str(tmp_path / "o.qf2d")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"opsqft: {missing}: byte 0: I/O failure: ")
+    assert os.listdir(tmp_path) == []
+
+
 def test_trailing_bytes_exit_3(tmp_path, capsys):
     a = tmp_path / "a.qf2d"
     write_random_field(a, np.random.default_rng(SEED + 13))

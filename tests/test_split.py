@@ -356,6 +356,11 @@ def test_determine_context_rejects_bad_frames():
                           PlaneAssignment.AB_TO_MINUS)
 
 
+def test_determine_context_rejects_a_plane_assignment_by_name():
+    with pytest.raises(ValueError, match=r"^bad plane assignment: 'minus'$"):
+        determine_context(QI, QJ, QK, ONE, "minus")
+
+
 def test_package_split_is_the_function_and_the_module_stays_importable():
     # the package re-exports the function under its submodule's name, as
     # README's quick start imports it; the module's own names are reached

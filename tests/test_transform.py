@@ -423,6 +423,33 @@ def assert_fast_path_matches_numpy(n1, n2, rng):
         assert np.max(np.abs(got[k1, k2] - want)) <= 1e-12 * rms(got)
 
 
+@pytest.mark.parametrize("n1, n2", [(1031, 1), (1, 1031)])
+def test_direct_path_keeps_its_digits_along_a_long_axis(n1, n2):
+    # each phase's m k is reduced mod 2n in integers, so the error of an
+    # angle does not grow with the axis length (a float k1 * (2 pi m / n)
+    # put it at 4e-13 to 6.5e-13 of the RMS here)
+    rng = np.random.default_rng(SEED + 41)
+    ctx = context_zoo(rng)[0]
+    data = rng.standard_normal((n1, n2, 4))
+    for family in Family:
+        variant = TransformVariant(family, ctx)
+        got = forward_direct(variant, QuaternionField2D(data)).data
+        want = numpy_composition(variant, data, False)
+        assert np.max(np.abs(got - want)) <= 2e-14 * rms(want), family
+
+
+def test_direct_sum_takes_only_multiples_of_one_half():
+    # a coefficient that differs by the axis length gives the same phases
+    h = np.random.default_rng(SEED + 42).standard_normal((3, 2, 4))
+    ctx = make_context(QI, QJ)
+    assert np.allclose(transform.direct_sum(h, ctx, (1.5, 0), (0, -2)),
+                       transform.direct_sum(h, ctx, (-1.5, 0), (0, 0)))
+    with pytest.raises(ValueError, match="not a multiple of 1/2"):
+        transform.direct_sum(h, ctx, (1 / 3, 0), (0, 0))
+    with pytest.raises(ValueError, match="not a multiple of 1/2"):
+        transform.direct_sum(h, ctx, (0, 0), (0, math.inf))
+
+
 @pytest.mark.parametrize("n1, n2", RAGGED_GRIDS)
 def test_fast_path_in_ragged_blocks(n1, n2):
     # the axis-0 pass runs on column blocks, the axis-1 pass and @ B on
