@@ -20,21 +20,18 @@ family here run through a pair of complex FFTs.
 
 import importlib
 
-# Each public name, under the module that defines it.  The names of
-# ``quat``, ``fields`` and ``split`` bind at import; the others load with
-# their module on first use (PEP 562), so a command that needs none of the
-# FFT, transform, file-format or verification modules does not pay for
-# their import.  Loading the submodule ``split`` binds ``opsqft.split`` to
-# the module, so its names bind after it loads and the name holds the
-# function.
+# Each public name, under the module that defines it.  A name loads with its
+# module on first use (PEP 562) and is then cached here, so importing the
+# package loads no submodule and no numpy, and a command pays only for the
+# modules it runs.
 _PUBLIC = {
     "quat": ("ONE", "QI", "QJ", "QK", "ZERO", "Quaternion", "PureUnitQuaternion",
              "ZeroQuaternion", "mul", "conj", "norm", "scalar_part", "inner", "inverse",
              "exp_pure"),
     "fields": ("QuaternionField2D",),
-    "split": ("OpsContext", "PlaneAssignment", "SplitParts", "DegenerateContext",
-              "InvalidFrame", "make_context", "determine_context", "split", "split_arr",
-              "half_turn", "coefficients", "reconstruct", "rotate_split"),
+    "planes": ("OpsContext", "PlaneAssignment", "SplitParts", "DegenerateContext",
+               "InvalidFrame", "make_context", "determine_context", "split", "split_arr",
+               "half_turn", "coefficients", "reconstruct", "rotate_split"),
     "fftcore": ("fft1", "fft2"),
     "transform": ("Family", "TransformVariant", "Spectrum", "VariantMismatch",
                   "forward_fast", "forward_direct", "inverse_fast", "inverse_direct",
@@ -48,20 +45,13 @@ _PUBLIC = {
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
 
-def _resolve(name):
-    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-
-
-globals().update((name, _resolve(name)) for name, module in _HOME.items()
-                 if module in ("quat", "fields", "split"))
-
-
 def __getattr__(name):
     if name in _PUBLIC:
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = _resolve(name)
+    module = importlib.import_module(f"{__name__}.{_HOME[name]}")
+    value = globals()[name] = getattr(module, name)
     return value
 
 

@@ -30,7 +30,7 @@ from .formats import (
     write_field,
 )
 from .quat import ONE, PureUnitQuaternion, Quaternion, max_norm_arr
-from .split import (
+from .planes import (
     DegenerateContext,
     InvalidFrame,
     OpsContext,

@@ -46,7 +46,8 @@ TAU = 2.0 * np.pi
 # Lengths up to this are a single dense DFT matrix product.
 _DENSE_MAX = 64
 # Most (length, sign) plans kept at once.  A plan holds at most 5 n
-# complex numbers, or 64^2 for a dense one.
+# complex numbers, or 64^2 for a dense one; the row route's twiddle block
+# of a length, cached as many times, n _block_columns(n) (about _BLOCK).
 _PLAN_CACHE = 64
 # Samples in one block of an axis pass (256 KiB): enough columns for
 # BLAS-sized products, few enough that the blocks and the kernel's scratch
@@ -145,6 +146,17 @@ def _factors(n: int, sign: int):
     return a, twiddles, _plan(a, sign)[1], _plan(n // a, sign)[1]
 
 
+@lru_cache(maxsize=_PLAN_CACHE)
+def _row_twiddles(n: int, sign: int) -> np.ndarray:
+    """Read-only twiddles T[k2, m1] of ``_factors`` repeated over a block
+    of ``_pass1_grouped``'s rows, as (b, _block_columns(n), a): a multiply
+    by an operand of the stage's own shape needs no ufunc buffer."""
+    _, twiddles, _, _ = _factors(n, sign)
+    block = np.repeat(twiddles[:, None, :], _block_columns(n), axis=1)
+    block.flags.writeable = False
+    return block
+
+
 def _pass1_grouped(x: np.ndarray, out: np.ndarray, sign: int) -> None:
     """Signed transform along axis 1 of an (r, n) complex array into
     ``out`` of its shape, which may be x itself, n = a b with a =
@@ -152,17 +164,18 @@ def _pass1_grouped(x: np.ndarray, out: np.ndarray, sign: int) -> None:
 
     Each block of ``_block_columns(n)`` rows, input index a m2 + m1, is
     gathered once as (b, rows, a) in runs of a samples, multiplied by Mb
-    on the left in one product, by the twiddles T[k2, m1], and by Ma on the
-    right in one product, which leaves (k2, row, k1) for output k2 + b k1;
-    then it is written back in natural order.  The two blocks of scratch
-    are sized to the rows present.
+    on the left in one product, by the twiddles T[k2, m1] (of the stage's
+    shape, ``_row_twiddles``), and by Ma on the right in one product, which
+    leaves (k2, row, k1) for output k2 + b k1; then it is written back in
+    natural order.  The two blocks of scratch are sized to the rows present.
     """
     r, n = x.shape
     a, twiddles, ma, mb = _factors(n, sign)
     b = n // a
     src, dst = x.reshape(r, b, a), out.view()
     dst.shape = (r, a, b)  # never a copy, unlike reshape
-    k = min(_block_columns(n), r) or 1
+    whole = _block_columns(n)
+    k = min(whole, r) or 1
     g, y = np.empty((2, n * k), dtype=np.complex128)
     for i in range(0, r, k):
         rows = min(k, r - i)
@@ -170,7 +183,10 @@ def _pass1_grouped(x: np.ndarray, out: np.ndarray, sign: int) -> None:
         stage = y[:n * rows].reshape(b, rows, a)
         np.copyto(gathered, src[i:i + rows].transpose(1, 0, 2))
         np.matmul(mb, gathered.reshape(b, rows * a), out=stage.reshape(b, rows * a))
-        stage *= twiddles[:, None, :]
+        # a whole block multiplies by the cached block; a shorter one by the
+        # twiddles broadcast over its rows, since a slice of the block, not
+        # contiguous, would not spare numpy's buffer
+        stage *= _row_twiddles(n, sign) if rows == whole else twiddles[:, None, :]
         np.matmul(stage.reshape(b * rows, a), ma, out=gathered.reshape(b * rows, a))
         np.copyto(dst[i:i + rows], gathered.transpose(1, 2, 0))
 

@@ -38,10 +38,12 @@ HEADER = struct.Struct("<4sIII")
 
 
 class FileFormatError(Exception):
-    """Base for structural file errors; carries the path and byte offset."""
+    """Base for structural file errors; carries the path and the byte
+    offset, ``None`` when no byte is at fault."""
 
     def __init__(self, path, offset, message):
-        super().__init__(f"{path}: byte {offset}: {message}")
+        at = "" if offset is None else f"byte {offset}: "
+        super().__init__(f"{path}: {at}{message}")
         self.path = str(path)
         self.offset = offset
 
@@ -76,7 +78,7 @@ class NonFiniteSample(FileFormatError):
 
 class IoFailure(FileFormatError):
     def __init__(self, path, cause):
-        super().__init__(path, 0, f"I/O failure: {cause}")
+        super().__init__(path, None, f"I/O failure: {cause.strerror or cause}")
         self.cause = cause
 
 

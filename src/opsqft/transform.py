@@ -90,7 +90,7 @@ import numpy as np
 from .fftcore import _block_columns, _factors, _grouped, fft1, fft2
 from .fields import QuaternionField2D
 from .quat import conj_arr, exp_arr, mul_arr
-from .split import OpsContext, split_arr
+from .planes import OpsContext, split_arr
 
 
 class VariantMismatch(ValueError):

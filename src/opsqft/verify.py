@@ -41,7 +41,7 @@ from .quat import (
     norm,
     scalar_part,
 )
-from .split import (
+from .planes import (
     OpsContext,
     PlaneAssignment,
     determine_context,

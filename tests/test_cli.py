@@ -16,7 +16,7 @@ from opsqft.cli import main
 from opsqft.fields import QuaternionField2D
 from opsqft.formats import read_field, write_field
 from opsqft.quat import PureUnitQuaternion, norm_arr
-from opsqft.split import coefficients_arr, make_context
+from opsqft.planes import coefficients_arr, make_context
 
 SEED = 68422
 
@@ -394,14 +394,27 @@ def test_io_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_import_ppm_of_a_missing_file_exit_3(tmp_path, capsys):
-    # the image's open fails: one line naming the path, and no output file
-    missing = tmp_path / "missing.ppm"
-    assert main(["import-ppm", "--in", str(missing), "--out", str(tmp_path / "o.qf2d")]) == 3
+def assert_missing_input_exit_3(tmp_path, capsys, argv, name):
+    # the input's open fails: one line naming the path and the error, no
+    # byte offset since none was read, and no output file
+    missing = tmp_path / name
+    assert main([*argv, "--in", str(missing)]) == 3
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1, lines
-    assert lines[0].startswith(f"opsqft: {missing}: byte 0: I/O failure: ")
+    assert lines == [f"opsqft: {missing}: I/O failure: No such file or directory"]
     assert os.listdir(tmp_path) == []
+
+
+def test_import_ppm_of_a_missing_file_exit_3(tmp_path, capsys):
+    assert_missing_input_exit_3(tmp_path, capsys,
+                                ["import-ppm", "--out", str(tmp_path / "o.qf2d")], "missing.ppm")
+
+
+@pytest.mark.parametrize("command", ["info", "transform"])
+def test_missing_field_file_exit_3(tmp_path, capsys, command):
+    argv = {"info": ["info"],
+            "transform": ["transform", "--variant", "twosided", "--f", "1,0,0", "--g", "0,1,0",
+                          "--out", str(tmp_path / "o.qf2d")]}[command]
+    assert_missing_input_exit_3(tmp_path, capsys, argv, "missing.qf2d")
 
 
 def test_trailing_bytes_exit_3(tmp_path, capsys):

@@ -1,8 +1,8 @@
-"""What a command and the package load: each `opsqft` command imports only
-the modules it runs, and the package's lazy names resolve as eager ones did.
+"""What a command and the package load: importing the package loads
+nothing, each public name loads with its module on first use, and each
+`opsqft` command imports only the modules it runs.
 
-Each command runs in a fresh interpreter, which then reports the package
-modules it holds.
+Each case runs in a fresh interpreter, which then reports what it holds.
 """
 
 import json
@@ -22,8 +22,8 @@ AXES = ["--f", "1,0,0", "--g", "0.6,0.8,0"]
 HEAVY = {"opsqft.fftcore", "opsqft.transform", "opsqft.verify"}
 
 
-def _fresh(code, *args):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+def _fresh(code, *args, env=os.environ):
+    env = {k: v for k, v in env.items() if k != "PYTHONWARNINGS"}
     out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                          env={**env, "PYTHONPATH": SRC})
     assert out.returncode == 0, out.stderr
@@ -80,7 +80,7 @@ def test_every_public_name_resolves_and_is_listed():
 def test_star_import_in_a_fresh_process():
     code = ("from opsqft import *\n"
             "import importlib, opsqft\n"
-            "module = importlib.import_module('opsqft.split')\n"
+            "module = importlib.import_module('opsqft.planes')\n"
             "names = [n for n in opsqft.__all__ if n != '__version__']\n"
             "assert all(globals()[n] is getattr(opsqft, n) for n in names)\n"
             "assert split is opsqft.split is module.split\n"
@@ -88,11 +88,56 @@ def test_star_import_in_a_fresh_process():
     assert int(_fresh(code)) == len(opsqft.__all__) - 1
 
 
+def test_package_import_loads_no_submodule_and_no_numpy():
+    code = ("import json, os, sys\n"
+            "before = dict(os.environ)\n"
+            "import opsqft\n"
+            "held = sorted(m for m in sys.modules if m.startswith(('opsqft.', 'numpy')))\n"
+            "print(json.dumps([held, dict(os.environ) == before]))")
+    assert json.loads(_fresh(code)) == [[], True]
+
+
+def test_split_is_the_function_and_planes_the_module_whatever_loads_first():
+    code = ("import inspect\n"
+            "import opsqft.transform\n"
+            "assert inspect.isfunction(opsqft.split), opsqft.split\n"
+            "assert inspect.ismodule(opsqft.planes) and opsqft.planes.split is opsqft.split\n"
+            "print('ok')")
+    assert _fresh(code).strip() == "ok"
+
+
 def test_split_stays_the_function_after_the_lazy_modules_load():
-    # verify and transform import from the split module; the package's
+    # verify and transform import from the planes module; the package's
     # name still holds the function
     code = ("import inspect, opsqft\n"
             "opsqft.run_all, opsqft.forward_fast\n"
             "assert inspect.isfunction(opsqft.split), opsqft.split\n"
             "print('ok')")
     assert _fresh(code).strip() == "ok"
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_command_process_starts_openblas_with_one_thread(files, preset):
+    # a count the caller set wins; the default leaves OpenBLAS no idle worker
+    code = ("import ctypes, os, pathlib, sys\n"
+            "from opsqft.__main__ import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "import numpy as np\n"
+            "libs = pathlib.Path(np.__file__).parent.parent / 'numpy.libs'\n"
+            "found = sorted(libs.glob('libscipy_openblas64_*'))\n"
+            "get = ctypes.CDLL(str(found[0])).scipy_openblas_get_num_threads64_ if found else None\n"
+            "if get:\n"
+            "    get.argtypes, get.restype = [], ctypes.c_int\n"
+            "tasks = '/proc/self/task'\n"
+            "print(get() if get else None, len(os.listdir(tasks)) if os.path.isdir(tasks) else None)")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    threads, tasks = _fresh(code, "info", "--in", str(files / "a.qf2d"), env=env).split()[-2:]
+    if threads == "None":
+        pytest.skip("numpy has no bundled OpenBLAS here")
+    if preset:
+        assert int(threads) == min(int(preset), len(os.sched_getaffinity(0)))
+    else:
+        assert int(threads) == 1
+        assert tasks in ("None", "1")

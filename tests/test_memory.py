@@ -16,7 +16,7 @@ from opsqft.fftcore import fft1, fft2
 from opsqft.fields import QuaternionField2D
 from opsqft.formats import write_field
 from opsqft.quat import PureUnitQuaternion, norm_arr
-from opsqft.split import make_context
+from opsqft.planes import make_context
 from opsqft.transform import (Family, Spectrum, TransformVariant, _pass0_grouped, forward_fast,
                               inverse_fast)
 
@@ -26,7 +26,8 @@ PLANE = N * N * 16
 FIELD = 2 * PLANE
 # bytes in one block of an axis pass, 2^14 complex samples
 BLOCK = (1 << 14) * 16
-# numpy's buffer for a ufunc whose operand is broadcast, as the twiddles are
+# numpy's buffer for a ufunc whose operand is broadcast, as the row route's
+# twiddles are on a block shorter than a whole one
 UFUNC_BUFFER = np.getbufsize() * 16
 # fft2 runs its passes in the calling thread.  fft1's blocked pass (axis 0
 # here) holds three blocks of 2^14 complex samples at once, in place or
@@ -76,10 +77,14 @@ def test_fft2_holds_one_plane():
 
 def test_row_route_holds_two_blocks_for_the_rows_present():
     # in place along axis 1 of a plane, the row route holds two blocks of
-    # 2^14 samples, and a line of one row two rows, not two blocks
+    # 2^14 samples and, its whole blocks multiplied by a cached block of
+    # twiddles, no ufunc buffer (4 KiB for the views); a line of one row
+    # holds two rows, not two blocks
     rng = np.random.default_rng(9)
     x = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    assert traced_peak(lambda: fft1(x, -1, axis=1, out=x)) <= ROW_SCRATCH
+    peak = traced_peak(lambda: fft1(x, -1, axis=1, out=x))
+    assert peak <= ROW_SCRATCH
+    assert peak <= 2 * BLOCK + 4 * 1024
     line = rng.standard_normal((1, 4 * N)).astype(np.complex128)
     assert traced_peak(lambda: fft1(line, -1, out=line)) <= 2 * line.nbytes + UFUNC_BUFFER + 64 * 1024
 

@@ -1,4 +1,3 @@
-import importlib
 import inspect
 
 import numpy as np
@@ -20,7 +19,7 @@ from opsqft.quat import (
     scalar_part,
 )
 from opsqft.fields import QuaternionField2D
-from opsqft.split import (
+from opsqft.planes import (
     DegenerateContext,
     InvalidFrame,
     PlaneAssignment,
@@ -361,11 +360,7 @@ def test_determine_context_rejects_a_plane_assignment_by_name():
         determine_context(QI, QJ, QK, ONE, "minus")
 
 
-def test_package_split_is_the_function_and_the_module_stays_importable():
-    # the package re-exports the function under its submodule's name, as
-    # README's quick start imports it; the module's own names are reached
-    # by a from-import or importlib, not as attributes of opsqft.split
-    module = importlib.import_module("opsqft.split")
-    assert inspect.ismodule(module)
-    assert opsqft.split is split is module.split
-    assert module.split_arr is split_arr and module.make_context is make_context
+def test_package_split_is_the_function_and_planes_is_the_module():
+    assert inspect.ismodule(opsqft.planes) and opsqft.planes.__name__ == "opsqft.planes"
+    assert opsqft.split is split is opsqft.planes.split
+    assert opsqft.planes.split_arr is split_arr and opsqft.planes.make_context is make_context

@@ -1,4 +1,3 @@
-import importlib
 import math
 import os
 import subprocess
@@ -14,7 +13,7 @@ from opsqft import fftcore, transform
 from opsqft.fftcore import _block_columns
 from opsqft.fields import QuaternionField2D
 from opsqft.quat import QI, QJ, PureUnitQuaternion
-from opsqft.split import make_context, split_arr
+from opsqft.planes import make_context, split_arr
 from opsqft.transform import (
     _SPLIT_MIN,
     KERNELS,
@@ -88,9 +87,7 @@ def test_conjugation_family_runs_in_the_frame_of_its_context(monkeypatch):
     def no_second_frame(f, g):
         raise AssertionError("a second frame was built")
 
-    # the package exports a function named split, so the module is looked up
-    monkeypatch.setattr(importlib.import_module("opsqft.split"), "_plane_frame",
-                        no_second_frame)
+    monkeypatch.setattr("opsqft.planes._plane_frame", no_second_frame)
     h = rand_field(rng, 4, 6)
     spectrum = Spectrum(rand_field(rng, 4, 6), variant)
     forward_fast(variant, h)
