@@ -273,7 +273,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FileFormatError, OSError) as e:
         print(f"opsqft: {e}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

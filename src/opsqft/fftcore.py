@@ -46,8 +46,8 @@ TAU = 2.0 * np.pi
 # Lengths up to this are a single dense DFT matrix product.
 _DENSE_MAX = 64
 # Most (length, sign) plans kept at once.  A plan holds at most 5 n
-# complex numbers, or 64^2 for a dense one; the row route's twiddle block
-# of a length, cached as many times, n _block_columns(n) (about _BLOCK).
+# complex numbers, or 64^2 for a dense one.  The row route keeps at most
+# as many twiddle blocks, of at most n _block_columns(n) <= _BLOCK each.
 _PLAN_CACHE = 64
 # Samples in one block of an axis pass (256 KiB): enough columns for
 # BLAS-sized products, few enough that the blocks and the kernel's scratch
@@ -147,12 +147,13 @@ def _factors(n: int, sign: int):
 
 
 @lru_cache(maxsize=_PLAN_CACHE)
-def _row_twiddles(n: int, sign: int) -> np.ndarray:
+def _row_twiddles(n: int, sign: int, rows: int) -> np.ndarray:
     """Read-only twiddles T[k2, m1] of ``_factors`` repeated over a block
-    of ``_pass1_grouped``'s rows, as (b, _block_columns(n), a): a multiply
-    by an operand of the stage's own shape needs no ufunc buffer."""
+    of ``_pass1_grouped``'s rows, as (b, rows, a) for a block of any
+    height: a contiguous operand of the stage's own shape needs no ufunc
+    buffer, where a broadcast or a slice of a taller block is buffered."""
     _, twiddles, _, _ = _factors(n, sign)
-    block = np.repeat(twiddles[:, None, :], _block_columns(n), axis=1)
+    block = np.repeat(twiddles[:, None, :], rows, axis=1)
     block.flags.writeable = False
     return block
 
@@ -164,18 +165,18 @@ def _pass1_grouped(x: np.ndarray, out: np.ndarray, sign: int) -> None:
 
     Each block of ``_block_columns(n)`` rows, input index a m2 + m1, is
     gathered once as (b, rows, a) in runs of a samples, multiplied by Mb
-    on the left in one product, by the twiddles T[k2, m1] (of the stage's
-    shape, ``_row_twiddles``), and by Ma on the right in one product, which
-    leaves (k2, row, k1) for output k2 + b k1; then it is written back in
-    natural order.  The two blocks of scratch are sized to the rows present.
+    on the left in one product, by the twiddles T[k2, m1], and by Ma on the
+    right in one product, which leaves (k2, row, k1) for output k2 + b k1;
+    then it is written back in natural order.  Every block, of any height,
+    multiplies by the cached twiddles of its own shape (``_row_twiddles``),
+    so the pass holds only its two blocks, sized to the rows present.
     """
     r, n = x.shape
-    a, twiddles, ma, mb = _factors(n, sign)
+    a, _, ma, mb = _factors(n, sign)
     b = n // a
     src, dst = x.reshape(r, b, a), out.view()
     dst.shape = (r, a, b)  # never a copy, unlike reshape
-    whole = _block_columns(n)
-    k = min(whole, r) or 1
+    k = min(_block_columns(n), r) or 1
     g, y = np.empty((2, n * k), dtype=np.complex128)
     for i in range(0, r, k):
         rows = min(k, r - i)
@@ -183,10 +184,7 @@ def _pass1_grouped(x: np.ndarray, out: np.ndarray, sign: int) -> None:
         stage = y[:n * rows].reshape(b, rows, a)
         np.copyto(gathered, src[i:i + rows].transpose(1, 0, 2))
         np.matmul(mb, gathered.reshape(b, rows * a), out=stage.reshape(b, rows * a))
-        # a whole block multiplies by the cached block; a shorter one by the
-        # twiddles broadcast over its rows, since a slice of the block, not
-        # contiguous, would not spare numpy's buffer
-        stage *= _row_twiddles(n, sign) if rows == whole else twiddles[:, None, :]
+        stage *= _row_twiddles(n, sign, rows)
         np.matmul(stage.reshape(b * rows, a), ma, out=gathered.reshape(b * rows, a))
         np.copyto(dst[i:i + rows], gathered.transpose(1, 2, 0))
 
@@ -198,7 +196,8 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
     (O(n) once n exceeds one), into ``out``: a new C-contiguous array by
     default, or a given complex128 array of the input's shape (any other
     raises ValueError), which may be the input itself (a block is read
-    whole before it is written).  The blocks run in the calling thread.
+    whole before it is written); one that overlaps the input otherwise is
+    written from a copy of it.  The blocks run in the calling thread.
     Along a last axis (one sample after it) whose length is a four-step of
     two dense factors, they are blocks of rows (``_pass1_grouped``);
     otherwise, blocks of the kernel's columns.
@@ -215,6 +214,8 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
         out = np.empty(x.shape, dtype=np.complex128)
     elif out.dtype != np.complex128 or out.shape != x.shape:
         raise ValueError(f"out must be complex128 of shape {x.shape}, got {out.dtype} {out.shape}")
+    elif out is not x and np.shares_memory(x, out):
+        x = x.copy()  # a block written to out would overwrite input a later block reads
     src, dst = x.reshape(pre, n, post), out.view()
     try:
         dst.shape = (pre, n, post)  # never a copy, unlike reshape

@@ -229,6 +229,21 @@ def test_fft2_in_place_on_interleaved_planes(n1, n2):
         assert not bad.any()
 
 
+@pytest.mark.parametrize("shape, run, want", [
+    ((512, 512), lambda x: fft2(x.T, -1, -1, out=x), lambda x: np.fft.fft2(x.T)),
+    ((65, 1024), lambda x: fft1(x[:64], -1, axis=1, out=x[1:]),
+     lambda x: np.fft.fft(x[:64], axis=1)),
+    ((1024, 65), lambda x: fft1(x[:, :64], -1, axis=0, out=x[:, 1:]),
+     lambda x: np.fft.fft(x[:, :64], axis=0)),
+], ids=["transposed", "rows-shifted", "columns-shifted"])
+def test_out_overlapping_the_input_gets_the_input_transformed(shape, run, want):
+    # an out that shares memory with the input without being it: a block
+    # written there must not overwrite input that a later block reads
+    x = rand_c(np.random.default_rng(SEED + 19), shape)
+    expected = want(x)
+    assert rms_err(run(x), expected) < 1e-14
+
+
 def test_standalone_fft2_runs_its_blocks_in_the_caller(monkeypatch):
     # a grid on which a transform splits its jobs over two threads: the
     # passes of a standalone fft2 run every block on the calling thread
@@ -327,7 +342,18 @@ def test_row_route_in_place_gives_the_out_of_place_bits(monkeypatch):
     assert fft1(stack[:, 0], 1, out=other) is other
     assert np.array_equal(other, want)
     assert np.array_equal(stack[:, 0], plane)
-    fft1(stack[:, 0], 1, out=stack[:, 0])
+    inplace = stack[:, 0]
+    fft1(inplace, 1, out=inplace)
     assert np.array_equal(stack[:, 0], want)
     assert rms_err(want, n * np.fft.ifft(plane)) < 1e-14
     assert lengths == [n] * 3
+
+
+@pytest.mark.parametrize("rows, n", [(40, 512), (100, 1000), (1000, 1000)])
+def test_row_route_with_a_short_last_block_matches_numpy(rows, n):
+    # 32 + 8 rows of 512, and 6 or 62 blocks of 16 rows of 1000 with a last
+    # one of 4 or 8: each block's twiddles have its own height
+    x = rand_c(np.random.default_rng(SEED + 20 + rows), (rows, n))
+    assert rows % fftcore._block_columns(n)
+    for sign in (-1, 1):
+        assert rms_err(fft1(x, sign, axis=1), signed_numpy(x, sign, 1)) < 1e-14

@@ -26,24 +26,25 @@ PLANE = N * N * 16
 FIELD = 2 * PLANE
 # bytes in one block of an axis pass, 2^14 complex samples
 BLOCK = (1 << 14) * 16
-# numpy's buffer for a ufunc whose operand is broadcast, as the row route's
-# twiddles are on a block shorter than a whole one
-UFUNC_BUFFER = np.getbufsize() * 16
 # fft2 runs its passes in the calling thread.  fft1's blocked pass (axis 0
 # here) holds three blocks of 2^14 complex samples at once, in place or
 # not: the gathered block and the two stages of its four-step pass (0.75
-# MiB).  Its row route along a last axis of two dense factors (axis 1
-# here, 512 = 16 32) holds two: the gathered block and one stage.  The 64
-# KiB margin is for the plans and views; twice the blocks would not fit.
+# MiB).  The 64 KiB margin is for the plans and views; twice the blocks
+# would not fit.
 SCRATCH = 3 * BLOCK + 64 * 1024
-ROW_SCRATCH = 2 * BLOCK + UFUNC_BUFFER + 64 * 1024
+# fft1's row route along a last axis of two dense factors (axis 1 here,
+# 512 = 16 32) holds two blocks, the gathered one and one stage, and no
+# ufunc buffer: every block multiplies by cached twiddles of its own
+# shape.  4 KiB is for the views.
+ROW_SCRATCH = 2 * BLOCK + 4 * 1024
 # the fast path's scratch, on each of the two threads that transform its
 # planes: first the 2^15-sample chunk of the grouped axis-0 pass (here
 # 32 x 512 samples, 256 KiB), then the row route's ROW_SCRATCH on axis 1,
 # and last the two-block slab of rows that is interleaved before its
 # product with B overwrites it.  Measured: 1.01-1.26 MiB, as the two
-# threads' stages overlap; twice the blocks would not fit.
-BLOCK_SCRATCH = 2 * ROW_SCRATCH
+# threads' stages overlap; 1.375 MiB is kept, and twice the blocks would
+# not fit.
+BLOCK_SCRATCH = 11 * MIB // 8
 # the blocked norm passes of info and export-pgm: one block of 2^14
 # samples divided by the largest component (512 KiB) and the sums of two
 # consecutive blocks (128 KiB each).  Measured 0.80 MiB with the views.
@@ -70,23 +71,24 @@ def test_fft2_holds_one_plane():
     x = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     # the output, which the axis-1 pass writes over the axis-0 result
     assert traced_peak(lambda: fft2(x, -1, 1)) <= PLANE + SCRATCH
-    # written over its input, it holds no plane, and the twiddles are
-    # multiplied in place, without a ufunc buffer
+    # written over its input, it holds no plane.  The blocked pass's
+    # four-step multiplies its twiddles broadcast over the block's columns,
+    # so numpy allocates its 128 KiB ufunc buffer per block, below the
+    # three blocks' peak
     assert traced_peak(lambda: fft2(x, -1, 1, out=x)) <= SCRATCH
 
 
-def test_row_route_holds_two_blocks_for_the_rows_present():
+@pytest.mark.parametrize("n1, n2", [(512, 512), (40, 512), (100, 1000), (1000, 1000)])
+def test_row_route_holds_two_blocks_for_the_rows_present(n1, n2):
     # in place along axis 1 of a plane, the row route holds two blocks of
-    # 2^14 samples and, its whole blocks multiplied by a cached block of
-    # twiddles, no ufunc buffer (4 KiB for the views); a line of one row
-    # holds two rows, not two blocks
+    # 2^14 samples and nothing else, whole blocks or a shorter last one
+    # (40 = 32 + 8 rows of 512; 100 and 1000 rows of 1000 in blocks of 16,
+    # the last of 4 or 8); a line of one row holds two rows, not two blocks
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    peak = traced_peak(lambda: fft1(x, -1, axis=1, out=x))
-    assert peak <= ROW_SCRATCH
-    assert peak <= 2 * BLOCK + 4 * 1024
+    x = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
+    assert traced_peak(lambda: fft1(x, -1, axis=1, out=x)) <= ROW_SCRATCH
     line = rng.standard_normal((1, 4 * N)).astype(np.complex128)
-    assert traced_peak(lambda: fft1(line, -1, out=line)) <= 2 * line.nbytes + UFUNC_BUFFER + 64 * 1024
+    assert traced_peak(lambda: fft1(line, -1, out=line)) <= 2 * line.nbytes + 4 * 1024
 
 
 def test_grouped_pass_holds_one_chunk_at_any_width():
