@@ -6,17 +6,18 @@ so s1 = s2 = -1 reproduces the usual forward DFT.  Mixed signs are
 needed because the split transform kernels rotate the two planes in
 opposite directions.
 
-One kernel serves every length; it transforms the columns of a
-contiguous block.  A length of at most 64 is one product with its DFT
-matrix.  A longer composite length n = a b, with a the largest divisor
-not above sqrt(n), runs Bailey's four-step factorization: length-b
-transforms, the twiddles w^(m1 k2), a transpose within the block and
-length-a transforms, which leaves the output in natural order.  A
-longer prime length runs Bluestein's chirp-z transform, a circular
-convolution of power-of-two length evaluated by the same kernel.  The
-DFT matrices, twiddles and chirps are built on first use and cached per
-(length, sign); every angle is reduced exactly in integers before
-``exp``.
+One kernel serves every length by the route that ``_plan`` names, one
+of four kinds; it transforms the columns of a contiguous block.  A
+length of at most 64 is "dense": one product with its DFT matrix.  A
+longer composite length n = a b, with a the largest divisor not above
+sqrt(n), runs Bailey's four-step factorization: length-b transforms,
+the twiddles w^(m1 k2), a transpose within the block and length-a
+transforms, which leaves the output in natural order.  It is "grouped"
+where b, so a too, is dense (65, 130, 512, 1000, 1024, 4096, ...), and
+"four-step" otherwise.  A longer prime length is a "chirp": Bluestein's
+transform, a circular convolution of power-of-two length evaluated by
+the same kernel.  The plans are built on first use and cached per
+(length, sign); every angle is reduced exactly in integers before ``exp``.
 
 An axis pass of ``fft1`` gathers blocks of about 2^14 samples along the
 axis, runs the kernel on each and writes it straight into the output, so
@@ -26,12 +27,9 @@ write (the input itself, say), plus the scratch of a few blocks: 0.75
 MiB, or up to about 2.25 MiB on a Bluestein axis, whose padded buffer is
 two to four times the block.
 
-Where the length n = a b is a four-step with both factors dense (65,
-130, 512, 1000, 1024, 4096, ...; ``_grouped`` gives a, ``_factors`` the
-stages' matrices), a pass along a last axis, the axis along each row,
-takes the row route ``_pass1_grouped`` in place of the kernel's blocks:
-each stage is one product over a whole block of rows, beside two blocks
-of scratch.
+Along a last axis, the axis along each row, a grouped length takes the
+row route ``_pass1_grouped`` in place of the kernel's blocks: each stage
+is one product over a whole block of rows, beside two blocks of scratch.
 """
 
 from __future__ import annotations
@@ -71,10 +69,11 @@ def _roots(j: np.ndarray, n: int, sign: int) -> np.ndarray:
 
 @lru_cache(maxsize=_PLAN_CACHE)
 def _plan(n: int, sign: int):
-    """What ``_pass0`` needs for length n, labelled with its method.
+    """What ``_pass0`` needs for length n, labelled with its kind.
 
     ("dense", M, None): M[k, m] = w^(m k), w = exp(sign 2 pi i / n).
     ("four-step", a, T): n = a b and T[k2, m1] = w^(m1 k2) for k2 < b, m1 < a.
+    ("grouped", a, T): the same, where b (so a too) is at most _DENSE_MAX.
     ("chirp", c, K): c[m] = exp(sign pi i m^2 / n) as a column, and K the
     power-of-two length transform of the conjugate chirp, divided by its
     length, as a column.
@@ -87,7 +86,7 @@ def _plan(n: int, sign: int):
         a -= 1
     if a > 1:
         k2, m1 = np.ogrid[:n // a, :a]
-        return "four-step", a, _roots(m1 * k2 % n, n, sign)
+        return ("grouped" if n // a <= _DENSE_MAX else "four-step"), a, _roots(m1 * k2 % n, n, sign)
     size = 1 << (2 * n - 2).bit_length()
     m = np.arange(n, dtype=np.int64)
     chirp = _roots(m * m % (2 * n), 2 * n, sign)
@@ -113,7 +112,7 @@ def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
     kind, p, q = _plan(n, sign)
     if kind == "dense":
         return p @ x
-    if kind == "four-step":
+    if kind != "chirp":  # a four-step, grouped or not
         # input index a m2 + m1, output index k2 + b k1
         a, b = p, n // p
         y = _pass0(x.reshape(b, a * r), sign).reshape(b, a, r)
@@ -131,17 +130,9 @@ def _pass0(x: np.ndarray, sign: int) -> np.ndarray:
     return y
 
 
-def _grouped(n: int, sign: int) -> int:
-    """a when length n is a four-step n = a b with b (so a) dense, else 0."""
-    if n <= _DENSE_MAX:
-        return 0
-    kind, a, _ = _plan(n, sign)
-    return a if kind == "four-step" and n // a <= _DENSE_MAX else 0
-
-
 def _factors(n: int, sign: int):
-    """(a, T, Ma, Mb) of a length n = a b with a = ``_grouped(n, sign)``:
-    the twiddles T[k2, m1] = w^(m1 k2) and the DFT matrices of a and b."""
+    """(a, T, Ma, Mb) of a grouped length n = a b (``_plan``): the
+    twiddles T[k2, m1] = w^(m1 k2) and the DFT matrices of a and b."""
     _, a, twiddles = _plan(n, sign)
     return a, twiddles, _plan(a, sign)[1], _plan(n // a, sign)[1]
 
@@ -159,9 +150,9 @@ def _row_twiddles(n: int, sign: int, rows: int) -> np.ndarray:
 
 
 def _pass1_grouped(x: np.ndarray, out: np.ndarray, sign: int) -> None:
-    """Signed transform along axis 1 of an (r, n) complex array into
-    ``out`` of its shape, which may be x itself, n = a b with a =
-    ``_grouped(n, sign)``: the four-step of ``_pass0`` on rows.
+    """Signed transform along axis 1 of an (r, n) complex array, n = a b
+    grouped (``_plan``), into ``out`` of its shape, which may be x's data
+    with x's strides in any view: the four-step of ``_pass0`` on rows.
 
     Each block of ``_block_columns(n)`` rows, input index a m2 + m1, is
     gathered once as (b, rows, a) in runs of a samples, multiplied by Mb
@@ -195,12 +186,13 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
     The result is written block by block, beside a few blocks of scratch
     (O(n) once n exceeds one), into ``out``: a new C-contiguous array by
     default, or a given complex128 array of the input's shape (any other
-    raises ValueError), which may be the input itself (a block is read
-    whole before it is written); one that overlaps the input otherwise is
-    written from a copy of it.  The blocks run in the calling thread.
-    Along a last axis (one sample after it) whose length is a four-step of
-    two dense factors, they are blocks of rows (``_pass1_grouped``);
-    otherwise, blocks of the kernel's columns.
+    raises ValueError).  One with the input's data pointer and strides,
+    whichever object views that memory, is written in place (a block is
+    read whole before it is written); one that overlaps the input
+    otherwise is written from a copy of it.  The blocks run in the calling
+    thread.  Along a last axis (one sample after it) of a grouped length,
+    they are blocks of rows (``_pass1_grouped``); otherwise, blocks of the
+    kernel's columns.
     """
     _check_sign(sign)
     ndim = np.ndim(x)
@@ -214,14 +206,14 @@ def fft1(x: np.ndarray, sign: int, axis: int = -1, out: np.ndarray | None = None
         out = np.empty(x.shape, dtype=np.complex128)
     elif out.dtype != np.complex128 or out.shape != x.shape:
         raise ValueError(f"out must be complex128 of shape {x.shape}, got {out.dtype} {out.shape}")
-    elif out is not x and np.shares_memory(x, out):
+    elif (out.ctypes.data, out.strides) != (x.ctypes.data, x.strides) and np.shares_memory(x, out):
         x = x.copy()  # a block written to out would overwrite input a later block reads
     src, dst = x.reshape(pre, n, post), out.view()
     try:
         dst.shape = (pre, n, post)  # never a copy, unlike reshape
     except AttributeError:
         raise ValueError(f"out of strides {out.strides} has no ({pre}, {n}, {post}) view") from None
-    if post == 1 and _grouped(n, sign):
+    if post == 1 and _plan(n, sign)[0] == "grouped":
         _pass1_grouped(src[:, :, 0], dst[:, :, 0], sign)
         return out
     # a block is k leading by w trailing indices, k w = cols columns of length n

@@ -38,14 +38,15 @@ HEADER = struct.Struct("<4sIII")
 
 
 class FileFormatError(Exception):
-    """Base for structural file errors; carries the path and the byte
-    offset, ``None`` when no byte is at fault."""
+    """Base for structural file errors; carries the path, the byte
+    offset, ``None`` when no byte is at fault, and the message."""
 
     def __init__(self, path, offset, message):
         at = "" if offset is None else f"byte {offset}: "
         super().__init__(f"{path}: {at}{message}")
         self.path = str(path)
         self.offset = offset
+        self.message = message
 
 
 class BadMagic(FileFormatError):
@@ -326,11 +327,17 @@ def export_magnitude_pgm(spectrum_or_field, path, centered: bool = False) -> Non
     midpoint (floor(n1/2), floor(n2/2)) for display.  Each magnitude is
     the square root of the sum of squares of the sample divided by its
     largest component, so none overflows, taken block by block into the
-    n1 x n2 image.
+    n1 x n2 image.  A NaN or infinite component raises
+    ``NonFiniteSample``, with no offset, before anything is written.
     """
     field = getattr(spectrum_or_field, "field", spectrum_or_field)
     data = field.data
     top = float(max(data.max(), -data.min()))
+    if not np.isfinite(top):
+        try:
+            _require_finite(path, data)
+        except NonFiniteSample as e:  # no byte of the image is at fault
+            raise NonFiniteSample(path, None, e.message) from None
     if top > 0.0:
         mags = np.empty(field.n1 * field.n2)
         for start, s in sq_norm_blocks(data, top):

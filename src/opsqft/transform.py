@@ -41,8 +41,8 @@ it and transformed in place, axis 0 then axis 1, and then each block of
 rows is interleaved into a small scratch whose product with B
 overwrites those rows.  No other full-size array is made.
 
-Where N1 = a b is a four-step of two dense factors
-(``fftcore._grouped``), the rotation writes plane row b m1 + m2 from
+Where N1 = a b is a four-step of two dense factors (a "grouped" length
+of ``fftcore._plan``), the rotation writes plane row b m1 + m2 from
 data row a m2 + m1: the four-step's input order, read out of place at no
 cost.  ``_pass0_grouped`` then runs axis 0 in place over groups of rows,
 with no gather, transpose or copy of blocks, and ``fft1`` runs axis 1.
@@ -87,7 +87,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .fftcore import _block_columns, _factors, _grouped, fft1, fft2
+from .fftcore import _block_columns, _factors, _plan, fft1, fft2
 from .fields import QuaternionField2D
 from .quat import conj_arr, exp_arr, mul_arr
 from .planes import OpsContext, split_arr
@@ -290,9 +290,9 @@ def _halves(run, jobs: Sequence, samples: int) -> None:
 
 def _pass0_grouped(x: np.ndarray, sign: int) -> None:
     """Signed transform along axis 0 of an (n, r) complex array in place,
-    n = a b with a = ``fftcore._grouped(n, sign)``, whose row b m1 + m2
-    holds input a m2 + m1: the four-step of ``fftcore._pass0`` with its
-    transpose left to the writer of x.  Afterwards row k holds output k.
+    n = a b grouped (``fftcore._plan``), whose row b m1 + m2 holds input
+    a m2 + m1: the four-step of ``fftcore._pass0`` with its transpose left
+    to the writer of x.  Afterwards row k holds output k.
 
     Each contiguous group of b rows (one m1) is multiplied by the stage-1
     matrix with its twiddles folded in, diag(T[:, m1]) Mb, into a scratch
@@ -346,11 +346,11 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
             if c2 == 0:  # a BLAS product: numpy's strided sum over axis 1 is slower
                 x = (np.ones(x.shape[1]) @ x)[:, None, :]
             plane = spec[:, p] if x is data else np.empty(x.shape[:2], np.complex128)
-            a = _grouped(n1, c1) if x is data else 0
-            if a:  # the four-step's input order (module docstring)
-                x = data.reshape(n1 // a, a, n2, 4).transpose(1, 0, 2, 3)
+            grouped = x is data and _plan(n1, c1)[0] == "grouped"
+            if grouped:  # the four-step's input order (module docstring)
+                x = data.reshape(-1, _plan(n1, c1)[1], n2, 4).transpose(1, 0, 2, 3)
             np.matmul(x, A[:, 2 * p:2 * p + 2], out=plane.view(np.float64).reshape(*x.shape[:-1], 2))
-            if a:
+            if grouped:
                 _pass0_grouped(plane, c1)
                 fft1(plane, c2, axis=1, out=plane)
             else:

@@ -184,6 +184,14 @@ def test_fft2_nested_by_square_four_step_mixed_signs():
     assert rel_err(fft2(x, 1, -1), want) < 1e-14
 
 
+def test_plan_names_each_kind_of_route():
+    # one DFT matrix; four-steps 32 * 32, both factors dense, and 64 * 128;
+    # and a prime, by Bluestein's chirp
+    for sign in (-1, 1):
+        kinds = [_plan(n, sign)[0] for n in (64, 1024, 8192, 1031)]
+        assert kinds == ["dense", "grouped", "four-step", "chirp"]
+
+
 @pytest.mark.parametrize("n", KERNEL_LENGTHS)
 def test_plans_are_linear_in_length(n):
     # a four-step twiddle table holds n numbers, a chirp and its padded
@@ -325,13 +333,14 @@ def test_row_route_takes_two_dense_factors_only(n, monkeypatch):
         for sign in (-1, 1):
             assert rms_err(fft1(source, sign, axis=axis), signed_numpy(source, sign, axis)) < 1e-14
     assert lengths == [n] * 6 * (n in ROW_ROUTE_LENGTHS)
-    assert bool(fftcore._grouped(n, -1)) == (n in ROW_ROUTE_LENGTHS)
+    assert (_plan(n, -1)[0] == "grouped") == (n in ROW_ROUTE_LENGTHS)
 
 
 def test_row_route_in_place_gives_the_out_of_place_bits(monkeypatch):
     # a plane of an interleaved stack, its rows strided: written over
     # itself, into a new array and into the other plane, in two blocks and
-    # a partial one, the route runs the same products, so the same bits
+    # a partial one, the route runs the same products, so the same bits.
+    # Over itself, input and out are two views of the plane's memory
     lengths = watch_row_route(monkeypatch)
     n = 1000
     rows = 2 * fftcore._block_columns(n) + 5
@@ -342,11 +351,16 @@ def test_row_route_in_place_gives_the_out_of_place_bits(monkeypatch):
     assert fft1(stack[:, 0], 1, out=other) is other
     assert np.array_equal(other, want)
     assert np.array_equal(stack[:, 0], plane)
-    inplace = stack[:, 0]
-    fft1(inplace, 1, out=inplace)
+    fft1(stack[:, 0], 1, out=stack[:, 0])
     assert np.array_equal(stack[:, 0], want)
     assert rms_err(want, n * np.fft.ifft(plane)) < 1e-14
     assert lengths == [n] * 3
+    # along axis 0, in blocks of columns, two views give the bits of one
+    twin = stack.copy()
+    one = twin[:, 1]
+    fft1(one, -1, axis=0, out=one)
+    fft1(stack[:, 1], -1, axis=0, out=stack[:, 1])
+    assert np.array_equal(stack, twin)
 
 
 @pytest.mark.parametrize("rows, n", [(40, 512), (100, 1000), (1000, 1000)])

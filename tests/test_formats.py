@@ -173,15 +173,22 @@ def test_read_rejects_non_finite_samples(tmp_path, bad):
     assert "sample [1, 2] component 3" in str(err.value)
 
 
+WRITERS = (write_field, export_magnitude_pgm)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_write_rejects_non_finite_samples(tmp_path, bad):
-    # the writer refuses what the reader would refuse, before any file exists
+    # each writer refuses what the reader would refuse, before any file
+    # exists; no byte of a graymap is at fault, so it names no offset
     data = np.ones((4, 6, 4))
     data[1, 2, 3] = bad
-    with pytest.raises(NonFiniteSample, match="byte 296") as err:
-        write_field(QuaternionField2D(data), tmp_path / "nonfinite.qf2d")
-    assert "sample [1, 2] component 3" in str(err.value)
-    assert os.listdir(tmp_path) == []
+    path = tmp_path / "nonfinite"
+    for write, at in zip(WRITERS, ("byte 296: ", "")):
+        with pytest.raises(NonFiniteSample) as err:
+            write(QuaternionField2D(data), path)
+        assert str(err.value) == f"{path}: {at}sample [1, 2] component 3 is {bad}"
+        assert err.value.offset == (296 if at else None)
+        assert os.listdir(tmp_path) == []
 
 
 # Grids of two whole blocks of the finiteness check, and of one block and
@@ -217,9 +224,6 @@ def test_blocked_finiteness_check_names_the_first_bad_component(tmp_path, shape,
         read_field(p)
     assert err.value.offset == 16 + 8 * i
     assert str(err.value).endswith(message)
-
-
-WRITERS = (write_field, export_magnitude_pgm)
 
 
 def test_failed_write_keeps_target_and_leaves_no_temporary(tmp_path, monkeypatch):

@@ -91,6 +91,15 @@ def test_row_route_holds_two_blocks_for_the_rows_present(n1, n2):
     assert traced_peak(lambda: fft1(line, -1, out=line)) <= 2 * line.nbytes + 4 * 1024
 
 
+@pytest.mark.parametrize("axis, limit", [(1, ROW_SCRATCH), (0, SCRATCH)], ids=["axis-1", "axis-0"])
+def test_a_second_view_of_the_input_is_written_in_place(axis, limit):
+    # input and out are two view objects of one plane of an interleaved
+    # stack, with one data pointer and strides: the pass runs in place, as
+    # through one view, and copies none of the 4 MiB plane
+    stack = np.random.default_rng(11).standard_normal((N, 2, N)).astype(np.complex128)
+    assert traced_peak(lambda: fft1(stack[:, 0], -1, axis=axis, out=stack[:, 0])) <= limit
+
+
 def test_grouped_pass_holds_one_chunk_at_any_width():
     # a transform's axis-0 pass over row groups holds one chunk of at most
     # 2^15 complex samples (512 KiB), whatever the width: here 13 x 2048

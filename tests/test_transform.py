@@ -468,13 +468,13 @@ BLOCKED_LENGTHS = (64, 67, 515)
 def test_grouped_route_takes_two_dense_factors_only():
     for n1, _ in GROUPED_GRIDS:
         for sign in (-1, 1):
-            a = fftcore._grouped(n1, sign)
-            assert a > 1 and n1 % a == 0 and n1 // a <= fftcore._DENSE_MAX
+            kind, a, _ = fftcore._plan(n1, sign)
+            assert kind == "grouped" and a > 1 and n1 % a == 0 and n1 // a <= fftcore._DENSE_MAX
     for n in (0, 1) + BLOCKED_LENGTHS:
-        assert fftcore._grouped(n, -1) == fftcore._grouped(n, 1) == 0
+        assert "grouped" not in (fftcore._plan(n, -1)[0], fftcore._plan(n, 1)[0])
     # 122 = 2 * 61 takes chunks of 512 columns: the last of 600 has 88
     chunk = 2 * _block_columns(61)
-    assert fftcore._grouped(122, -1) == 2 and 600 // chunk == 1 and 600 % chunk
+    assert fftcore._plan(122, -1)[:2] == ("grouped", 2) and 600 // chunk == 1 and 600 % chunk
 
 
 @pytest.mark.parametrize("n1, n2", GROUPED_GRIDS + tuple((n, 30) for n in BLOCKED_LENGTHS))
@@ -493,7 +493,8 @@ def test_grouped_pass_gives_the_fft2_bits(n1, n2):
     rng = np.random.default_rng(77119)
     x = rng.standard_normal((n1, n2)) + 1j * rng.standard_normal((n1, n2))
     for s1, s2 in ((-1, 1), (1, -1)):
-        a = fftcore._grouped(n1, s1)
+        kind, a, _ = fftcore._plan(n1, s1)
+        assert kind == "grouped"
         stack = np.empty((n1, 2, n2), dtype=np.complex128)
         plane = stack[:, 1]
         plane[:] = x.reshape(n1 // a, a, n2).transpose(1, 0, 2).reshape(n1, n2)
@@ -536,8 +537,8 @@ def split_inputs(grid):
     n1, n2 = grid
     assert n1 * n2 >= _SPLIT_MIN and -(-n1 // _block_columns(n2)) % 2
     axis0, axis1 = SPLIT_GRIDS[grid]
-    assert bool(fftcore._grouped(n1, -1)) == (axis0 == "_pass0_grouped")
-    assert bool(fftcore._grouped(n2, -1)) == (axis1 == "_pass1_grouped")
+    assert (fftcore._plan(n1, -1)[0] == "grouped") == (axis0 == "_pass0_grouped")
+    assert (fftcore._plan(n2, -1)[0] == "grouped") == (axis1 == "_pass1_grouped")
     rng = np.random.default_rng(SEED + 17)
     return rng.standard_normal((n1, n2, 4)), context_zoo(rng)[0]
 
