@@ -13,8 +13,8 @@ plane is its orthogonal complement; for g = -f the roles swap.
 
 Right multiplication by g maps each plane onto itself for every pair,
 degenerate or not, so each plane is a copy of the complex numbers with
-g as the imaginary unit.  An ``OpsContext`` carries the pair, the
-paper's plane bases, and one orthonormal 4x4 frame W realizing both
+g as the imaginary unit.  An ``OpsContext`` is the pair; from it come
+the paper's plane bases and one orthonormal 4x4 frame W realizing both
 copies at once.
 
 The split parts are the projections q P+- onto the planes, with
@@ -25,9 +25,9 @@ scalar function is its one-sample case, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,24 +70,33 @@ class SplitParts(NamedTuple):
 
 @dataclass(frozen=True)
 class OpsContext:
-    """The pair (f, g) with its derived split geometry.
+    """The pair (f, g) of pure unit axes, and the split geometry it fixes.
 
+    The constructor checks and normalizes f and g and derives the rest
+    once; equality, hashing and the repr read the pair alone.
     degenerate_sign is 0 for a generic pair, +1 when g = f, -1 when
     g = -f; ``degenerate`` says it is not 0, and one element of each
-    basis is then zero.  ``frame`` is the orthonormal 4x4 matrix with
-    columns (u+, u+ g, u-, u- g), where u+- is a unit vector of the
-    plus/minus plane: ``data @ frame`` gives the coordinates
-    (x+, y+, x-, y-) with q_pm = u_pm (x_pm + y_pm g), and
-    ``coords @ frame.T`` maps them back.  It is derived from (f, g) and
-    takes no part in equality or hashing.
+    basis (1 + fg, f - g) and (1 - fg, f + g) is then zero.  ``frame``
+    is the orthonormal 4x4 matrix with columns (u+, u+ g, u-, u- g),
+    u+- a unit vector of the plus/minus plane: ``data @ frame`` gives
+    the coordinates (x+, y+, x-, y-) with q_pm = u_pm (x_pm + y_pm g),
+    and ``coords @ frame.T`` maps them back.
     """
 
     f: Quaternion
     g: Quaternion
-    degenerate_sign: int
-    basis_plus: Tuple[Quaternion, Quaternion]
-    basis_minus: Tuple[Quaternion, Quaternion]
-    frame: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        f = _as_pure_unit(self.f, "f")
+        g = _as_pure_unit(self.g, "g")
+        same = max(abs(g.x - f.x), abs(g.y - f.y), abs(g.z - f.z)) <= DEGENERACY_TOL
+        opposite = max(abs(g.x + f.x), abs(g.y + f.y), abs(g.z + f.z)) <= DEGENERACY_TOL
+        fg = mul(f, g)
+        derived = dict(f=f, g=g, degenerate_sign=1 if same else -1 if opposite else 0,
+                       basis_plus=(ONE + fg, f - g), basis_minus=(ONE - fg, f + g),
+                       frame=_plane_frame(f, g))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def degenerate(self) -> bool:
@@ -127,17 +136,7 @@ def _plane_frame(f: Quaternion, g: Quaternion) -> np.ndarray:
 
 def make_context(f: Quaternion, g: Quaternion) -> OpsContext:
     """Build the split context for pure unit quaternions f and g."""
-    f = _as_pure_unit(f, "f")
-    g = _as_pure_unit(g, "g")
-
-    same = max(abs(g.x - f.x), abs(g.y - f.y), abs(g.z - f.z)) <= DEGENERACY_TOL
-    opposite = max(abs(g.x + f.x), abs(g.y + f.y), abs(g.z + f.z)) <= DEGENERACY_TOL
-    fg = mul(f, g)
-    return OpsContext(
-        f=f, g=g, degenerate_sign=1 if same else -1 if opposite else 0,
-        basis_plus=(ONE + fg, f - g), basis_minus=(ONE - fg, f + g),
-        frame=_plane_frame(f, g),
-    )
+    return OpsContext(f, g)
 
 
 def _times(data: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -45,7 +45,8 @@ Where N1 = a b is a four-step of two dense factors (a "grouped" length
 of ``fftcore._plan``), the rotation writes plane row b m1 + m2 from
 data row a m2 + m1: the four-step's input order, read out of place at no
 cost.  ``_pass0_grouped`` then runs axis 0 in place over groups of rows,
-with no gather, transpose or copy of blocks, and ``fft1`` runs axis 1.
+with no gather and no transpose: each stage's product goes to one chunk
+of scratch that is copied back.  ``fft1`` runs axis 1.
 Any other plane goes through ``fft2``.
 
 The two planes share nothing until ``@ B``, and the row blocks of

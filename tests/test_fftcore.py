@@ -184,12 +184,24 @@ def test_fft2_nested_by_square_four_step_mixed_signs():
     assert rel_err(fft2(x, 1, -1), want) < 1e-14
 
 
+# The route of each length the tests run, for either sign: one DFT matrix
+# up to 64; a four-step n = a b whose factors are both dense is "grouped"
+# (65 = 5 * 13 up to 4096 = 64 * 64), while 515 = 5 * 103 and
+# 8192 = 64 * 128 have a factor above 64; a longer prime takes
+# Bluestein's chirp.
+ROUTE_KINDS = {
+    "dense": (0, 1, 2, 64),
+    "grouped": (65, 70, 122, 130, 512, 1000, 1024, 4096),
+    "four-step": (515, 8192),
+    "chirp": (67, 131, 1021, 1031),
+}
+
+
 def test_plan_names_each_kind_of_route():
-    # one DFT matrix; four-steps 32 * 32, both factors dense, and 64 * 128;
-    # and a prime, by Bluestein's chirp
-    for sign in (-1, 1):
-        kinds = [_plan(n, sign)[0] for n in (64, 1024, 8192, 1031)]
-        assert kinds == ["dense", "grouped", "four-step", "chirp"]
+    for kind, lengths in ROUTE_KINDS.items():
+        for n in lengths:
+            for sign in (-1, 1):
+                assert _plan(n, sign)[0] == kind, (n, sign)
 
 
 @pytest.mark.parametrize("n", KERNEL_LENGTHS)
@@ -300,11 +312,10 @@ def test_import_builds_no_plan():
     assert out.stdout.strip() == "0"
 
 
-# Lengths n = a b whose factors are both dense take the row route along a
-# last axis (``_pass1_grouped``); a dense length, primes and 515 = 5 * 103
-# do not.
-ROW_ROUTE_LENGTHS = (65, 70, 122, 130, 512, 1000, 1024, 4096)
-BLOCKED_LENGTHS = (2, 64, 67, 131, 515, 1021)
+# The grouped lengths take the row route along a last axis
+# (``_pass1_grouped``); dense lengths, primes and 515 = 5 * 103 go blocked.
+ROW_ROUTE_LENGTHS = ROUTE_KINDS["grouped"]
+BLOCKED_ROW_LENGTHS = (2, 64, 67, 131, 515, 1021)
 
 
 def watch_row_route(monkeypatch):
@@ -320,7 +331,7 @@ def watch_row_route(monkeypatch):
     return lengths
 
 
-@pytest.mark.parametrize("n", ROW_ROUTE_LENGTHS + BLOCKED_LENGTHS)
+@pytest.mark.parametrize("n", ROW_ROUTE_LENGTHS + BLOCKED_ROW_LENGTHS)
 def test_row_route_takes_two_dense_factors_only(n, monkeypatch):
     # rows of a C-contiguous array and of a transposed view (strided along
     # the axis), in three blocks of rows with a partial last one, and an
@@ -333,7 +344,6 @@ def test_row_route_takes_two_dense_factors_only(n, monkeypatch):
         for sign in (-1, 1):
             assert rms_err(fft1(source, sign, axis=axis), signed_numpy(source, sign, axis)) < 1e-14
     assert lengths == [n] * 6 * (n in ROW_ROUTE_LENGTHS)
-    assert (_plan(n, -1)[0] == "grouped") == (n in ROW_ROUTE_LENGTHS)
 
 
 def test_row_route_in_place_gives_the_out_of_place_bits(monkeypatch):

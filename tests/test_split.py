@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -22,6 +23,7 @@ from opsqft.fields import QuaternionField2D
 from opsqft.planes import (
     DegenerateContext,
     InvalidFrame,
+    OpsContext,
     PlaneAssignment,
     coefficients,
     determine_context,
@@ -289,6 +291,21 @@ def test_equal_contexts_are_interchangeable():
         spectrum = forward_fast(TransformVariant(Family.TWO_SIDED, ctx), h)
         back = inverse_fast(TransformVariant(Family.TWO_SIDED, twin), spectrum)
         assert np.max(np.abs(back.data - h.data)) < 1e-13
+    # a context is its pair: one built with another g carries that g's geometry
+    ij = make_context(QI, QJ)
+    moved, ik = dataclasses.replace(ij, g=QK), make_context(QI, QK)
+    assert moved == ik and hash(moved) == hash(ik)
+    assert moved.frame.tobytes() == ik.frame.tobytes()
+    assert (moved.basis_plus, moved.basis_minus) == (ik.basis_plus, ik.basis_minus)
+    for start, g, sign in ((ij, QI, 1), (ij, -QI, -1), (make_context(QI, QI), QJ, 0)):
+        assert dataclasses.replace(start, g=g).degenerate_sign == sign
+    assert OpsContext(QI, QJ) == ij
+    assert [f.name for f in dataclasses.fields(OpsContext)] == ["f", "g"]
+    for bad in (Quaternion(0.5, 0.0, 1.0, 0.0), Quaternion(0.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="^g: "):
+            OpsContext(QI, bad)
+        with pytest.raises(ValueError, match="^g: "):
+            dataclasses.replace(ij, g=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -462,28 +462,28 @@ def test_fast_path_in_ragged_blocks(n1, n2):
 # n2 = 600 the length-122 pass, 512 columns a chunk, ends in a partial one.
 GROUPED_GRIDS = ((65, 40), (122, 600), (512, 48), (1000, 24), (1024, 16), (4096, 4))
 # a dense length, a prime and a four-step length with a factor above 64
-BLOCKED_LENGTHS = (64, 67, 515)
+BLOCKED_AXIS_0_LENGTHS = (64, 67, 515)
 
 
 def test_grouped_route_takes_two_dense_factors_only():
+    # ``test_plan_names_each_kind_of_route`` names these lengths grouped;
+    # here both of their factors are dense
     for n1, _ in GROUPED_GRIDS:
         for sign in (-1, 1):
-            kind, a, _ = fftcore._plan(n1, sign)
-            assert kind == "grouped" and a > 1 and n1 % a == 0 and n1 // a <= fftcore._DENSE_MAX
-    for n in (0, 1) + BLOCKED_LENGTHS:
-        assert "grouped" not in (fftcore._plan(n, -1)[0], fftcore._plan(n, 1)[0])
+            _, a, _ = fftcore._plan(n1, sign)
+            assert a > 1 and n1 % a == 0 and n1 // a <= fftcore._DENSE_MAX
     # 122 = 2 * 61 takes chunks of 512 columns: the last of 600 has 88
     chunk = 2 * _block_columns(61)
     assert fftcore._plan(122, -1)[:2] == ("grouped", 2) and 600 // chunk == 1 and 600 % chunk
 
 
-@pytest.mark.parametrize("n1, n2", GROUPED_GRIDS + tuple((n, 30) for n in BLOCKED_LENGTHS))
+@pytest.mark.parametrize("n1, n2", GROUPED_GRIDS + tuple((n, 30) for n in BLOCKED_AXIS_0_LENGTHS))
 def test_fast_path_on_grouped_and_blocked_axis_0(n1, n2):
     assert_fast_path_matches_numpy(n1, n2, np.random.default_rng(SEED + 18))
 
 
 @pytest.mark.parametrize("n1, n2", [(65, 64), (1000, 64), (1024, 64), (122, 576)])
-def test_grouped_pass_gives_the_fft2_bits(n1, n2):
+def test_grouped_pass_agrees_with_fft2_to_rounding(n1, n2):
     # a plane of an interleaved stack, as a transform holds it, with row
     # b m1 + m2 holding row a m2 + m1 of the natural-order plane; 122 x 576
     # ends in a partial chunk of 64 columns.  The grouped pass folds its
