@@ -72,8 +72,10 @@ class SplitParts(NamedTuple):
 class OpsContext:
     """The pair (f, g) of pure unit axes, and the split geometry it fixes.
 
-    The constructor checks and normalizes f and g and derives the rest
-    once; equality, hashing and the repr read the pair alone.
+    The constructor checks f and g, normalizes them with
+    ``PureUnitQuaternion`` (which keeps a unit axis's bits, so equal
+    components make equal contexts, whatever object carried them) and
+    derives the rest once; equality, hashing and the repr read the pair.
     degenerate_sign is 0 for a generic pair, +1 when g = f, -1 when
     g = -f; ``degenerate`` says it is not 0, and one element of each
     basis (1 + fg, f - g) and (1 - fg, f + g) is then zero.  ``frame``
@@ -104,10 +106,10 @@ class OpsContext:
 
 
 def _as_pure_unit(q: Quaternion, name: str) -> Quaternion:
-    if isinstance(q, PureUnitQuaternion):
-        return q
+    if abs(q.w) > 1e-12:
+        raise ValueError(f"{name}: not a pure quaternion: scalar part {q.w!r}")
     try:
-        return PureUnitQuaternion.from_quaternion(q)
+        return PureUnitQuaternion(q.x, q.y, q.z)
     except ValueError as e:
         raise ValueError(f"{name}: {e}") from None
 

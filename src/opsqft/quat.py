@@ -1,9 +1,10 @@
 """Quaternion algebra over double-precision reals.
 
 Scalar values are ``Quaternion`` instances (components w, x, y, z for the
-scalar part and the i, j, k parts).  Bulk data lives in numpy arrays of
-shape (..., 4) with the same component order; the ``*_arr`` functions
-operate on those.
+scalar part and the i, j, k parts); an axis is one with zero scalar part
+and unit length, as ``PureUnitQuaternion`` returns it.  Bulk data lives
+in numpy arrays of shape (..., 4) with the same component order; the
+``*_arr`` functions operate on those.
 
 >>> mul(Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0))
 Quaternion(w=0.0, x=0.0, y=0.0, z=1.0)
@@ -67,38 +68,29 @@ class Quaternion:
         return cls(w, x, y, z)
 
 
-class PureUnitQuaternion(Quaternion):
-    """A quaternion with zero scalar part and unit length, e.g. an axis.
+def PureUnitQuaternion(x: float, y: float, z: float) -> Quaternion:
+    """The pure unit quaternion along (x, y, z), e.g. an axis.
 
-    Construction takes the three vector components, normalizes them, and
-    pins the scalar part to exactly zero.  Directions shorter than 1e-9
-    are rejected as undefined.
+    The direction is divided by its length and the scalar part is exactly
+    zero; a direction already unit within 4 ulps is kept as it is, so
+    normalizing an axis again gives back its bits.  Directions shorter
+    than 1e-9 are rejected as undefined.
 
     >>> PureUnitQuaternion(0.0, 0.0, 2.0)
-    PureUnitQuaternion(w=0.0, x=0.0, y=0.0, z=1.0)
+    Quaternion(w=0.0, x=0.0, y=0.0, z=1.0)
     """
-
-    def __init__(self, x: float, y: float, z: float):
-        x, y, z = float(x), float(y), float(z)
+    x, y, z = float(x), float(y), float(z)
+    m = math.hypot(x, y, z)
+    if math.isinf(m) and all(map(math.isfinite, (x, y, z))):
+        # the length overflows, not the direction: scale the largest to 1
+        s = max(abs(x), abs(y), abs(z))
+        x, y, z = x / s, y / s, z / s
         m = math.hypot(x, y, z)
-        if math.isinf(m) and all(map(math.isfinite, (x, y, z))):
-            # the length overflows, not the direction: scale the largest to 1
-            s = max(abs(x), abs(y), abs(z))
-            x, y, z = x / s, y / s, z / s
-            m = math.hypot(x, y, z)
-        if not math.isfinite(m) or m < 1e-9:
-            raise ValueError(f"axis direction undefined: ({x}, {y}, {z})")
-        object.__setattr__(self, "w", 0.0)
-        object.__setattr__(self, "x", x / m)
-        object.__setattr__(self, "y", y / m)
-        object.__setattr__(self, "z", z / m)
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion) -> "PureUnitQuaternion":
-        """Reinterpret ``q`` as an axis; scalar parts above 1e-12 are rejected."""
-        if abs(q.w) > 1e-12:
-            raise ValueError(f"not a pure quaternion: scalar part {q.w!r}")
-        return cls(q.x, q.y, q.z)
+    if not math.isfinite(m) or m < 1e-9:
+        raise ValueError(f"axis direction undefined: ({x}, {y}, {z})")
+    if abs(m - 1.0) > 4 * math.ulp(1.0):  # more than a division by m leaves
+        x, y, z = x / m, y / m, z / m
+    return Quaternion(0.0, x, y, z)
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)

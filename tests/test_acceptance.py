@@ -101,6 +101,17 @@ def test_collapsed_family_structure():
     assert [r.name for r in results if not r.gated] == ["roundtrip/phased"]
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e154, 1e200, 1e300])
+def test_relative_residual_does_not_depend_on_scale(scale):
+    # a 50 % error on an 8 x 8 field reads the same at every scale: the
+    # residual's RMS squares no raw component, which would leave the
+    # double range (0 at 1e154, 1e130 at 1e-170)
+    h = np.random.default_rng(SEED).standard_normal((8, 8, 4))
+    want = verify._relative_residual(1.5 * h, h)
+    got = verify._relative_residual(scale * 1.5 * h, scale * h)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_run_all_is_seeded(monkeypatch):
     # every suite at its smallest draws, twice at one seed: the same rows
     monkeypatch.setitem(verify.PROFILES, "quick", verify.Profile(

@@ -26,6 +26,7 @@ from opsqft.quat import (
     norm_arr,
     scalar_part,
 )
+from opsqft.planes import make_context
 
 SEED = 20240917
 
@@ -153,10 +154,26 @@ def test_pure_unit_normalizes():
 
 
 def test_pure_unit_from_quaternion():
-    u = PureUnitQuaternion.from_quaternion(Quaternion(0.0, 0.0, 2.0, 0.0))
-    assert (u.x, u.y, u.z) == (0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        PureUnitQuaternion.from_quaternion(Quaternion(0.5, 1.0, 0.0, 0.0))
+    # a Quaternion is read as an axis where a context is made
+    assert make_context(Quaternion(0.0, 0.0, 2.0, 0.0), QI).f == QJ
+    with pytest.raises(ValueError, match=re.escape("f: not a pure quaternion: scalar part 0.5")):
+        make_context(Quaternion(0.5, 1.0, 0.0, 0.0), QI)
+
+
+def test_pure_unit_is_a_quaternion_value():
+    assert PureUnitQuaternion(1, 0, 0) == QI
+    assert type(PureUnitQuaternion(0.0, 0.0, 2.0)) is Quaternion
+    assert PureUnitQuaternion(0.0, 0.0, 2.0) == QK
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e100])
+def test_pure_unit_keeps_a_unit_axis(scale):
+    # normalizing an axis again gives back its bits
+    rng = np.random.default_rng(SEED + 11)
+    draws = [(1.0, 1.0, 1.0), (1.0, 1.0, 0.0), *(scale * rng.standard_normal((10_000, 3)))]
+    for v in draws:
+        u = PureUnitQuaternion(*v)
+        assert PureUnitQuaternion(u.x, u.y, u.z).to_array().tobytes() == u.to_array().tobytes()
 
 
 def test_quaternion_arithmetic_dunders():

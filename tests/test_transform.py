@@ -61,7 +61,7 @@ def context_zoo(rng):
     return [
         make_context(f, PureUnitQuaternion(*rng.standard_normal(3))),
         make_context(f, f),
-        make_context(f, PureUnitQuaternion(-f.x, -f.y, -f.z)),
+        make_context(f, -f),
     ] + [make_context(f, near_axis(f, sign, eps, rng))
          for eps in NEAR_STEPS for sign in (1, -1)]
 
