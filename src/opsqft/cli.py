@@ -29,7 +29,7 @@ from .formats import (
     export_magnitude_pgm,
     write_field,
 )
-from .quat import ONE, PureUnitQuaternion, Quaternion, max_norm_arr
+from .quat import _BLOCK, ONE, PureUnitQuaternion, Quaternion, max_norm_arr
 from .planes import (
     DegenerateContext,
     InvalidFrame,
@@ -45,8 +45,6 @@ from .planes import (
 # spelled out so that building the parser imports neither module.
 VARIANTS = ("twosided", "phased", "conjc")
 PROFILE_NAMES = ("quick", "full")
-# Coefficient rows formatted per write, so the text held stays bounded.
-COEFF_ROWS = 1 << 12
 
 
 class UsageError(Exception):
@@ -130,9 +128,9 @@ def _cmd_coeffs(args) -> int:
     data = (_quaternion(args.q, "--q", (4,)).to_array() if args.q is not None
             else read_field(args.infile).data)
     rows = coefficients_arr(ctx, data).reshape(-1, 4)
-    for start in range(0, len(rows), COEFF_ROWS):
+    for start in range(0, len(rows), _BLOCK):  # a block per write bounds the text held
         sys.stdout.write("".join("%.17g %.17g %.17g %.17g\n" % tuple(row)
-                                 for row in rows[start:start + COEFF_ROWS].tolist()))
+                                 for row in rows[start:start + _BLOCK].tolist()))
     return 0
 
 

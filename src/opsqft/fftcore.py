@@ -39,6 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .quat import _BLOCK
+
 TAU = 2.0 * np.pi
 
 # Lengths up to this are a single dense DFT matrix product.
@@ -47,11 +49,6 @@ _DENSE_MAX = 64
 # complex numbers, or 64^2 for a dense one.  The row route keeps at most
 # as many twiddle blocks, of at most n _block_columns(n) <= _BLOCK each.
 _PLAN_CACHE = 64
-# Samples in one block of an axis pass (256 KiB): enough columns for
-# BLAS-sized products, few enough that the blocks and the kernel's scratch
-# of two passes running at once stay in cache and the pass needs no
-# transposed copy of the array.
-_BLOCK = 1 << 14
 
 
 def _check_sign(s: int) -> int:

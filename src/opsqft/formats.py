@@ -30,7 +30,7 @@ import struct
 import numpy as np
 
 from .fields import QuaternionField2D
-from .quat import sq_norm_blocks
+from .quat import _BLOCK, sq_norm_blocks
 
 MAGIC = b"QF2D"
 VERSION = 1
@@ -83,8 +83,6 @@ class IoFailure(FileFormatError):
         self.cause = cause
 
 
-# Components per block of ``_require_finite``'s check.
-_FINITE_BLOCK = 1 << 16
 # Bytes by which a payload's array grows when the file has no size, such
 # as a pipe, and the most trailing bytes counted.
 _STREAM_CHUNK = 1 << 20
@@ -92,18 +90,16 @@ _STREAM_CHUNK = 1 << 20
 
 def _require_finite(path, data: np.ndarray) -> None:
     """Raise ``NonFiniteSample`` at the first NaN or infinite component,
-    checking the components in blocks, so no field-size mask is made."""
-    flat = data.reshape(-1)
-    mask = np.empty(min(_FINITE_BLOCK, flat.size), dtype=bool)
-    for start in range(0, flat.size, _FINITE_BLOCK):
-        finite = np.isfinite(flat[start:start + _FINITE_BLOCK], out=mask[:flat.size - start])
+    checking the samples in blocks, so no field-size mask is made."""
+    samples = data.reshape(-1, 4)
+    mask = np.empty((min(_BLOCK, len(samples)), 4), dtype=bool)
+    for start in range(0, len(samples), _BLOCK):
+        finite = np.isfinite(samples[start:start + _BLOCK], out=mask[:len(samples) - start])
         if not finite.all():
-            i = start + int(np.argmin(finite))
-            n, c = divmod(i, 4)
-            n2 = data.shape[1]
+            i = 4 * start + int(np.argmin(finite))
+            row, col = divmod(i // 4, data.shape[1])
             raise NonFiniteSample(path, HEADER.size + 8 * i,
-                                  f"sample [{n // n2}, {n % n2}] component {c} "
-                                  f"is {flat[i]}")
+                                  f"sample [{row}, {col}] component {i % 4} is {data.flat[i]}")
 
 
 def _write(path, parts) -> None:

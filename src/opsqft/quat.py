@@ -188,7 +188,9 @@ def norm_arr(q: np.ndarray) -> np.ndarray:
     return np.hypot(np.hypot(q[..., 0], q[..., 1]), np.hypot(q[..., 2], q[..., 3]))
 
 
-# Samples per block of the blocked passes below: 512 KiB of data.
+# Samples per block of every blocked pass of the package, FFT axis passes
+# too: enough for BLAS-sized products, few enough that the blocks stay in
+# cache and no pass holds a second array of the field's size.
 _BLOCK = 1 << 14
 # Relative margin within which a sum of squares may rank a sample below one
 # of larger norm: far above the few ulps ``sq_norm_blocks`` and ``hypot`` err by.

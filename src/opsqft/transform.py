@@ -299,7 +299,7 @@ def _pass0_grouped(x: np.ndarray, sign: int) -> None:
     matrix with its twiddles folded in, diag(T[:, m1]) Mb, into a scratch
     and copied back; then each strided group of a rows (one k2) by Ma.  The
     columns go in chunks of 2 ``_block_columns(b)``, so the scratch holds at
-    most 2 ``fftcore._BLOCK`` samples (512 KiB).
+    most 2 ``quat._BLOCK`` samples (512 KiB).
     """
     n, r = x.shape
     a, twiddles, ma, mb = _factors(n, sign)

@@ -40,6 +40,7 @@ from .quat import (
     mul,
     norm,
     scalar_part,
+    sq_norm_blocks,
 )
 from .planes import (
     OpsContext,
@@ -170,20 +171,27 @@ def random_frame(rng: np.random.Generator):
 # Helpers.
 
 def _max_abs(x) -> float:
-    return float(np.max(np.abs(x)))
+    """Largest |component|, with a NaN read as inf so that it fails every gate."""
+    top = float(np.max(np.abs(x)))
+    return math.inf if math.isnan(top) else top
 
 
 def _rms(data: np.ndarray) -> float:
-    """RMS of the sample norms, with no raw component squared: finite at any scale."""
+    """RMS of the sample norms by ``sq_norm_blocks``, with no raw component squared."""
     top = _max_abs(data)
     if top == 0.0 or not math.isfinite(top):
         return top
-    return top * float(np.sqrt(np.mean(np.sum((data / top) ** 2, axis=-1))))
+    total = sum(float(s.sum()) for _, s in sq_norm_blocks(data, top))
+    return top * math.sqrt(total / (data.size // 4))
+
+
+def _relative(err: float, scale: float) -> float:
+    """``err / scale``; against a zero scale, 0 for no error and inf for any."""
+    return err / scale if scale else (math.inf if err else 0.0)
 
 
 def _relative_residual(got: np.ndarray, want: np.ndarray) -> float:
-    scale = max(_rms(want), 1e-300)
-    return _max_abs(got - want) / scale
+    return _relative(_max_abs(got - want), _rms(want))
 
 
 def _cases(rng, n_contexts, families, sizes, n_fields):
@@ -399,11 +407,8 @@ def check_energy(rng, profile=QUICK) -> List[CheckResult]:
     families = (Family.TWO_SIDED, Family.CONJUGATE)
     worst = dict.fromkeys(families, 0.0)
     for variant, h in _cases(rng, profile.n_contexts, families, ((16, 16),), 3):
-        spectrum = forward_fast(variant, h)
-        e_spatial = float(np.sum(h.data * h.data))
-        e_spectral = float(np.sum(spectrum.data * spectrum.data)) / (16 * 16)
-        worst[variant.family] = max(worst[variant.family],
-                                    abs(e_spatial - e_spectral) / e_spatial)
+        ratio = (_rms(forward_fast(variant, h).data) / _rms(h.data)) ** 2 / (16 * 16)
+        worst[variant.family] = max(worst[variant.family], abs(ratio - 1.0))
     return [CheckResult(f"energy/{family.value}", w, 1e-9) for family, w in worst.items()]
 
 
@@ -424,10 +429,10 @@ def check_commutation(rng, profile=QUICK) -> List[CheckResult]:
         for scale in (1e-150, 1.0, 1e8, 1e150):
             field = QuaternionField2D(scale * h.data)
             full = forward_fast(variant, field).data
-            rms = max(_rms(full), 1e-300)
+            rms = _rms(full)
             for want, got in zip(split_arr(pair, full), split_spectra(variant, field)):
                 worst[variant.family] = max(worst[variant.family],
-                                            _max_abs(got.data - want) / rms)
+                                            _relative(_max_abs(got.data - want), rms))
     return [CheckResult(f"commutation/{family.value}", w, 1e-10) for family, w in worst.items()]
 
 

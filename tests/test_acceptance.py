@@ -7,7 +7,7 @@ Each prints its PASS/FAIL lines (REPORT for the ungated residual) and
 asserts the gated outcome, so `pytest -v` shows one verdict per suite
 and `-s` (or a failure) shows the measured residuals.  Each suite runs
 once per session; the round-trip suite's 30 s budget is asserted on
-that same run.  Beside them: two mutations that every
+that same run.  Beside them: three mutations that every
 row they name must notice, the one REPORT row, one check that
 ``run_all`` is seeded, and the CLI end-to-end pipeline.  The printing
 and exit codes of ``opsqft verify`` are tested on stub suites in
@@ -93,6 +93,23 @@ def test_commutation_fails_on_swapped_part_spectra(monkeypatch):
     assert not any(r.passed for r in results), [r.line() for r in results]
 
 
+def test_nan_in_every_forward_spectrum_fails_its_rows(monkeypatch):
+    # one NaN in sample (0, 0) of each forward spectrum: a NaN residual is
+    # read as inf, so max() over the cases keeps it and the rows fail
+    forward_fast = verify.forward_fast
+
+    def nan_forward(variant, field):
+        spectrum = forward_fast(variant, field)
+        spectrum.data[0, 0, 0] = np.nan
+        return spectrum
+
+    monkeypatch.setattr(verify, "forward_fast", nan_forward)
+    rows = {r.name: r for suite in (verify.check_oracle_equivalence, verify.check_roundtrips)
+            for r in suite(np.random.default_rng(SEED), verify.QUICK)}
+    for name in [f"oracle/{f.value}-forward" for f in Family] + ["roundtrip/twosided"]:
+        assert rows[name].residual == np.inf and not rows[name].passed, rows[name].line()
+
+
 def test_collapsed_family_structure():
     # the phase-angle round trip is the round-trip suite's one row
     # reported, not gated; test_suite_at_full_profile holds every other
@@ -101,15 +118,26 @@ def test_collapsed_family_structure():
     assert [r.name for r in results if not r.gated] == ["roundtrip/phased"]
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e154, 1e200, 1e300])
+@pytest.mark.parametrize("scale", [1e-310, 1e-305, 1e-302, 1e-300, 1e-170, 1e154, 1e200,
+                                   1e300])
 def test_relative_residual_does_not_depend_on_scale(scale):
     # a 50 % error on an 8 x 8 field reads the same at every scale: the
     # residual's RMS squares no raw component, which would leave the
-    # double range (0 at 1e154, 1e130 at 1e-170)
+    # double range (0 at 1e154, 1e130 at 1e-170), and no floor under the
+    # RMS shrinks it (to 1.457e-10 at 1e-310 under a floor of 1e-300)
     h = np.random.default_rng(SEED).standard_normal((8, 8, 4))
     want = verify._relative_residual(1.5 * h, h)
     got = verify._relative_residual(scale * 1.5 * h, scale * h)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_relative_residual_against_a_zero_reference():
+    # no error reads 0; any error, the least subnormal too, reads inf
+    zero = np.zeros((8, 8, 4))
+    assert verify._relative_residual(zero, zero) == 0.0
+    tiny = zero.copy()
+    tiny[3, 5, 2] = 5e-324
+    assert verify._relative_residual(tiny, zero) == np.inf
 
 
 def test_run_all_is_seeded(monkeypatch):

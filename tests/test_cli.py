@@ -15,7 +15,7 @@ from opsqft import cli, transform, verify
 from opsqft.cli import main
 from opsqft.fields import QuaternionField2D
 from opsqft.formats import read_field, write_field
-from opsqft.quat import PureUnitQuaternion, norm_arr
+from opsqft.quat import _BLOCK, PureUnitQuaternion, norm_arr
 from opsqft.planes import coefficients_arr, make_context
 
 SEED = 68422
@@ -166,13 +166,13 @@ def test_coeffs_prints_each_value_as_17_digits(tmp_path, capsys):
     # every value as "%.17g" % value, four to a line, over more rows than
     # one write takes: -0.0, a subnormal and both ends of the range too
     rng = np.random.default_rng(SEED + 16)
-    data = rng.standard_normal((70, 70, 4))
+    data = rng.standard_normal((130, 130, 4))
     data[0, 0] = [-0.0, 5e-324, -0.0, 0.0]
     data[0, 1] = [1e308, -1e308, 0.0, 2.5e-310]
-    data[69, 69] = [-1e308, 0.0, -1e308, 1e-320]
+    data[129, 129] = [-1e308, 0.0, -1e308, 1e-320]
     a = tmp_path / "a.qf2d"
     write_field(QuaternionField2D(data), a)
-    assert 70 * 70 > cli.COEFF_ROWS
+    assert 130 * 130 > _BLOCK
     assert main(["coeffs", "--f", "1,0,0", "--g", "0,1,0", "--in", str(a)]) == 0
     ctx = make_context(PureUnitQuaternion(1, 0, 0), PureUnitQuaternion(0, 1, 0))
     rows = coefficients_arr(ctx, data).reshape(-1, 4)

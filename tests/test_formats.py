@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from opsqft import formats
 from opsqft.cli import main
 from opsqft.fields import QuaternionField2D
-from opsqft.quat import norm_arr
+from opsqft.quat import _BLOCK, norm_arr
 from opsqft.formats import (
     BadMagic,
     BadVersion,
@@ -192,11 +192,11 @@ def test_write_rejects_non_finite_samples(tmp_path, bad):
 
 
 # Grids of two whole blocks of the finiteness check, and of one block and
-# a ragged 2064 components; the positions are each block's first and last
+# a ragged 516 samples; the positions are each block's first and last
 # component.
-BLOCK = formats._FINITE_BLOCK
+COMPONENTS = 4 * _BLOCK
 FINITE_CASES = [(shape, i) for shape in ((128, 256), (130, 130))
-                for i in (0, BLOCK - 1, BLOCK, shape[0] * shape[1] * 4 - 1)]
+                for i in (0, COMPONENTS - 1, COMPONENTS, shape[0] * shape[1] * 4 - 1)]
 
 
 def _non_finite_message(i, n2, bad):

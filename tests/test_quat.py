@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from opsqft.quat import (
+    _BLOCK,
     ONE,
     QI,
     QJ,
@@ -266,6 +267,16 @@ def test_max_norm_arr_splits_norms_one_ulp_apart(scale):
         flat[i], flat[k] = v, w
         q *= scale
         assert max_norm_arr(q) == float(norm_arr(q).max())
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("at", [_BLOCK - 1, _BLOCK])
+def test_max_norm_arr_finds_the_largest_sample_at_a_block_edge(at, scale):
+    # the largest sample last in the first block of the pass, or first in the second
+    q = np.random.default_rng(SEED + at).standard_normal((131, 130, 4))
+    q.reshape(-1, 4)[at] = [3.0, -4.0, 5.0, -6.0]
+    q *= scale
+    assert max_norm_arr(q) == float(norm_arr(q).max()) == float(norm_arr(q.reshape(-1, 4)[at]))
 
 
 def test_max_norm_arr_past_the_largest_double_is_inf():
