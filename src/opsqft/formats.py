@@ -210,9 +210,19 @@ def _tokens(raw: bytes):
             yield m.start(), m[0]
 
 
+def _quoted(word: bytes) -> str:
+    """``word``'s repr, cut to its first 12 bytes and its length when it is
+    longer, so that a diagnostic stays one short line."""
+    return repr(word) if len(word) <= 12 else f"{word[:12]!r}... ({len(word)} bytes)"
+
+
 def _integer(path, off: int, tok: bytes, what: str) -> int:
+    """``tok`` as a number of at most 20 characters, so that every number
+    read, and every product of them, prints as a short figure."""
     if not _DECIMAL.fullmatch(tok):
-        raise MalformedHeader(path, off, f"{what} is not an integer: {tok!r}")
+        raise MalformedHeader(path, off, f"{what} is not an integer: {_quoted(tok)}")
+    if len(tok) > 20:
+        raise MalformedHeader(path, off, f"{what} is longer than 20 characters: {_quoted(tok)}")
     return int(tok)
 
 
@@ -284,7 +294,7 @@ def read_image_ppm(path) -> QuaternionField2D:
 
     off, magic = next_token("magic")
     if magic not in (b"P3", b"P6"):
-        raise UnsupportedFormat(path, off, f"magic {magic!r}, expected P3 or P6")
+        raise UnsupportedFormat(path, off, f"magic {_quoted(magic)}, expected P3 or P6")
     dims = []
     tok = b""
     for what in ("width", "height", "maxval"):

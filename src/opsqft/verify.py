@@ -2,8 +2,9 @@
 
 Every suite ``check_*(rng, profile)`` draws as much data as the
 ``Profile`` says from a ``numpy.random.Generator``, evaluates one
-family of identities, and returns ``CheckResult`` rows with the worst
-residual seen.  The split-form rows take their coefficients from
+family of identities, and folds every residual through one ``_Worst``:
+each row is the largest residual over its cases, and a residual that is
+not a number reads as inf and fails.  The split-form rows take their coefficients from
 ``transform.KERNELS`` and its ``Kernel.planes`` rule, so they test the
 table the transforms run on rather than a second copy of it.  A result
 with ``gated=False`` is informational: the phase-angle family's
@@ -170,10 +171,22 @@ def random_frame(rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 # Helpers.
 
+class _Worst(dict):
+    """The largest residual seen under each row name, in the order the
+    names were first seen or seeded (``_Worst.fromkeys(names, 0.0)``).
+    A residual that is not a number is read as inf, so it fails every gate."""
+
+    def add(self, name: str, *residuals: float) -> None:
+        self[name] = max(self.get(name, 0.0),
+                         *(math.inf if math.isnan(r) else float(r) for r in residuals))
+
+    def rows(self, tolerance: float) -> List[CheckResult]:
+        return [CheckResult(name, w, tolerance) for name, w in self.items()]
+
+
 def _max_abs(x) -> float:
-    """Largest |component|, with a NaN read as inf so that it fails every gate."""
-    top = float(np.max(np.abs(x)))
-    return math.inf if math.isnan(top) else top
+    """Largest |component|."""
+    return float(np.max(np.abs(x)))
 
 
 def _rms(data: np.ndarray) -> float:
@@ -221,56 +234,51 @@ def check_roundtrips(rng, profile=QUICK) -> List[CheckResult]:
 
         inverse(forward(h))[m1, m2] = sum_j h_+[j, m2] + sum_j h_-[m1, j].
     """
-    worst = dict.fromkeys(Family, 0.0)
-    worst_lines = 0.0
+    worst = _Worst.fromkeys([f"roundtrip/{f.value}" for f in Family]
+                            + ["roundtrip/phased-lines"], 0.0)
     for variant, h in _cases(rng, profile.n_contexts, Family, profile.sizes, profile.n_fields):
         back = inverse_fast(variant, forward_fast(variant, h))
-        worst[variant.family] = max(worst[variant.family], _max_abs(back.data - h.data))
+        worst.add(f"roundtrip/{variant.family.value}", _max_abs(back.data - h.data))
         if variant.family is Family.PHASE_ANGLE:
             plus, minus = split_arr(variant.ctx, h.data)
             lines = plus.sum(axis=0, keepdims=True) + minus.sum(axis=1, keepdims=True)
             backs = [back]
             if max(h.n1, h.n2) <= 8:
                 backs.append(inverse_direct(variant, forward_direct(variant, h)))
-            for b in backs:
-                worst_lines = max(worst_lines, _relative_residual(b.data, lines))
-    return [CheckResult(f"roundtrip/{family.value}", w, 1e-10,
-                        gated=family is not Family.PHASE_ANGLE)
-            for family, w in worst.items()] + [
-        CheckResult("roundtrip/phased-lines", worst_lines, 1e-10)]
+            worst.add("roundtrip/phased-lines", *(_relative_residual(b.data, lines) for b in backs))
+    return [CheckResult(r.name, r.residual, r.tolerance, gated=r.name != "roundtrip/phased")
+            for r in worst.rows(1e-10)]
 
 
 def check_oracle_equivalence(rng, profile=QUICK) -> List[CheckResult]:
     """Fast path against the direct reference, both directions, all families."""
-    worst = {(family, d): 0.0 for family in Family for d in ("forward", "inverse")}
+    worst = _Worst()
     for variant, h in _cases(rng, profile.n_contexts, Family, profile.sizes, profile.n_fields):
-        key = variant.family, "forward"
-        worst[key] = max(worst[key], _relative_residual(forward_fast(variant, h).data,
+        name = f"oracle/{variant.family.value}"
+        worst.add(f"{name}-forward", _relative_residual(forward_fast(variant, h).data,
                                                         forward_direct(variant, h).data))
         spectrum = Spectrum(random_field(rng, h.n1, h.n2), variant)
-        key = variant.family, "inverse"
-        worst[key] = max(worst[key], _relative_residual(inverse_fast(variant, spectrum).data,
+        worst.add(f"{name}-inverse", _relative_residual(inverse_fast(variant, spectrum).data,
                                                         inverse_direct(variant, spectrum).data))
-    return [CheckResult(f"oracle/{family.value}-{d}", w, 1e-9)
-            for (family, d), w in worst.items()]
+    return worst.rows(1e-9)
 
 
 def check_mixed_plane_products(rng, profile=QUICK) -> List[CheckResult]:
     """Sc(p_plus conj(q_minus)) and the mirror vanish for all contexts."""
-    worst = 0.0
+    worst = _Worst()
     for _ in range(profile.pointwise):
         ctx = make_context(random_pure_unit(rng), random_pure_unit(rng))
         p = split(ctx, random_quaternion(rng))
         q = split(ctx, random_quaternion(rng))
-        worst = max(worst,
-                    abs(scalar_part(mul(p.plus, conj(q.minus)))),
-                    abs(scalar_part(mul(p.minus, conj(q.plus)))))
-    return [CheckResult("split/mixed-plane-products", worst, 1e-12)]
+        worst.add("split/mixed-plane-products",
+                  abs(scalar_part(mul(p.plus, conj(q.minus)))),
+                  abs(scalar_part(mul(p.minus, conj(q.plus)))))
+    return worst.rows(1e-12)
 
 
 def check_plane_determination(rng, profile=QUICK) -> List[CheckResult]:
     """Prescribed planes are recovered; the worked unit frame is exact."""
-    worst = 0.0
+    worst = _Worst()
     for _ in range(profile.frames):
         a, b, c, d = random_frame(rng)
         for assign in PlaneAssignment:
@@ -278,20 +286,18 @@ def check_plane_determination(rng, profile=QUICK) -> List[CheckResult]:
             # index in (plus, minus) of the part that a and b must lack
             stray = 1 if assign is PlaneAssignment.AB_TO_PLUS else 0
             for q, k in ((a, stray), (b, stray), (c, 1 - stray), (d, 1 - stray)):
-                worst = max(worst, norm(split(ctx, q)[k]))
-    results = [CheckResult("planes/random-frames", worst, 1e-10)]
+                worst.add("planes/random-frames", norm(split(ctx, q)[k]))
 
     ctx = determine_context(QI, QJ, QK, ONE, PlaneAssignment.AB_TO_MINUS)
-    exact = (ctx.f.to_array().tolist() == [0.0, 0.0, 0.0, -1.0]
-             and ctx.g.to_array().tolist() == [0.0, 0.0, 0.0, 1.0]
-             and ctx.degenerate and ctx.degenerate_sign == -1)
-    results.append(CheckResult("planes/worked-frame", 0.0 if exact else 1.0, 0.0))
-    return results
+    exact = _Worst()
+    exact.add("planes/worked-frame", norm(ctx.f + QK), norm(ctx.g - QK),
+              abs(ctx.degenerate_sign + 1))
+    return worst.rows(1e-10) + exact.rows(0.0)
 
 
 def check_phase_factor_commutation(rng, profile=QUICK) -> List[CheckResult]:
     """exp(a f) q_pm exp(b g) = q_pm exp((b -+ a) g) = exp((a -+ b) f) q_pm."""
-    worst = 0.0
+    worst = _Worst()
     for k in range(profile.pointwise):
         if k % 5 == 4:
             f = random_pure_unit(rng)
@@ -305,8 +311,8 @@ def check_phase_factor_commutation(rng, profile=QUICK) -> List[CheckResult]:
             lhs = rotate_split(ctx, qp, alpha, beta)
             mid = mul(qp, exp_pure(ctx.g, beta + s * alpha))
             rhs = mul(exp_pure(ctx.f, alpha + s * beta), qp)
-            worst = max(worst, norm(lhs - mid), norm(lhs - rhs))
-    return [CheckResult("split/phase-commutation", worst, 1e-12)]
+            worst.add("split/phase-commutation", norm(lhs - mid), norm(lhs - rhs))
+    return worst.rows(1e-12)
 
 
 def check_split_forms(rng, profile=QUICK) -> List[CheckResult]:
@@ -327,10 +333,10 @@ def check_split_forms(rng, profile=QUICK) -> List[CheckResult]:
     f = random_pure_unit(rng)
     ctxs = [make_context(f, random_pure_unit(rng)), make_context(f, f),
             make_context(f, -f)]
-    results = []
-    worst_const = 0.0
-    for (family, inverse), k in KERNELS.items():
-        worst = 0.0
+    names = [f"split-forms/{family.value}-{'inverse' if inverse else 'forward'}"
+             for family, inverse in KERNELS]
+    worst = _Worst.fromkeys(names + ["phase-angle/axis-constancy"], 0.0)
+    for name, ((_, inverse), k) in zip(names, KERNELS.items()):
         for ctx in ctxs:
             for n in (4, 8):
                 for _ in range(2):
@@ -341,19 +347,15 @@ def check_split_forms(rng, profile=QUICK) -> List[CheckResult]:
                         spectrum = direct_sum(part, ctx, k.cl, k.cr)
                         right = direct_sum(part, ctx, (0, 0), c)
                         left = direct_sum(part, ctx, (s * c[0], s * c[1]), (0, 0))
-                        worst = max(worst, _max_abs(right - spectrum),
-                                    _max_abs(left - spectrum))
+                        worst.add(name, _max_abs(right - spectrum), _max_abs(left - spectrum))
                         for axis in (0, 1):
                             if c[axis] == 0:
-                                worst_const = max(worst_const, _max_abs(
+                                worst.add("phase-angle/axis-constancy", _max_abs(
                                     spectrum - spectrum.take([0], axis=axis)))
                         spectra.append(spectrum)
                     full = direct_sum(h, ctx, k.cl, k.cr)
-                    worst = max(worst, _max_abs(spectra[0] + spectra[1] - full))
-        direction = "inverse" if inverse else "forward"
-        results.append(CheckResult(f"split-forms/{family.value}-{direction}", worst, 1e-10))
-    results.append(CheckResult("phase-angle/axis-constancy", worst_const, 1e-10))
-    return results
+                    worst.add(name, _max_abs(spectra[0] + spectra[1] - full))
+    return worst.rows(1e-10)
 
 
 def check_coefficients(rng, profile=QUICK) -> List[CheckResult]:
@@ -361,41 +363,38 @@ def check_coefficients(rng, profile=QUICK) -> List[CheckResult]:
     at random pairs and, for the same q, at fixed pairs 1e-3 to 1e-11
     from g = f and from g = -f."""
     ctx_ij = make_context(QI, QJ)
-    exact = True
+    exact = _Worst()
     for _ in range(profile.pointwise):
         q = random_quaternion(rng)
-        q1, q2, q3, q4 = coefficients(ctx_ij, q)
-        exact = exact and (q1 == 0.5 * (q.w + q.z) and q2 == 0.5 * (q.x - q.y)
-                           and q3 == 0.5 * (q.w - q.z) and q4 == 0.5 * (q.x + q.y))
-    results = [CheckResult("coefficients/worked-example",
-                           0.0 if exact else 1.0, 0.0)]
+        want = 0.5 * (q.w + q.z), 0.5 * (q.x - q.y), 0.5 * (q.w - q.z), 0.5 * (q.x + q.y)
+        exact.add("coefficients/worked-example",
+                  _max_abs(np.subtract(coefficients(ctx_ij, q), want)))
 
     f = PureUnitQuaternion(1.0, 2.0, 3.0)
     p = PureUnitQuaternion(2.0, -1.0, 0.0)  # orthogonal to f
     near = [make_context(f, s * f + gap * p)
             for s in (1.0, -1.0) for gap in (1e-3, 1e-6, 1e-9, 1e-11)]
-    worst = 0.0
+    worst = _Worst()
     for _ in range(profile.pointwise):
         ctx = make_context(random_pure_unit(rng), random_pure_unit(rng))
         if ctx.degenerate:
             continue
         q = random_quaternion(rng)
         for c in (ctx, *near):
-            worst = max(worst, norm(reconstruct(c, *coefficients(c, q)) - q))
-    results.append(CheckResult("coefficients/reconstruct", worst, 1e-12))
-    return results
+            worst.add("coefficients/reconstruct", norm(reconstruct(c, *coefficients(c, q)) - q))
+    return exact.rows(0.0) + worst.rows(1e-12)
 
 
 def check_simplex_perplex(rng, profile=QUICK) -> List[CheckResult]:
     """g = f = i reproduces the simplex/perplex split exactly."""
     ctx = make_context(QI, QI)
-    exact = True
+    exact = _Worst()
     for _ in range(profile.pointwise):
         q = random_quaternion(rng)
         parts = split(ctx, q)
-        exact = exact and parts.plus == Quaternion(0.0, 0.0, q.y, q.z)
-        exact = exact and parts.minus == Quaternion(q.w, q.x, 0.0, 0.0)
-    return [CheckResult("split/simplex-perplex", 0.0 if exact else 1.0, 0.0)]
+        exact.add("split/simplex-perplex", norm(parts.plus - Quaternion(0.0, 0.0, q.y, q.z)),
+                  norm(parts.minus - Quaternion(q.w, q.x, 0.0, 0.0)))
+    return exact.rows(0.0)
 
 
 def check_energy(rng, profile=QUICK) -> List[CheckResult]:
@@ -405,11 +404,11 @@ def check_energy(rng, profile=QUICK) -> List[CheckResult]:
     conjugation keeps the norm.
     """
     families = (Family.TWO_SIDED, Family.CONJUGATE)
-    worst = dict.fromkeys(families, 0.0)
+    worst = _Worst()
     for variant, h in _cases(rng, profile.n_contexts, families, ((16, 16),), 3):
         ratio = (_rms(forward_fast(variant, h).data) / _rms(h.data)) ** 2 / (16 * 16)
-        worst[variant.family] = max(worst[variant.family], abs(ratio - 1.0))
-    return [CheckResult(f"energy/{family.value}", w, 1e-9) for family, w in worst.items()]
+        worst.add(f"energy/{variant.family.value}", abs(ratio - 1.0))
+    return worst.rows(1e-9)
 
 
 def check_commutation(rng, profile=QUICK) -> List[CheckResult]:
@@ -422,7 +421,7 @@ def check_commutation(rng, profile=QUICK) -> List[CheckResult]:
     plan on axis 0 and the four-step plan on axis 1; 70 x 67 runs the
     grouped pass on axis 0.
     """
-    worst = dict.fromkeys(Family, 0.0)
+    worst = _Worst()
     for variant, h in _cases(rng, profile.n_contexts, Family, ((4, 6), (67, 70), (70, 67)), 1):
         ctx = variant.ctx
         pair = make_context(ctx.g, ctx.f) if KERNELS[variant.family, False].conjugate else ctx
@@ -431,9 +430,9 @@ def check_commutation(rng, profile=QUICK) -> List[CheckResult]:
             full = forward_fast(variant, field).data
             rms = _rms(full)
             for want, got in zip(split_arr(pair, full), split_spectra(variant, field)):
-                worst[variant.family] = max(worst[variant.family],
-                                            _relative(_max_abs(got.data - want), rms))
-    return [CheckResult(f"commutation/{family.value}", w, 1e-10) for family, w in worst.items()]
+                worst.add(f"commutation/{variant.family.value}",
+                          _relative(_max_abs(got.data - want), rms))
+    return worst.rows(1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from opsqft import verify
+from opsqft import transform, verify
 from opsqft.cli import main
 from opsqft.formats import read_field
 from opsqft.transform import Family, Kernel
@@ -94,20 +94,28 @@ def test_commutation_fails_on_swapped_part_spectra(monkeypatch):
 
 
 def test_nan_in_every_forward_spectrum_fails_its_rows(monkeypatch):
-    # one NaN in sample (0, 0) of each forward spectrum: a NaN residual is
-    # read as inf, so max() over the cases keeps it and the rows fail
+    # a NaN, then an inf, in sample (0, 0) of each forward spectrum, the
+    # part spectra of split_spectra too: every residual that reads it, a
+    # NaN from inf - inf or inf / inf as well, folds to inf and fails its row
     forward_fast = verify.forward_fast
+    suites = (verify.check_oracle_equivalence, verify.check_roundtrips, verify.check_energy,
+              verify.check_commutation)
+    names = ([f"oracle/{f.value}-forward" for f in Family] + ["roundtrip/twosided"]
+             + [f"energy/{f.value}" for f in (Family.TWO_SIDED, Family.CONJUGATE)]
+             + [f"commutation/{f.value}" for f in Family])
+    for bad in (np.nan, np.inf):
+        def bad_forward(variant, field):
+            spectrum = forward_fast(variant, field)
+            spectrum.data[0, 0, 0] = bad
+            return spectrum
 
-    def nan_forward(variant, field):
-        spectrum = forward_fast(variant, field)
-        spectrum.data[0, 0, 0] = np.nan
-        return spectrum
-
-    monkeypatch.setattr(verify, "forward_fast", nan_forward)
-    rows = {r.name: r for suite in (verify.check_oracle_equivalence, verify.check_roundtrips)
-            for r in suite(np.random.default_rng(SEED), verify.QUICK)}
-    for name in [f"oracle/{f.value}-forward" for f in Family] + ["roundtrip/twosided"]:
-        assert rows[name].residual == np.inf and not rows[name].passed, rows[name].line()
+        monkeypatch.setattr(verify, "forward_fast", bad_forward)
+        monkeypatch.setattr(transform, "forward_fast", bad_forward)
+        with np.errstate(invalid="ignore", over="ignore"):
+            rows = {r.name: r for suite in suites
+                    for r in suite(np.random.default_rng(SEED), verify.QUICK)}
+        for name in names:
+            assert rows[name].residual == np.inf and not rows[name].passed, rows[name].line()
 
 
 def test_collapsed_family_structure():

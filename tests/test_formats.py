@@ -462,6 +462,27 @@ def test_ppm_rejects_malformed(tmp_path):
         read_image_ppm(p)
 
 
+@pytest.mark.parametrize("raw, offset", [
+    # a binary file: its one word is the whole megabyte
+    (b"\xff" * (1 << 20), 0),
+    # numbers longer than int() reads (4300 digits), and a product of two
+    # that int() reads but cannot print
+    (b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3), 3),
+    (b"P3\n1 1\n255\n" + b"0" * 5000 + b" 0 0\n", 11),
+    (b"P6\n" + b"9" * 4300 + b" " + b"9" * 4300 + b"\n255\n" + bytes(3), 3),
+    # a number that int() reads, out of range
+    (b"P3\n1 1\n255\n" + b"9" * 4000 + b" 0 0\n", 11),
+], ids=["binary", "p6-width", "p3-zeros", "p6-size", "p3-value"])
+def test_ppm_diagnostics_are_bounded(tmp_path, capsys, raw, offset):
+    # one short stderr line that quotes a prefix of the word at fault
+    p = tmp_path / "a.ppm"
+    p.write_bytes(raw)
+    assert main(["import-ppm", "--in", str(p), "--out", str(tmp_path / "a.qf2d")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("opsqft: ") and err.count("\n") == 1 and len(err.encode()) < 200
+    assert f"byte {offset}: " in err
+
+
 @pytest.mark.parametrize("head, offset", [
     (b"P6\n0 1\n", 3),
     (b"P6 # c\n 2 -1\n", 10),
@@ -493,9 +514,10 @@ def _ppm_words(raw: bytes):
 
 
 def _is_decimal(word: bytes) -> bool:
-    """A PPM number: ASCII digits, after one '-' at most (not '+', not '_')."""
+    """A PPM number: ASCII digits, after one '-' at most (not '+', not '_'),
+    at most 20 characters in all."""
     digits = word[1:] if word.startswith(b"-") else word
-    return digits != b"" and all(48 <= c <= 57 for c in digits)
+    return digits != b"" and len(word) <= 20 and all(48 <= c <= 57 for c in digits)
 
 
 def _expected_ppm(raw: bytes):
