@@ -233,11 +233,10 @@ _SPACES = b" \t\r\n"
 def _p3_values(path, raw: bytes, start: int, count: int) -> np.ndarray:
     """The first ``count`` words of ``raw[start:]`` as pixel values 0..255.
 
-    Reads the same words as ``_tokens`` and raises the same errors at the
-    same offsets: the first word that is not an integer or is out of
-    range, else the end of the file when words are missing.  Words of up
-    to three decimal digits are decoded in bulk; any other word goes
-    through ``_integer`` on its own.
+    Reads the words ``_tokens`` reads and raises at the first one at
+    fault (not an integer, or out of range), else at the end of the file
+    when words are missing.  Words of up to 20 digits are decoded in
+    bulk; only a signed word or one at fault goes through ``_integer``.
     """
     body = raw[start:]
     if b"#" in body:
@@ -254,14 +253,15 @@ def _p3_values(path, raw: bytes, start: int, count: int) -> np.ndarray:
     ends = np.flatnonzero(edge == 1)[:count]
     length = ends - starts
     value = np.zeros(len(starts), dtype=np.int16)
-    plain = length <= 3
-    for place in range(3):
+    plain = length <= 20
+    for place in range(min(length.max(initial=0), 20)):
         present = length > place
         # a byte below '0' wraps past 9; a place past the word reads 0
         digit = b.take(ends - 1 - place, mode="clip") - np.uint8(ord("0"))
-        plain &= ~present | (digit <= 9)
-        digit *= present
-        value += digit * np.int16(10 ** place)
+        plain &= ~present | (digit <= (9 if place < 3 else 0))  # '0' above the hundreds
+        if place < 3:
+            digit *= present
+            value += digit * np.int16(10 ** place)
     plain &= value <= 255
     values = value.astype(np.float64)
     for j in np.flatnonzero(~plain):

@@ -378,21 +378,31 @@ def _p3_file(words, seps, comments):
 
 
 @pytest.mark.parametrize("comments", [False, True])
-def test_p3_words_and_separators(tmp_path, comments):
+def test_p3_words_and_separators(tmp_path, monkeypatch, comments):
     # every separator byte, with and without comments between the words,
-    # leading zeros and four-digit words: the values are those of int()
+    # leading zeros and words of up to 20 characters: the values are those
+    # of int(), and every pixel word is decoded in bulk, none on its own
     rng = np.random.default_rng(SEED + 3 + comments)
     values = rng.integers(0, 256, 3 * 400)
     words = [b"%d" % v for v in values]
-    words[5], words[6], words[7], words[8] = b"007", b"0255", b"0000", b"00000000042"
-    values[5:9] = 7, 255, 0, 42
+    words[5:10] = b"007", b"0255", b"0000", b"00000000042", b"0" * 17 + b"042"
+    values[5:10] = 7, 255, 0, 42, 42
     seps = [b" \t\r\n"[k:k + 1] * (1 + k % 2) for k in rng.integers(0, 4, len(words))]
     marks = rng.random(len(words)) < 0.2 if comments else [False] * len(words)
     p = tmp_path / "a.ppm"
     p.write_bytes(_p3_file(words, seps, marks))
+    calls = []
+    integer = formats._integer
+
+    def recording(path, off, tok, what):
+        calls.append(what)
+        return integer(path, off, tok, what)
+
+    monkeypatch.setattr(formats, "_integer", recording)
     got = read_image_ppm(p).data
     assert np.array_equal(got[0, :, 1:].reshape(-1), values / 255.0)
     assert not got[..., 0].any()
+    assert calls == ["width", "height", "maxval"]
 
 
 @pytest.mark.parametrize("comments", [False, True])
@@ -574,7 +584,8 @@ _PPM_EDITS = st.one_of(
                               min_size=1, max_size=3)),
     st.tuples(st.just("truncate"), st.sampled_from((3, 6)), st.integers(0, 80)),
     st.tuples(st.just("word"), st.integers(0, 17),
-              st.one_of(st.sampled_from([b"", b"256", b"-1", b"x", b"+7", b"0255",
+              st.one_of(st.sampled_from([b"", b"256", b"-1", b"-0", b"x", b"+7", b"0255",
+                                         b"0" * 16 + b"0255", b"0" * 21,
                                          b"1_0", b"#", b"# 1", b"1\n#"]),
                         st.binary(max_size=4))),
 )
