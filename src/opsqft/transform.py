@@ -31,7 +31,7 @@ g as imaginary unit, and exp(a f) q_pm exp(b g) = q_pm exp((b -+ a) g)
 moves both kernels to the right.  So plane +- sees the coefficients
 cr -+ cl alone (``Kernel.planes``), each -1, 0 or +1: a +-1 is a signed
 FFT along that axis, and a 0 makes the plane's spectrum constant along
-that axis, so the axis is summed first and transformed at length 1.
+that axis, so the axis is summed first and the plane is a line.
 A is W and B is W^T times w; a conjugated spectrum puts
 diag(1, -1, -1, -1) after B (forward) or before A (inverse), so neither
 the conjugation nor the weight costs a pass over the data.
@@ -41,13 +41,11 @@ it and transformed in place, axis 0 then axis 1, and then each block of
 rows is interleaved into a small scratch whose product with B
 overwrites those rows.  No other full-size array is made.
 
-Where N1 = a b is a four-step of two dense factors (a "grouped" length
-of ``fftcore._plan``), the rotation writes plane row b m1 + m2 from
-data row a m2 + m1: the four-step's input order, read out of place at no
-cost.  ``_pass0_grouped`` then runs axis 0 in place over groups of rows,
-with no gather and no transpose: each stage's product goes to one chunk
-of scratch that is copied back.  ``fft1`` runs axis 1.
-Any other plane goes through ``fft2``.
+``_stages`` alone picks each plane's route, and ``_fast`` runs it.  A line
+runs ``fft1`` along its live axis.  Where N1 is a "grouped" length of
+``fftcore._plan``, the rotation writes the plane in the four-step's input
+order at no cost, and ``_pass0_grouped`` runs axis 0 in place over row
+groups, then ``fft1`` axis 1.  Any other plane goes through ``fft2``.
 
 The two planes share nothing until ``@ B``, and the row blocks of
 ``@ B`` share nothing, so ``_halves`` runs each as independent jobs, on a
@@ -82,13 +80,13 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .fftcore import _block_columns, _factors, _plan, fft1, fft2
+from .fftcore import _PLAN_CACHE, _block_columns, _factors, _plan, fft1, fft2
 from .fields import QuaternionField2D
 from .quat import conj_arr, exp_arr, mul_arr
 from .planes import OpsContext, split_arr
@@ -321,13 +319,38 @@ def _pass0_grouped(x: np.ndarray, sign: int) -> None:
             groups[:, k2, cols] = s[:a]
 
 
+class Route(NamedTuple):
+    """One plane's route: the axes summed first (its zero coefficients),
+    the factor a of the four-step row order n1 = a b that the rotation
+    writes (0: natural order), and the passes run in place, (name, *args)."""
+
+    summed: Tuple[int, ...]
+    a: int
+    passes: Tuple[tuple, ...]
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _stages(planes, n1: int, n2: int):
+    """(route of plane +, route of plane -) for the coefficients ``planes``
+    (``Kernel.planes``) on an n1 x n2 grid, and the rows of each ``@ B``
+    block, by the module docstring's rules."""
+    routes = []
+    for signs in planes:
+        summed = tuple(axis for axis, c in enumerate(signs) if c == 0)
+        kind, a, _ = (None, 0, None) if summed else _plan(n1, signs[0])
+        if kind == "grouped":
+            routes.append(Route((), a, (("_pass0_grouped", signs[0]), ("fft1", signs[1], 1))))
+        elif summed:  # a line: its one live axis
+            routes.append(Route(summed, 0, tuple(("fft1", c, i) for i, c in enumerate(signs) if c)))
+        else:
+            routes.append(Route((), 0, (("fft2", *signs),)))
+    return tuple(routes), _block_columns(n2)
+
+
 def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndarray:
     """The table row through its frame W, in the one output array: plane p
-    (0 is +, 1 is -) is ``x @ A[:, 2p:2p + 2]``, transformed in place with
-    the signs from ``planes`` and broadcast; x is the data, summed first
-    along each axis whose sign is 0 there (then the plane is a line).  The
-    row order, the axis passes and the two jobs of each ``_halves`` are as
-    the module docstring says."""
+    (0 is +, 1 is -) is ``x @ A[:, 2p:2p + 2]``, x the data summed as its
+    route (``_stages``) says, transformed in place by its passes, broadcast."""
     k = KERNELS[variant.family, inverse]
     n1, n2 = data.shape[:2]
     W = variant.ctx.frame
@@ -338,31 +361,28 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
         B = conj_arr(B)  # conj(y @ W.T) = y @ B
     out = np.empty((n1, n2, 4))
     spec = out.view(np.complex128).reshape(n1, 2, n2)  # row k1: plane +, then plane -
-    signs, planes = k.planes, [None, None]
+    (routes, step), planes = _stages(k.planes, n1, n2), [None, None]
 
     def transform(jobs):
         for p in jobs:
-            c1, c2 = signs[p]
-            x = data.sum(axis=0, keepdims=True) if c1 == 0 else data
-            if c2 == 0:  # a BLAS product: numpy's strided sum over axis 1 is slower
+            summed, a, passes = routes[p]
+            x = data.sum(axis=0, keepdims=True) if 0 in summed else data
+            if 1 in summed:  # a BLAS product: numpy's strided sum over axis 1 is slower
                 x = (np.ones(x.shape[1]) @ x)[:, None, :]
             plane = spec[:, p] if x is data else np.empty(x.shape[:2], np.complex128)
-            grouped = x is data and _plan(n1, c1)[0] == "grouped"
-            if grouped:  # the four-step's input order (module docstring)
-                x = data.reshape(-1, _plan(n1, c1)[1], n2, 4).transpose(1, 0, 2, 3)
+            if a:  # plane row b m1 + m2 from data row a m2 + m1
+                x = data.reshape(-1, a, n2, 4).transpose(1, 0, 2, 3)
             np.matmul(x, A[:, 2 * p:2 * p + 2], out=plane.view(np.float64).reshape(*x.shape[:-1], 2))
-            if grouped:
-                _pass0_grouped(plane, c1)
-                fft1(plane, c2, axis=1, out=plane)
-            else:
-                fft2(plane, c1 or 1, c2 or 1, out=plane)
+            for name, *args in passes:  # looked up at call time: a wrapper of the name sees it
+                if name == "_pass0_grouped":
+                    _pass0_grouped(plane, *args)
+                else:
+                    (fft1 if name == "fft1" else fft2)(plane, *args, out=plane)
             planes[p] = np.broadcast_to(plane, (n1, n2))
 
     _halves(transform, range(2), n1 * n2)
-    # each block of rows is interleaved into z before z @ B overwrites it
-    step = _block_columns(n2)
 
-    def product(starts):
+    def product(starts):  # each block of rows is interleaved into z, then z @ B overwrites it
         z = np.empty((min(step, n1), n2, 2), dtype=np.complex128)
         for i in starts:
             rows = z[:min(step, n1 - i)]

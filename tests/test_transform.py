@@ -357,13 +357,9 @@ def test_fast_path_is_scale_and_pair_invariant(k, n1, n2, sign, eps, seed):
 RAGGED_GRIDS = ((67, 515), (515, 67), (1031, 131))
 # Grids large enough for ``_halves`` to split a transform's jobs over two
 # threads, each with an odd number of @ B blocks (17, 19 and 19), so the
-# two threads' halves are uneven, and the passes that each plane runs on
-# axis 0 and axis 1: a Bluestein length in blocks, 1200 = 30 * 40 over row
-# groups, and 130 = 10 * 13 by the row route.
-SPLIT_GRIDS = {(1031, 131): ("_pass0", "_pass0"), (1200, 131): ("_pass0_grouped", "_pass0"),
-               (1200, 130): ("_pass0_grouped", "_pass1_grouped")}
-# where each pass is looked up when a transform runs it
-PASSES = {"_pass0": fftcore, "_pass0_grouped": transform, "_pass1_grouped": fftcore}
+# two threads' halves are uneven.  Their plans (``_stages``) name the
+# passes that the thread hooks below watch.
+SPLIT_GRIDS = ((1031, 131), (1200, 131), (1200, 130))
 
 
 def signed_dft(z, axis, c):
@@ -504,41 +500,83 @@ def test_grouped_pass_agrees_with_fft2_to_rounding(n1, n2):
         assert np.max(np.abs(plane - want)) / np.sqrt(np.mean(np.abs(want) ** 2)) < 1e-14
 
 
-def test_transform_runs_axis_0_over_row_groups(monkeypatch):
-    # at 1024 x 1024 each plane of a full transform runs axis 0 as one
-    # grouped pass and only axis 1 through fft1, which takes the row route;
-    # the phase-angle lines, a (1, n) and an (n, 1) plane, take fft1 on
-    # both axes: the row route along n, a block of _pass0 along 1
-    calls = []
-    run_fft1 = fftcore.fft1
-
-    def fft1(x, sign, axis=-1, out=None):
-        calls.append(("fft1", np.shape(x), axis % np.ndim(x)))
-        return run_fft1(x, sign, axis, out)
-
-    for module in (fftcore, transform):
-        monkeypatch.setattr(module, "fft1", fft1)
-    watch_passes(monkeypatch, lambda name: calls.append((name,)))
+def test_transform_runs_axis_0_over_row_groups():
+    # at 1024 x 1024 the rotation writes each plane of a full transform in
+    # 32 row groups, which one grouped pass runs along axis 0, and fft1
+    # runs axis 1; each phase-angle line runs fft1 along its live axis only
     n = 1024
-    rng = np.random.default_rng(SEED + 19)
-    field = rand_field(rng, n, n)
+    assert transform._stages(KERNELS[Family.TWO_SIDED, False].planes, n, n) == (
+        (((), 32, (("_pass0_grouped", 1), ("fft1", -1, 1))),
+         ((), 32, (("_pass0_grouped", -1), ("fft1", -1, 1)))), 16)
+    assert transform._stages(KERNELS[Family.PHASE_ANGLE, False].planes, n, n) == (
+        (((0,), 0, (("fft1", 1, 1),)), ((1,), 0, (("fft1", -1, 0),))), 16)
+
+
+# Each length's plan: dense (1, 2, 64), grouped with its factor a (65 = 5 13,
+# 130 = 10 13, 1024 = 32 32), a four-step on a chirp (515 = 5 103) and a
+# chirp (67, 1031).
+ROUTE_LENGTHS = {1: 0, 2: 0, 64: 0, 65: 5, 130: 10, 515: 0, 1024: 32, 67: 0, 1031: 0}
+
+
+@pytest.mark.parametrize("n1, n2", [g for n in ROUTE_LENGTHS for g in ((n, 7), (7, n))])
+def test_plan_names_each_plane_route(n1, n2):
+    # a line runs fft1 along its live axis; a full plane with a grouped
+    # axis 0 runs in row groups, any other through fft2
+    rng = np.random.default_rng(SEED + 20)
     ctx = context_zoo(rng)[0]
-    forward_fast(TransformVariant(Family.TWO_SIDED, ctx), field)
-    assert sorted(calls) == [("_pass0_grouped",)] * 2 + [("_pass1_grouped",)] * 2 + [
-        ("fft1", (n, n), 1)] * 2
-    calls.clear()
-    forward_fast(TransformVariant(Family.PHASE_ANGLE, ctx), field)
-    assert sorted(calls) == [("_pass0",)] * 2 + [("_pass1_grouped",)] * 2 + [
-        ("fft1", (1, n), 0), ("fft1", (1, n), 1), ("fft1", (n, 1), 0), ("fft1", (n, 1), 1)]
+    data = rng.standard_normal((n1, n2, 4))
+    a = ROUTE_LENGTHS.get(n1, 0)
+    for (family, inverse), k in KERNELS.items():
+        routes, rows = transform._stages(k.planes, n1, n2)
+        assert rows == _block_columns(n2)
+        for route, (c1, c2) in zip(routes, k.planes):
+            if not c1:
+                assert route == ((0,), 0, (("fft1", c2, 1),))
+            elif not c2:
+                assert route == ((1,), 0, (("fft1", c1, 0),))
+            elif a:
+                assert route == ((), a, (("_pass0_grouped", c1), ("fft1", c2, 1)))
+            else:
+                assert route == ((), 0, (("fft2", c1, c2),))
+        variant = TransformVariant(family, ctx)
+        if inverse:
+            got = inverse_fast(variant, Spectrum(QuaternionField2D(data), variant)).data
+        else:
+            got = forward_fast(variant, QuaternionField2D(data)).data
+        want = numpy_composition(variant, data, inverse)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def natural_row_order(stages):
+    """``_stages`` with each grouped plane written in natural row order."""
+    def broken(planes, n1, n2):
+        routes, rows = stages(planes, n1, n2)
+        return tuple(route._replace(a=0) for route in routes), rows
+    return broken
+
+
+def swapped_planes(stages):
+    """``_stages`` with plane + and plane - given each other's routes."""
+    def broken(planes, n1, n2):
+        (plus, minus), rows = stages(planes, n1, n2)
+        return (minus, plus), rows
+    return broken
+
+
+@pytest.mark.parametrize("n1, n2", [(1200, 130), (70, 67)])
+@pytest.mark.parametrize("bug", [natural_row_order, swapped_planes])
+def test_a_wrong_plan_fails_the_numpy_check(monkeypatch, bug, n1, n2):
+    # the plan assertions stand in for spies on the passes, so a broken
+    # route must still show in the outputs
+    monkeypatch.setattr(transform, "_stages", bug(transform._stages))
+    with pytest.raises(AssertionError):
+        assert_fast_path_matches_numpy(n1, n2, np.random.default_rng(SEED + 21))
 
 
 def split_inputs(grid):
     """A field on one of SPLIT_GRIDS and a generic context, after the grid's checks."""
     n1, n2 = grid
     assert n1 * n2 >= _SPLIT_MIN and -(-n1 // _block_columns(n2)) % 2
-    axis0, axis1 = SPLIT_GRIDS[grid]
-    assert (fftcore._plan(n1, -1)[0] == "grouped") == (axis0 == "_pass0_grouped")
-    assert (fftcore._plan(n2, -1)[0] == "grouped") == (axis1 == "_pass1_grouped")
     rng = np.random.default_rng(SEED + 17)
     return rng.standard_normal((n1, n2, 4)), context_zoo(rng)[0]
 
@@ -563,20 +601,29 @@ def on_one_thread(fn):
         transform._SPLIT_MIN = floor
 
 
-def watch_passes(monkeypatch, before):
-    """Call before(name) ahead of every pass of PASSES."""
-    for name, module in PASSES.items():
-        def spy(*args, name=name, run=getattr(module, name)):
-            before(name)
-            return run(*args)
+def plan_passes(grid):
+    """The name of every pass that the six rows' plans run on ``grid``."""
+    return {name for k in KERNELS.values() for route in transform._stages(k.planes, *grid)[0]
+            for name, *_ in route.passes}
 
-        monkeypatch.setattr(module, name, spy)
+
+def watch_passes(monkeypatch, before):
+    """Call before(name) ahead of every run of each pass that the plans of
+    SPLIT_GRIDS name, where the transform looks it up: a hook to learn the
+    thread that runs it."""
+    for name in set().union(*map(plan_passes, SPLIT_GRIDS)):
+        def spy(*args, name=name, run=getattr(transform, name), **kwargs):
+            before(name)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(transform, name, spy)
 
 
 def test_split_jobs_give_the_one_thread_bits(monkeypatch):
     threads = {}
     watch_passes(monkeypatch, lambda name: threads.setdefault(name, set()).add(threading.get_ident()))
-    for grid, passes in SPLIT_GRIDS.items():
+    for grid in SPLIT_GRIDS:
+        passes = plan_passes(grid)
         data, ctx = split_inputs(grid)
         threads.clear()
         alive = threading.active_count()
@@ -586,7 +633,7 @@ def test_split_jobs_give_the_one_thread_bits(monkeypatch):
         threads.clear()
         one = on_one_thread(lambda: fast_results(data, ctx))
         assert set().union(*threads.values()) == {threading.get_ident()}
-        assert set(passes) <= threads.keys()
+        assert passes <= threads.keys()
         for got, want in zip(split, one):
             assert np.array_equal(got, want)
 
@@ -656,11 +703,13 @@ def test_helper_exception_reaches_the_caller(monkeypatch):
             raise HelperFailure(f"{name} on the helper's half")
 
     watch_passes(monkeypatch, fail_off_the_caller)
-    for grid, (axis0, _) in SPLIT_GRIDS.items():
+    planes = KERNELS[Family.TWO_SIDED, False].planes
+    for grid in SPLIT_GRIDS:
         data, ctx = split_inputs(grid)
         alive = threading.active_count()
-        # plane - starts with its axis-0 pass on the helper
-        with pytest.raises(HelperFailure, match=f"^{axis0} on the helper's half"):
+        # plane - starts with its first pass on the helper
+        (_, minus), _ = transform._stages(planes, *grid)
+        with pytest.raises(HelperFailure, match=f"^{minus.passes[0][0]} on the helper's half"):
             forward_fast(TransformVariant(Family.TWO_SIDED, ctx), QuaternionField2D(data))
         # the helper was joined
         assert threading.active_count() == alive
