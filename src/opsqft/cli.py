@@ -7,8 +7,10 @@ diagnostics to stderr.  Reals print with 17 significant digits so a
 reader can reconstruct the exact double.
 
 A command imports only what it runs: ``transform`` loads the transform
-and FFT modules and ``verify`` the identity suites, each inside its
-handler, so the other commands start without them.
+and FFT modules, ``verify`` the identity suites, and the commands that
+split (``transform``, ``split``, ``coeffs``, ``planes``) the plane
+module, each inside its handler, so the other commands start without
+them.
 """
 
 from __future__ import annotations
@@ -30,21 +32,13 @@ from .formats import (
     write_field,
 )
 from .quat import _BLOCK, ONE, PureUnitQuaternion, Quaternion, max_norm_arr
-from .planes import (
-    DegenerateContext,
-    InvalidFrame,
-    OpsContext,
-    PlaneAssignment,
-    coefficients_arr,
-    determine_context,
-    make_context,
-    split_part_arr,
-)
 
-# The values of ``transform.Family`` and the names of ``verify.PROFILES``,
-# spelled out so that building the parser imports neither module.
+# The values of ``transform.Family``, the names of ``verify.PROFILES`` and
+# the values of ``planes.PlaneAssignment``, spelled out so that building the
+# parser imports none of those modules.
 VARIANTS = ("twosided", "phased", "conjc")
 PROFILE_NAMES = ("quick", "full")
+ASSIGNMENTS = ("minus", "plus")
 
 
 class UsageError(Exception):
@@ -89,7 +83,9 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _context(args) -> OpsContext:
+def _context(args):
+    from .planes import make_context
+
     return make_context(_quaternion(args.f, "--f", (3,)), _quaternion(args.g, "--g", (3,)))
 
 
@@ -115,6 +111,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    from .planes import split_part_arr
+
     ctx = _context(args)
     data = read_field(args.infile).data
     # one part at a time, each freed once written
@@ -124,6 +122,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
+    from .planes import coefficients_arr
+
     ctx = _context(args)
     data = (_quaternion(args.q, "--q", (4,)).to_array() if args.q is not None
             else read_field(args.infile).data)
@@ -135,6 +135,8 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_planes(args) -> int:
+    from .planes import PlaneAssignment, determine_context
+
     # 'scalar' for 1, else three reals for a pure unit or four for a quaternion
     frame = [ONE if t.strip().lower() == "scalar" else _quaternion(t, "--" + n, (3, 4))
              for n, t in zip("abcd", (args.a, args.b, args.c, args.d))]
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in "abcd":
         p.add_argument("--" + name, required=True,
                        help="'scalar', three reals, or four reals")
-    p.add_argument("--assign", choices=[a.value for a in PlaneAssignment], default="minus",
+    p.add_argument("--assign", choices=ASSIGNMENTS, default="minus",
                    help="plane that receives the a,b pair")
     p.set_defaults(handler=_cmd_planes)
 
@@ -255,6 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refusals() -> tuple:
+    """The errors that exit 2: a usage error, and the plane module's refusal
+    of a frame or an axis pair once a command has loaded that module."""
+    planes = sys.modules.get(__package__ + ".planes")
+    return (UsageError,) + ((planes.InvalidFrame, planes.DegenerateContext) if planes else ())
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -265,7 +274,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (UsageError, InvalidFrame, DegenerateContext) as e:
+    except _refusals() as e:
         print(f"opsqft: {e}", file=sys.stderr)
         return 2
     except (FileFormatError, OSError) as e:

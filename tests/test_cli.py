@@ -16,7 +16,7 @@ from opsqft.cli import main
 from opsqft.fields import QuaternionField2D
 from opsqft.formats import read_field, write_field
 from opsqft.quat import _BLOCK, PureUnitQuaternion, norm_arr
-from opsqft.planes import coefficients_arr, make_context
+from opsqft.planes import PlaneAssignment, coefficients_arr, make_context
 
 SEED = 68422
 
@@ -269,9 +269,10 @@ def test_verify_profiles_are_quick_and_full(monkeypatch, capsys):
 
 
 def test_parser_choices_are_the_families_and_profiles():
-    # spelled out in the CLI so that its parser imports neither module
+    # spelled out in the CLI so that its parser imports none of these modules
     assert cli.VARIANTS == tuple(f.value for f in transform.Family)
     assert cli.PROFILE_NAMES == tuple(verify.PROFILES)
+    assert cli.ASSIGNMENTS == tuple(a.value for a in PlaneAssignment)
     parser = cli.build_parser()
     for family in transform.Family:
         args = parser.parse_args(["transform", "--variant", family.value, "--f", "1,0,0",
@@ -584,6 +585,19 @@ def test_invalid_frame_exit_2(capsys):
                "--d", "scalar"])
     assert rc == 2
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["planes", "--a", "1,0,0", "--b", "1,0,0", "--c", "0,0,1", "--d", "scalar"],
+     "a and b not orthogonal: inner = 1.0"),
+    (["coeffs", "--f", "1,0,0", "--g", "1,0,0", "--q", "1,2,3,4"],
+     "coefficients need g != +-f"),
+], ids=["planes", "coeffs"])
+def test_plane_refusal_exit_2_in_fresh_process(argv, message):
+    # in process the plane module is always loaded; a command process loads
+    # it only in the handler that raises
+    out = fresh_opsqft(argv, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"opsqft: {message}\n")
 
 
 def test_help_exits_zero(capsys):

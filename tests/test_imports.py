@@ -1,6 +1,8 @@
 """What a command and the package load: importing the package loads
 nothing, each public name loads with its module on first use, and each
-`opsqft` command imports only the modules it runs.
+`opsqft` command imports only the modules it runs.  A command process
+freezes what its import left, keeps the collector on, and runs clean in
+development mode.
 
 Each case runs in a fresh interpreter, which then reports what it holds.
 """
@@ -19,7 +21,7 @@ from opsqft.formats import write_field
 
 SRC = os.path.dirname(os.path.dirname(opsqft.__file__))
 AXES = ["--f", "1,0,0", "--g", "0.6,0.8,0"]
-HEAVY = {"opsqft.fftcore", "opsqft.transform", "opsqft.verify"}
+HEAVY = {"opsqft.fftcore", "opsqft.planes", "opsqft.transform", "opsqft.verify"}
 
 
 def _fresh(code, *args, env=os.environ):
@@ -141,3 +143,43 @@ def test_command_process_starts_openblas_with_one_thread(files, preset):
     else:
         assert int(threads) == 1
         assert tasks in ("None", "1")
+
+
+def test_command_process_freezes_the_import_and_keeps_the_collector_on(files):
+    # a failed import freezes nothing and leaves the collector on; a command
+    # runs with the collector on and the import's objects frozen
+    code = ("import gc, sys\n"
+            "from opsqft.__main__ import main\n"
+            "sys.modules['opsqft.cli'] = None\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except ImportError:\n"
+            "    print(gc.isenabled(), gc.get_freeze_count())\n"
+            "del sys.modules['opsqft.cli']\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)")
+    out = _fresh(code, "info", "--in", str(files / "a.qf2d")).splitlines()
+    assert out[0] == "True 0"
+    assert out[-1] == "True True"
+
+
+@pytest.mark.parametrize("argv", [
+    ["import-ppm", "--in", "{d}/a.ppm", "--out", "{d}/dev-b.qf2d"],
+    ["transform", "--variant", "twosided", *AXES, "--in", "{d}/a.qf2d", "--out", "{d}/dev-s.qf2d"],
+    ["transform", "--variant", "twosided", "--inverse", *AXES, "--in", "{d}/a.qf2d",
+     "--out", "{d}/dev-t.qf2d"],
+    ["split", *AXES, "--in", "{d}/a.qf2d", "--out-plus", "{d}/dev-p.qf2d",
+     "--out-minus", "{d}/dev-m.qf2d"],
+    ["export-pgm", "--centered", "--in", "{d}/a.qf2d", "--out", "{d}/dev-a.pgm"],
+    ["info", "--in", "{d}/a.qf2d"],
+    ["coeffs", *AXES, "--in", "{d}/a.qf2d"],
+], ids=["import-ppm", "transform", "transform-inverse", "split", "export-pgm", "info", "coeffs"])
+def test_command_process_is_clean_in_development_mode(files, argv):
+    # an unclosed file, or an unraisable exception at exit, prints on stderr;
+    # freezing the import's objects must not hide one
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "opsqft",
+            *(a.format(d=files) for a in argv)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    out = subprocess.run(argv, capture_output=True, text=True, env={**env, "PYTHONPATH": SRC},
+                         timeout=120)
+    assert (out.returncode, out.stderr) == (0, "")
