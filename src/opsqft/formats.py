@@ -8,8 +8,10 @@ QF2D layout (little-endian):
     bytes 16..    n1*n2 records of four float64 (w, x, y, z), row-major,
                   and nothing after them
 
-Color images come in as portable pixmaps (P3 or P6, maxval 255); each
-pixel becomes the pure quaternion (r/255) i + (g/255) j + (b/255) k,
+Color images come in as portable pixmaps (P3 or P6, maxval 255), whose
+words ``_words`` finds in one numpy scan: space, tab, CR and LF split
+them, and a '#' that starts a word comments out the rest of its line.
+Each pixel becomes the pure quaternion (r/255) i + (g/255) j + (b/255) k,
 image row y on the first grid index and column x on the second.
 Spectra go out as P5 graymaps of per-sample magnitude scaled by the
 peak value.
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import re
 import stat
 import struct
 
@@ -194,22 +195,6 @@ def read_field(path) -> QuaternionField2D:
 # ---------------------------------------------------------------------------
 # Portable pixmaps.
 
-# A '#' that starts a word comments out the rest of its line.
-_COMMENT = re.compile(rb"(?<![^ \t\r\n])#[^\n]*")
-# A comment or a word.
-_WORD = re.compile(_COMMENT.pattern + rb"|[^ \t\r\n]+")
-# A number: ASCII decimal digits, after one '-' at most so that a negative
-# size is reported as not positive.  int() would also take '+' and '_'.
-_DECIMAL = re.compile(rb"-?[0-9]+")
-
-
-def _tokens(raw: bytes):
-    """Yield (offset, token) over whitespace-separated words, '#' to EOL skipped."""
-    for m in _WORD.finditer(raw):
-        if not m[0].startswith(b"#"):
-            yield m.start(), m[0]
-
-
 def _quoted(word: bytes) -> str:
     """``word``'s repr, cut to its first 12 bytes and its length when it is
     longer, so that a diagnostic stays one short line."""
@@ -217,40 +202,54 @@ def _quoted(word: bytes) -> str:
 
 
 def _integer(path, off: int, tok: bytes, what: str) -> int:
-    """``tok`` as a number of at most 20 characters, so that every number
-    read, and every product of them, prints as a short figure."""
-    if not _DECIMAL.fullmatch(tok):
+    """``tok`` as a number: ASCII digits, not int()'s '+' or '_', after one
+    '-' at most (a negative size is then not positive), in at most 20
+    characters, so that every number read and every product prints short."""
+    if not tok.removeprefix(b"-").isdigit():
         raise MalformedHeader(path, off, f"{what} is not an integer: {_quoted(tok)}")
     if len(tok) > 20:
         raise MalformedHeader(path, off, f"{what} is longer than 20 characters: {_quoted(tok)}")
     return int(tok)
 
 
-# The bytes that separate words.
-_SPACES = b" \t\r\n"
+# The bytes scanned for the header's words before the whole file is.
+_HEAD = 4096
+
+
+def _words(raw: bytes, start: int, count: int):
+    """The start and end offsets in ``raw[start:]`` of its first ``count``
+    words, as two arrays, shorter when the bytes end first.  A byte is in a
+    comment when the last word-starting '#' up to it follows the last newline."""
+    b = np.frombuffer(raw, dtype=np.uint8)[start:]
+    # whitespace flags with one space before and after the bytes
+    ws = np.ones(len(b) + 2, dtype=bool)
+    inner = ws[1:-1]
+    np.equal(b, ord(" "), out=inner)
+    for c in b"\t\r\n":
+        inner |= b == c
+    if raw.find(b"#", start) >= 0:
+        # 2k marks a newline at k, 2k + 1 a word-starting '#': odd in a comment
+        hashes = (b == ord("#")) & ws[:-2]
+        mark = np.arange(0, 2 * len(b), 2)
+        mark += hashes
+        mark *= hashes | (b == ord("\n"))
+        np.maximum.accumulate(mark, out=mark)
+        mark &= 1
+        inner |= mark.astype(bool)
+    edge = np.diff(ws.view(np.int8))
+    return np.flatnonzero(edge == -1)[:count], np.flatnonzero(edge == 1)[:count]
 
 
 def _p3_values(path, raw: bytes, start: int, count: int) -> np.ndarray:
     """The first ``count`` words of ``raw[start:]`` as pixel values 0..255.
 
-    Reads the words ``_tokens`` reads and raises at the first one at
+    Reads the words that ``_words`` finds and raises at the first one at
     fault (not an integer, or out of range), else at the end of the file
     when words are missing.  Words of up to 20 digits are decoded in
     bulk; only a signed word or one at fault goes through ``_integer``.
     """
-    body = raw[start:]
-    if b"#" in body:
-        body = _COMMENT.sub(lambda m: b" " * len(m[0]), body)
-    b = np.frombuffer(body, dtype=np.uint8)
-    # whitespace flags with one space before and after the body
-    ws = np.ones(len(b) + 2, dtype=bool)
-    inner = ws[1:-1]
-    np.equal(b, _SPACES[0], out=inner)
-    for c in _SPACES[1:]:
-        inner |= b == c
-    edge = np.diff(ws.view(np.int8))
-    starts = np.flatnonzero(edge == -1)[:count]
-    ends = np.flatnonzero(edge == 1)[:count]
+    starts, ends = _words(raw, start, count)
+    b = np.frombuffer(raw, dtype=np.uint8)[start:]
     length = ends - starts
     value = np.zeros(len(starts), dtype=np.int16)
     plain = length <= 20
@@ -277,31 +276,30 @@ def _p3_values(path, raw: bytes, start: int, count: int) -> np.ndarray:
 
 
 def read_image_ppm(path) -> QuaternionField2D:
-    """Load a P3/P6 pixmap (maxval 255) as a grid of pure quaternions."""
+    """Load a P3/P6 pixmap (maxval 255) as a grid of pure quaternions.  The
+    header's four words come from the first ``_HEAD`` bytes, or from the
+    whole file when those hold fewer or may cut the fourth."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as e:
         raise IoFailure(path, e) from e
 
-    toks = _tokens(raw)
-
-    def next_token(what):
-        try:
-            return next(toks)
-        except StopIteration:
-            raise MalformedHeader(path, len(raw), f"missing {what}") from None
-
-    off, magic = next_token("magic")
+    starts, ends = _words(raw[:_HEAD], 0, 4)
+    if len(ends) < 4 or ends[-1] == _HEAD:
+        starts, ends = _words(raw, 0, 4)
+    words = [(int(i), raw[i:j]) for i, j in zip(starts, ends)]
+    if not words:
+        raise MalformedHeader(path, len(raw), "missing magic")
+    off, magic = words[0]
     if magic not in (b"P3", b"P6"):
         raise UnsupportedFormat(path, off, f"magic {_quoted(magic)}, expected P3 or P6")
-    dims = []
-    tok = b""
-    for what in ("width", "height", "maxval"):
-        off, tok = next_token(what)
-        dims.append((off, _integer(path, off, tok, what)))
-    (width_off, width), (height_off, height), (_, maxval) = dims
-    maxval_end = off + len(tok)
+    names = ("width", "height", "maxval")
+    dims = [(off, _integer(path, off, tok, what)) for what, (off, tok) in zip(names, words[1:])]
+    if len(dims) < 3:
+        raise MalformedHeader(path, len(raw), f"missing {names[len(dims)]}")
+    (width_off, width), (height_off, height), (off, maxval) = dims
+    maxval_end = int(ends[3])
     if width < 1 or height < 1:
         raise MalformedHeader(path, width_off if width < 1 else height_off,
                               f"image {width}x{height} is not positive")

@@ -637,6 +637,79 @@ def test_fuzzed_ppm_files_fail_at_their_offset(tmp_path_factory, edit):
     assert not out.exists()
 
 
+# The word/comment rule, the same in the header and in a P3 body: each
+# 1 x 1 file with its (r, g, b), or its error class, byte offset and message
+WORD_RULE = [
+    # a '#' inside a word is part of the word
+    (b"P3\n1 1\n255\n1 12#3 0\n", (MalformedHeader, 13, "pixel value is not an integer: b'12#3'")),
+    (b"P6\n1 1\n255#c\n\x01\x02\x03", (MalformedHeader, 7, "maxval is not an integer: b'255#c'")),
+    # a comment ends at the end of the file, with no newline
+    (b"P3\n1 1\n255\n1 2 3 #c", (1, 2, 3)),
+    (b"P3\n1 1\n255\n1 2 #c", (MalformedHeader, 17, "missing pixel value")),
+    (b"P6\n1 1 #c", (MalformedHeader, 9, "missing maxval")),
+    # a CR does not end a comment, a newline does
+    (b"P3\n1 #c\r9\n1\n255\n1 2 3\n", (1, 2, 3)),
+    (b"P3\n1 1\n255\n1 #c\r9\n2 3\n", (1, 2, 3)),
+    (b"P3\n#c\n1 1\r#c\r\n255\n1\r#c\r\n2 3", (1, 2, 3)),
+    # P6 pixel bytes are not words: they start right after one separator byte
+    (b"P6\n1 1\n255\n#\n ", (35, 10, 32)),
+    (b"P6\n1 1\n255 # \n", (35, 32, 10)),
+]
+
+
+@pytest.mark.parametrize("raw, expected", WORD_RULE)
+def test_word_and_comment_rule(tmp_path, raw, expected):
+    p = tmp_path / "a.ppm"
+    p.write_bytes(raw)
+    if isinstance(expected[0], int):
+        assert np.array_equal(read_image_ppm(p).data, [[[0.0] + [v / 255.0 for v in expected]]])
+        assert np.array_equal(_expected_ppm(raw), [[expected]])
+        return
+    cls, offset, message = expected
+    with pytest.raises(FileFormatError) as err:
+        read_image_ppm(p)
+    assert (type(err.value), err.value.offset, err.value.message) == expected
+    assert _expected_ppm(raw) == (cls, offset)
+
+
+def test_p3_with_a_comment_per_pixel_matches_p6(tmp_path):
+    # one pixel and one comment on each line of a 256 x 256 image
+    pix = np.random.default_rng(SEED + 6).integers(0, 256, (256, 256, 3), dtype=np.uint8)
+    p6, p3 = tmp_path / "a.ppm", tmp_path / "b.ppm"
+    p6.write_bytes(b"P6\n256 256\n255\n" + pix.tobytes())
+    p3.write_bytes(b"P3\n256 256\n255\n"
+                   + b"".join(b"%d %d %d # 1 x\n" % tuple(v) for v in pix.reshape(-1, 3).tolist()))
+    assert np.array_equal(read_image_ppm(p3).data, read_image_ppm(p6).data)
+
+
+@pytest.mark.parametrize("magic", [3, 6])
+@pytest.mark.parametrize("maxval_at", range(formats._HEAD - 5, formats._HEAD + 2))
+def test_header_words_across_the_scan_window(tmp_path, magic, maxval_at):
+    # a header comment puts the 3-byte maxval word before, across and after
+    # the edge of the bytes first scanned for the header
+    plain = _ppm_file(magic)
+    head = b"P%d\n3 2\n#" % magic
+    raw = head + b"x" * (maxval_at - len(head) - 1) + b"\n255\n" + plain[len(_PPM_HEAD % magic):]
+    assert raw.index(b"255") == maxval_at
+    p, q = tmp_path / "a.ppm", tmp_path / "b.ppm"
+    p.write_bytes(raw)
+    q.write_bytes(plain)
+    assert np.array_equal(read_image_ppm(p).data, read_image_ppm(q).data)
+
+
+@pytest.mark.parametrize("head, what", [
+    (b"P6 ", "width"), (b"P3\n3 ", "height"), (b"P6\n3 2\n", "maxval"),
+])
+def test_header_cut_inside_a_long_comment(tmp_path, head, what):
+    # the comment runs past the bytes first scanned to the end of the file
+    raw = head + b"# " + b"1 " * formats._HEAD
+    p = tmp_path / "a.ppm"
+    p.write_bytes(raw)
+    with pytest.raises(MalformedHeader) as err:
+        read_image_ppm(p)
+    assert (err.value.offset, err.value.message) == (len(raw), f"missing {what}")
+
+
 def test_ingested_image_round_trips_through_field_file(tmp_path):
     ramp = bytes(range(12))
     src = tmp_path / "r.ppm"
