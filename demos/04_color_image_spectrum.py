@@ -50,7 +50,7 @@ ctx = make_context(PureUnitQuaternion(1.0, 1.0, 1.0),
 variant = TransformVariant(Family.TWO_SIDED, ctx)
 
 spec = forward_fast(variant, field)
-write_field(spec.field, path("card_freq.qf2d"))
+write_field(spec, path("card_freq.qf2d"))
 print("transformed  ",
       " # opsqft transform --variant twosided --f 1,1,1 --g 1,-1,0 ...")
 

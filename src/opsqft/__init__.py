@@ -27,8 +27,7 @@ import importlib
 _PUBLIC = {
     "quat": ("ONE", "QI", "QJ", "QK", "ZERO", "Quaternion", "PureUnitQuaternion",
              "ZeroQuaternion", "mul", "conj", "norm", "scalar_part", "inner", "inverse",
-             "exp_pure"),
-    "fields": ("QuaternionField2D",),
+             "exp_pure", "QuaternionField2D"),
     "planes": ("OpsContext", "PlaneAssignment", "SplitParts", "DegenerateContext",
                "InvalidFrame", "make_context", "determine_context", "split", "split_arr",
                "half_turn", "coefficients", "reconstruct", "rotate_split"),

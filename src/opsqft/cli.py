@@ -16,12 +16,12 @@ them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import QuaternionField2D
 from .formats import (
     HEADER,
     MAGIC,
@@ -31,7 +31,7 @@ from .formats import (
     export_magnitude_pgm,
     write_field,
 )
-from .quat import _BLOCK, ONE, PureUnitQuaternion, Quaternion, max_norm_arr
+from .quat import _BLOCK, ONE, PureUnitQuaternion, Quaternion, QuaternionField2D, max_norm_arr
 
 # The values of ``transform.Family``, the names of ``verify.PROFILES`` and
 # the values of ``planes.PlaneAssignment``, spelled out so that building the
@@ -102,10 +102,10 @@ def _cmd_transform(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         if args.inverse:
             apply_ = transform.inverse_direct if args.direct else transform.inverse_fast
-            out = apply_(variant, transform.Spectrum(field, variant))
+            out = apply_(variant, transform.Spectrum(field.data, variant))
         else:
             apply_ = transform.forward_direct if args.direct else transform.forward_fast
-            out = apply_(variant, field).field
+            out = apply_(variant, field)
     write_field(out, args.outfile)
     return 0
 
@@ -113,6 +113,12 @@ def _cmd_transform(args) -> int:
 def _cmd_split(args) -> int:
     from .planes import split_part_arr
 
+    # two parts written over one file would leave only the second; a
+    # target that is not a regular file (/dev/null, say) takes both
+    target = os.path.realpath(args.out_plus)
+    if target == os.path.realpath(args.out_minus) and (
+            os.path.isfile(target) or not os.path.exists(target)):
+        raise UsageError(f"--out-plus and --out-minus name one file: {target}")
     ctx = _context(args)
     data = read_field(args.infile).data
     # one part at a time, each freed once written

@@ -13,8 +13,8 @@ words ``_words`` finds in one numpy scan: space, tab, CR and LF split
 them, and a '#' that starts a word comments out the rest of its line.
 Each pixel becomes the pure quaternion (r/255) i + (g/255) j + (b/255) k,
 image row y on the first grid index and column x on the second.
-Spectra go out as P5 graymaps of per-sample magnitude scaled by the
-peak value.
+Fields go out, a spectrum as any other, as P5 graymaps of per-sample
+magnitude scaled by the peak value.
 
 The per-sample passes (the finiteness check of every read and write,
 the magnitudes) run over blocks of the field, so none holds a second
@@ -30,8 +30,7 @@ import struct
 
 import numpy as np
 
-from .fields import QuaternionField2D
-from .quat import _BLOCK, sq_norm_blocks
+from .quat import _BLOCK, QuaternionField2D, sq_norm_blocks
 
 MAGIC = b"QF2D"
 VERSION = 1
@@ -323,7 +322,7 @@ def read_image_ppm(path) -> QuaternionField2D:
     return QuaternionField2D(data)
 
 
-def export_magnitude_pgm(spectrum_or_field, path, centered: bool = False) -> None:
+def export_magnitude_pgm(field: QuaternionField2D, path, centered: bool = False) -> None:
     """Write per-sample quaternion magnitude as a P5 graymap through ``_write``.
 
     Magnitudes are scaled so the peak maps to 255 (an all-zero grid maps
@@ -334,7 +333,6 @@ def export_magnitude_pgm(spectrum_or_field, path, centered: bool = False) -> Non
     n1 x n2 image.  A NaN or infinite component raises
     ``NonFiniteSample``, with no offset, before anything is written.
     """
-    field = getattr(spectrum_or_field, "field", spectrum_or_field)
     data = field.data
     top = float(max(data.max(), -data.min()))
     if not np.isfinite(top):

@@ -4,7 +4,8 @@ Scalar values are ``Quaternion`` instances (components w, x, y, z for the
 scalar part and the i, j, k parts); an axis is one with zero scalar part
 and unit length, as ``PureUnitQuaternion`` returns it.  Bulk data lives
 in numpy arrays of shape (..., 4) with the same component order; the
-``*_arr`` functions operate on those.
+``*_arr`` functions operate on those, and a ``QuaternionField2D`` holds
+one sampled 2D field, an n1 x n2 grid of shape (n1, n2, 4).
 
 >>> mul(Quaternion(0, 1, 0, 0), Quaternion(0, 0, 1, 0))
 Quaternion(w=0.0, x=0.0, y=0.0, z=1.0)
@@ -162,6 +163,30 @@ def exp_pure(f: Quaternion, angle: float) -> Quaternion:
 
 # ---------------------------------------------------------------------------
 # Vectorized forms on (..., 4) float arrays, component order (w, x, y, z).
+
+@dataclass(frozen=True, eq=False)
+class QuaternionField2D:
+    """A row-major grid of quaternion samples; float64 data is held
+    without a copy, any other is converted."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.data, dtype=np.float64)
+        if a.ndim != 3 or a.shape[2] != 4:
+            raise ValueError(f"expected shape (n1, n2, 4), got {a.shape}")
+        if a.shape[0] < 1 or a.shape[1] < 1:
+            raise ValueError(f"grid dimensions must be positive, got {a.shape[:2]}")
+        object.__setattr__(self, "data", a)
+
+    @property
+    def n1(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def n2(self) -> int:
+        return self.data.shape[1]
+
 
 def mul_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Broadcasting Hamilton product of two (..., 4) arrays."""

@@ -21,8 +21,10 @@ The conjugation family conjugates its spectrum: the forward output,
 conj(sum exp(f t2) h exp(g t1)) = sum exp(-g t1) conj(h) exp(-f t2),
 and the inverse input.  Each inverse row is its forward row negated.
 
-``direct_sum`` evaluates the formula literally; ``forward_direct`` and
-``inverse_direct`` are the in-package reference built on it.
+A forward transform returns F as a ``Spectrum``: a ``QuaternionField2D``
+that carries its ``TransformVariant``, which an inverse checks before it
+runs.  ``direct_sum`` evaluates the formula literally; ``forward_direct``
+and ``inverse_direct`` are the in-package reference built on it.
 
 The fast path is ``data @ A``, one complex FFT per split part, ``@ B``,
 with A and B 4x4 matrices.  In the orthonormal frame W of the pair
@@ -87,8 +89,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .fftcore import _PLAN_CACHE, _block_columns, _factors, _plan, fft1, fft2
-from .fields import QuaternionField2D
-from .quat import conj_arr, exp_arr, mul_arr
+from .quat import QuaternionField2D, conj_arr, exp_arr, mul_arr
 from .planes import OpsContext, split_arr
 
 
@@ -109,13 +110,10 @@ class TransformVariant:
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
-    field: QuaternionField2D
-    variant: TransformVariant
+class Spectrum(QuaternionField2D):
+    """A field in the frequency domain, with the variant that produced it."""
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.field.data
+    variant: TransformVariant
 
 
 def _require_same_variant(requested: TransformVariant, spectrum: Spectrum) -> None:
@@ -218,8 +216,7 @@ def _direct(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.nd
 
 def forward_direct(variant: TransformVariant, field: QuaternionField2D) -> Spectrum:
     """Reference forward transform by explicit summation."""
-    out = _direct(variant, field.data, inverse=False)
-    return Spectrum(QuaternionField2D(out), variant)
+    return Spectrum(_direct(variant, field.data, inverse=False), variant)
 
 
 def inverse_direct(variant: TransformVariant, spectrum: Spectrum) -> QuaternionField2D:
@@ -396,8 +393,7 @@ def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndar
 
 def forward_fast(variant: TransformVariant, field: QuaternionField2D) -> Spectrum:
     """FFT-backed forward transform; agrees with ``forward_direct``."""
-    out = _fast(variant, field.data, inverse=False)
-    return Spectrum(QuaternionField2D(out), variant)
+    return Spectrum(_fast(variant, field.data, inverse=False), variant)
 
 
 def inverse_fast(variant: TransformVariant, spectrum: Spectrum) -> QuaternionField2D:

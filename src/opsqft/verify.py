@@ -27,7 +27,6 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .fields import QuaternionField2D
 from .quat import (
     ONE,
     QI,
@@ -35,6 +34,7 @@ from .quat import (
     QK,
     PureUnitQuaternion,
     Quaternion,
+    QuaternionField2D,
     conj,
     conj_arr,
     exp_pure,
@@ -257,7 +257,7 @@ def check_oracle_equivalence(rng, profile=QUICK) -> List[CheckResult]:
         name = f"oracle/{variant.family.value}"
         worst.add(f"{name}-forward", _relative_residual(forward_fast(variant, h).data,
                                                         forward_direct(variant, h).data))
-        spectrum = Spectrum(random_field(rng, h.n1, h.n2), variant)
+        spectrum = Spectrum(rng.standard_normal((h.n1, h.n2, 4)), variant)
         worst.add(f"{name}-inverse", _relative_residual(inverse_fast(variant, spectrum).data,
                                                         inverse_direct(variant, spectrum).data))
     return worst.rows(1e-9)

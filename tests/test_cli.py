@@ -13,9 +13,8 @@ import pytest
 import opsqft
 from opsqft import cli, transform, verify
 from opsqft.cli import main
-from opsqft.fields import QuaternionField2D
 from opsqft.formats import read_field, write_field
-from opsqft.quat import _BLOCK, PureUnitQuaternion, norm_arr
+from opsqft.quat import _BLOCK, PureUnitQuaternion, QuaternionField2D, norm_arr
 from opsqft.planes import PlaneAssignment, coefficients_arr, make_context
 
 SEED = 68422
@@ -101,6 +100,27 @@ def test_split_writes_complementary_parts(tmp_path):
         assert rc == 0
         total = read_field(plus).data + read_field(minus).data
         assert np.max(np.abs(total - data)) < 1e-14 * scale
+
+
+@pytest.mark.parametrize("minus", ["same.qf2d", "./same.qf2d"])
+def test_split_refuses_one_file_for_both_parts(tmp_path, monkeypatch, capsys, minus):
+    monkeypatch.chdir(tmp_path)
+    write_random_field("a.qf2d", np.random.default_rng(SEED + 3))
+    rc = main(["split", "--f", "1,0,0", "--g", "0,0,1", "--in", "a.qf2d",
+               "--out-plus", "same.qf2d", "--out-minus", minus])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("opsqft: --out-plus and --out-minus name one file")
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["a.qf2d"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null here")
+def test_split_writes_both_parts_to_one_device(tmp_path):
+    a = tmp_path / "a.qf2d"
+    write_random_field(a, np.random.default_rng(SEED + 4))
+    assert main(["split", "--f", "1,0,0", "--g", "0,0,1", "--in", str(a),
+                 "--out-plus", "/dev/null", "--out-minus", "/dev/null"]) == 0
 
 
 def test_planes_hand_frame_output(capsys):

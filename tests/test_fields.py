@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opsqft.fields import QuaternionField2D
+from opsqft.quat import QuaternionField2D
 
 
 def test_shape_validation():

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from opsqft import formats
 from opsqft.cli import main
-from opsqft.fields import QuaternionField2D
-from opsqft.quat import _BLOCK, norm_arr
+from opsqft.quat import _BLOCK, QuaternionField2D, norm_arr
 from opsqft.formats import (
     BadMagic,
     BadVersion,

@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 import opsqft
-from opsqft.fields import QuaternionField2D
+from opsqft.quat import QuaternionField2D
 from opsqft.formats import write_field
 
 SRC = os.path.dirname(os.path.dirname(opsqft.__file__))
 AXES = ["--f", "1,0,0", "--g", "0.6,0.8,0"]
 HEAVY = {"opsqft.fftcore", "opsqft.planes", "opsqft.transform", "opsqft.verify"}
+# every package module a command that neither splits nor transforms holds
+LIGHT = {"opsqft", "opsqft.cli", "opsqft.formats", "opsqft.quat"}
 
 
 def _fresh(code, *args, env=os.environ):
@@ -66,6 +68,8 @@ def test_command_loads_only_what_it_runs(files, argv, absent):
     loaded = _loaded([a.format(d=files) for a in argv])
     assert "opsqft.formats" in loaded
     assert not loaded & absent
+    if absent is HEAVY:
+        assert loaded == LIGHT
     if argv[0] == "transform":
         assert "opsqft.transform" in loaded
 

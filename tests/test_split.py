@@ -12,6 +12,7 @@ from opsqft.quat import (
     QK,
     PureUnitQuaternion,
     Quaternion,
+    QuaternionField2D,
     conj,
     exp_pure,
     inner,
@@ -19,7 +20,6 @@ from opsqft.quat import (
     norm,
     scalar_part,
 )
-from opsqft.fields import QuaternionField2D
 from opsqft.planes import (
     DegenerateContext,
     InvalidFrame,
