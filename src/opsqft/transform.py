@@ -37,32 +37,31 @@ that axis, so the axis is summed first and the plane is a line.
 A is W and B is W^T times w; a conjugated spectrum puts
 diag(1, -1, -1, -1) after B (forward) or before A (inverse), so neither
 the conjugation nor the weight costs a pass over the data.
-Everything happens in the one output array, seen as (N1, 2, N2) complex
-(row k1: plane +, then plane -): each plane of data @ A is written into
-it and transformed in place, axis 0 then axis 1, and then each block of
-rows is interleaved into a small scratch whose product with B
-overwrites those rows.  No other full-size array is made.
-
-``_stages`` alone picks each plane's route, and ``_fast`` runs it.  A line
-runs ``fft1`` along its live axis.  Where N1 is a "grouped" length of
-``fftcore._plan``, the rotation writes the plane in the four-step's input
-order at no cost, and ``_pass0_grouped`` runs axis 0 in place over row
-groups, then ``fft1`` axis 1.  Any other plane goes through ``fft2``.
+``_fast`` is four stages in the one output array, seen as (N1, 2, N2)
+complex (row k1: plane +, then plane -), on the routes that ``_stages``
+alone picks: ``_frame`` gives A and B, ``_rotate`` writes plane p of
+data @ A, ``_run`` runs its passes in place, and ``_back`` interleaves
+each block of rows into a small scratch whose product with B overwrites
+those rows.  No other full-size array is made.  A line is summed first
+and runs ``fft1`` along its live axis.  Where N1 is a "grouped" length
+of ``fftcore._plan``, ``_rotate`` writes the plane in the four-step's
+input order at no cost, and ``_pass0_grouped`` runs axis 0 in place over
+row groups, then ``fft1`` axis 1.  Any other plane goes through ``fft2``.
 
 The two planes share nothing until ``@ B``, and the row blocks of
 ``@ B`` share nothing, so ``_halves`` runs each as independent jobs, on a
 large grid half of them on a helper thread, which writes only its call's
 planes and rows.  A transform therefore holds twice one pass's scratch.
 The results are the same bits either way: a job's output does not depend
-on the thread that runs it.  Before its first split, ``_halves`` sets
-numpy's bundled OpenBLAS to one thread for the rest of the process, so
-the two threads are the only ones: OpenBLAS's own threads, which the
+on the thread that runs it.  At its first call, at any size, ``_halves``
+sets numpy's bundled OpenBLAS to one thread for the rest of the process,
+so the two threads are the only ones: OpenBLAS's own threads, which the
 block products would otherwise spread over both cores, gain nothing
 beside a second Python thread and stall when another process takes a
-core.  The count is not set back after a split, since the BLAS worker
-that an earlier product of the caller left spinning would then take back
-the second core.  Where no count was set (numpy uses another BLAS, or
-keeps its OpenBLAS elsewhere), ``_halves`` runs every job in the caller.
+core.  The count is not set back, since the BLAS worker that an earlier
+product of the caller left spinning would then take back the second
+core.  Where no count was set (numpy uses another BLAS, or keeps its
+OpenBLAS elsewhere), ``_halves`` runs every job in the caller.
 
 The phase-angle family is where the zeros fall: forward, its plus plane
 gets (0, 1) and its minus plane (-1, 0), so the plus spectrum is
@@ -255,14 +254,14 @@ def _pin_blas() -> bool:
 def _halves(run, jobs: Sequence, samples: int) -> None:
     """``run(jobs)`` for independent jobs over a grid of ``samples`` samples.
 
-    From _SPLIT_MIN samples, once ``_pin_blas`` has set the BLAS to one
-    thread, the second half of the jobs runs on a helper thread and the
-    first in the caller; otherwise ``run`` takes them all in the caller.
+    ``_pin_blas`` runs first.  Once it has set the BLAS to one thread, from
+    _SPLIT_MIN samples the second half of the jobs runs on a helper thread
+    and the first in the caller; otherwise ``run`` takes them all there.
     Each call starts its own helper, in a copy of the caller's context, so
     numpy's error state (a context variable) holds there too; it is joined
     before the call returns, and an exception it raised is raised here.
     """
-    if len(jobs) < 2 or samples < _SPLIT_MIN or not _pin_blas():
+    if not _pin_blas() or len(jobs) < 2 or samples < _SPLIT_MIN:
         run(jobs)
         return
     half = len(jobs) // 2
@@ -344,50 +343,66 @@ def _stages(planes, n1: int, n2: int):
     return tuple(routes), _block_columns(n2)
 
 
+def _frame(variant: TransformVariant, inverse: bool, n1: int, n2: int):
+    """(A, B) of the table row on an n1 x n2 grid: the one place where the
+    frame W, the weight 1/(N1 N2) and the conjugation enter."""
+    W, conjugate = variant.ctx.frame, KERNELS[variant.family, inverse].conjugate
+    B = W.T / (n1 * n2) if inverse else W.T
+    if conjugate and inverse:  # conj(x) @ W = x @ A, in C order as W
+        return conj_arr(W.T).T.copy(), B
+    return W, (conj_arr(B) if conjugate else B)  # conj(y @ W.T) = y @ B
+
+
+def _rotate(data: np.ndarray, A: np.ndarray, route: Route, p: int, plane) -> np.ndarray:
+    """Plane p (0 is +, 1 is -) of ``data @ A`` in the route's row order,
+    after its line sums: written into ``plane``, of the grid's shape, or
+    where a sum made a line, into a new one.  Returns the plane written."""
+    x = data.sum(axis=0, keepdims=True) if 0 in route.summed else data
+    if 1 in route.summed:  # a BLAS product: numpy's strided sum over axis 1 is slower
+        x = (np.ones(x.shape[1]) @ x)[:, None, :]
+    plane = plane if x is data else np.empty(x.shape[:2], np.complex128)
+    if route.a:  # plane row b m1 + m2 from data row a m2 + m1
+        x = data.reshape(-1, route.a, data.shape[1], 4).transpose(1, 0, 2, 3)
+    np.matmul(x, A[:, 2 * p:2 * p + 2], out=plane.view(np.float64).reshape(*x.shape[:-1], 2))
+    return plane
+
+
+def _run(plane: np.ndarray, route: Route) -> None:
+    """The route's passes on ``plane`` in place, each looked up by name at call time."""
+    for name, *args in route.passes:
+        if name == "_pass0_grouped":
+            _pass0_grouped(plane, *args)
+        else:
+            (fft1 if name == "fft1" else fft2)(plane, *args, out=plane)
+
+
+def _back(planes, B: np.ndarray, out: np.ndarray, starts, step: int) -> None:
+    """Rows i to i + step of ``out`` for each i in ``starts``: those rows of
+    the planes, broadcast and interleaved into a small scratch, times B."""
+    planes = [np.broadcast_to(plane, out.shape[:2]) for plane in planes]
+    z = np.empty((min(step, len(out)), out.shape[1], 2), dtype=np.complex128)
+    for i in starts:
+        rows = z[:min(step, len(out) - i)]
+        for p in (0, 1):
+            rows[..., p] = planes[p][i:i + step]
+        np.matmul(rows.view(np.float64).reshape(-1, 4), B, out=out[i:i + step].reshape(-1, 4))
+
+
 def _fast(variant: TransformVariant, data: np.ndarray, inverse: bool) -> np.ndarray:
-    """The table row through its frame W, in the one output array: plane p
-    (0 is +, 1 is -) is ``x @ A[:, 2p:2p + 2]``, x the data summed as its
-    route (``_stages``) says, transformed in place by its passes, broadcast."""
-    k = KERNELS[variant.family, inverse]
+    """The table row by the module docstring's stages, each looked up at call time."""
     n1, n2 = data.shape[:2]
-    W = variant.ctx.frame
-    A, B = W, (W.T / (n1 * n2) if inverse else W.T)
-    if k.conjugate and inverse:
-        A = conj_arr(W.T).T.copy()  # conj(x) @ W = x @ A, in C order as W
-    elif k.conjugate:
-        B = conj_arr(B)  # conj(y @ W.T) = y @ B
+    A, B = _frame(variant, inverse, n1, n2)
+    (routes, step), planes = _stages(KERNELS[variant.family, inverse].planes, n1, n2), [None, None]
     out = np.empty((n1, n2, 4))
     spec = out.view(np.complex128).reshape(n1, 2, n2)  # row k1: plane +, then plane -
-    (routes, step), planes = _stages(k.planes, n1, n2), [None, None]
 
     def transform(jobs):
         for p in jobs:
-            summed, a, passes = routes[p]
-            x = data.sum(axis=0, keepdims=True) if 0 in summed else data
-            if 1 in summed:  # a BLAS product: numpy's strided sum over axis 1 is slower
-                x = (np.ones(x.shape[1]) @ x)[:, None, :]
-            plane = spec[:, p] if x is data else np.empty(x.shape[:2], np.complex128)
-            if a:  # plane row b m1 + m2 from data row a m2 + m1
-                x = data.reshape(-1, a, n2, 4).transpose(1, 0, 2, 3)
-            np.matmul(x, A[:, 2 * p:2 * p + 2], out=plane.view(np.float64).reshape(*x.shape[:-1], 2))
-            for name, *args in passes:  # looked up at call time: a wrapper of the name sees it
-                if name == "_pass0_grouped":
-                    _pass0_grouped(plane, *args)
-                else:
-                    (fft1 if name == "fft1" else fft2)(plane, *args, out=plane)
-            planes[p] = np.broadcast_to(plane, (n1, n2))
+            planes[p] = _rotate(data, A, routes[p], p, spec[:, p])
+            _run(planes[p], routes[p])
 
     _halves(transform, range(2), n1 * n2)
-
-    def product(starts):  # each block of rows is interleaved into z, then z @ B overwrites it
-        z = np.empty((min(step, n1), n2, 2), dtype=np.complex128)
-        for i in starts:
-            rows = z[:min(step, n1 - i)]
-            for p in (0, 1):
-                rows[..., p] = planes[p][i:i + step]
-            np.matmul(rows.view(np.float64).reshape(-1, 4), B, out=out[i:i + step].reshape(-1, 4))
-
-    _halves(product, range(0, n1, step), n1 * n2)
+    _halves(lambda starts: _back(planes, B, out, starts, step), range(0, n1, step), n1 * n2)
     return out
 
 

@@ -354,8 +354,7 @@ def test_fast_path_is_scale_and_pair_invariant(k, n1, n2, sign, eps, seed):
 RAGGED_GRIDS = ((67, 515), (515, 67), (1031, 131))
 # Grids large enough for ``_halves`` to split a transform's jobs over two
 # threads, each with an odd number of @ B blocks (17, 19 and 19), so the
-# two threads' halves are uneven.  Their plans (``_stages``) name the
-# passes that the thread hooks below watch.
+# two threads' halves are uneven.
 SPLIT_GRIDS = ((1031, 131), (1200, 131), (1200, 130))
 
 
@@ -496,18 +495,6 @@ def test_grouped_pass_agrees_with_fft2_to_rounding(n1, n2):
         assert np.max(np.abs(plane - want)) / np.sqrt(np.mean(np.abs(want) ** 2)) < 1e-14
 
 
-def test_transform_runs_axis_0_over_row_groups():
-    # at 1024 x 1024 the rotation writes each plane of a full transform in
-    # 32 row groups, which one grouped pass runs along axis 0, and fft1
-    # runs axis 1; each phase-angle line runs fft1 along its live axis only
-    n = 1024
-    assert transform._stages(KERNELS[Family.TWO_SIDED, False].planes, n, n) == (
-        (((), 32, (("_pass0_grouped", 1), ("fft1", -1, 1))),
-         ((), 32, (("_pass0_grouped", -1), ("fft1", -1, 1)))), 16)
-    assert transform._stages(KERNELS[Family.PHASE_ANGLE, False].planes, n, n) == (
-        (((0,), 0, (("fft1", 1, 1),)), ((1,), 0, (("fft1", -1, 0),))), 16)
-
-
 # Each length's plan: dense (1, 2, 64), grouped with its factor a (65 = 5 13,
 # 130 = 10 13, 1024 = 32 32), a four-step on a chirp (515 = 5 103) and a
 # chirp (67, 1031).
@@ -541,6 +528,27 @@ def test_plan_names_each_plane_route(n1, n2):
             got = forward_fast(variant, QuaternionField2D(data)).data
         want = numpy_composition(variant, data, inverse)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n1, n2, family, first", [(1024, 16, Family.TWO_SIDED, "_pass0_grouped"),
+                                                   (67, 70, Family.CONJUGATE, "fft2"),
+                                                   (1024, 16, Family.PHASE_ANGLE, "fft1")])
+def test_stages_called_one_by_one_give_the_fast_bits(n1, n2, family, first):
+    # the four stages, each called on its own as a layer timing calls them
+    rng = np.random.default_rng(SEED + 22)
+    data, variant = rng.standard_normal((n1, n2, 4)), TransformVariant(family, context_zoo(rng)[0])
+    for inverse, fast in ((False, forward_fast(variant, QuaternionField2D(data))),
+                          (True, inverse_fast(variant, Spectrum(data, variant)))):
+        A, B = transform._frame(variant, inverse, n1, n2)
+        routes, step = transform._stages(KERNELS[family, inverse].planes, n1, n2)
+        assert {route.passes[0][0] for route in routes} == {first}
+        out = np.empty((n1, n2, 4))
+        spec = out.view(np.complex128).reshape(n1, 2, n2)
+        planes = [transform._rotate(data, A, route, p, spec[:, p]) for p, route in enumerate(routes)]
+        for plane, route in zip(planes, routes):
+            transform._run(plane, route)
+        transform._back(planes, B, out, range(0, n1, step), step)
+        assert np.array_equal(out, fast.data)
 
 
 def natural_row_order(stages):
@@ -597,39 +605,32 @@ def on_one_thread(fn):
         transform._SPLIT_MIN = floor
 
 
-def plan_passes(grid):
-    """The name of every pass that the six rows' plans run on ``grid``."""
-    return {name for k in KERNELS.values() for route in transform._stages(k.planes, *grid)[0]
-            for name, *_ in route.passes}
-
-
-def watch_passes(monkeypatch, before):
-    """Call before(name) ahead of every run of each pass that the plans of
-    SPLIT_GRIDS name, where the transform looks it up: a hook to learn the
-    thread that runs it."""
-    for name in set().union(*map(plan_passes, SPLIT_GRIDS)):
-        def spy(*args, name=name, run=getattr(transform, name), **kwargs):
+def watch_stages(monkeypatch, before):
+    """Call before(name) ahead of every ``_run`` and ``_back``, where
+    ``_fast`` looks them up: a hook to learn the thread that runs each."""
+    for name in ("_run", "_back"):
+        def spy(*args, name=name, run=getattr(transform, name)):
             before(name)
-            return run(*args, **kwargs)
+            return run(*args)
 
         monkeypatch.setattr(transform, name, spy)
 
 
 def test_split_jobs_give_the_one_thread_bits(monkeypatch):
-    threads = {}
-    watch_passes(monkeypatch, lambda name: threads.setdefault(name, set()).add(threading.get_ident()))
+    caller, threads = threading.get_ident(), {}
+    watch_stages(monkeypatch, lambda name: threads.setdefault(name, set()).add(threading.get_ident()))
     for grid in SPLIT_GRIDS:
-        passes = plan_passes(grid)
         data, ctx = split_inputs(grid)
         threads.clear()
         alive = threading.active_count()
         split = fast_results(data, ctx)
-        assert all(len(threads[name]) > 1 for name in passes)
+        # each stage ran in the caller and on the helpers, one per call
+        assert threads.keys() == {"_run", "_back"}
+        assert all(caller in ids and len(ids) > 1 for ids in threads.values())
         assert threading.active_count() == alive
         threads.clear()
         one = on_one_thread(lambda: fast_results(data, ctx))
-        assert set().union(*threads.values()) == {threading.get_ident()}
-        assert passes <= threads.keys()
+        assert threads == {"_run": {caller}, "_back": {caller}}
         for got, want in zip(split, one):
             assert np.array_equal(got, want)
 
@@ -658,9 +659,9 @@ def test_no_helper_where_the_blas_count_is_not_set(monkeypatch, tmp_path):
 
 
 def test_first_split_sets_bundled_openblas_to_one_thread():
-    # in a fresh process: a transform under the floor leaves numpy's
-    # bundled OpenBLAS as it is; the first split sets it to one thread, and
-    # it stays
+    # in a fresh process: the first transform, under the split floor, sets
+    # numpy's bundled OpenBLAS to one thread, and it stays so through the
+    # first split and after it
     src = os.path.dirname(os.path.dirname(transform.__file__))
     code = """if True:
         import ctypes, pathlib, numpy as np
@@ -683,8 +684,8 @@ def test_first_split_sets_bundled_openblas_to_one_thread():
     counts = out.stdout.split()
     if counts[0] == "None":
         pytest.skip("numpy has no bundled OpenBLAS here")
-    start, small, split, after = map(int, counts)
-    assert small == start and split == after == 1
+    _, small, split, after = map(int, counts)
+    assert small == split == after == 1
 
 
 class HelperFailure(Exception):
@@ -698,14 +699,12 @@ def test_helper_exception_reaches_the_caller(monkeypatch):
         if threading.get_ident() != caller:
             raise HelperFailure(f"{name} on the helper's half")
 
-    watch_passes(monkeypatch, fail_off_the_caller)
-    planes = KERNELS[Family.TWO_SIDED, False].planes
+    watch_stages(monkeypatch, fail_off_the_caller)
     for grid in SPLIT_GRIDS:
         data, ctx = split_inputs(grid)
         alive = threading.active_count()
-        # plane - starts with its first pass on the helper
-        (_, minus), _ = transform._stages(planes, *grid)
-        with pytest.raises(HelperFailure, match=f"^{minus.passes[0][0]} on the helper's half"):
+        # plane - runs its passes on the helper
+        with pytest.raises(HelperFailure, match="^_run on the helper's half"):
             forward_fast(TransformVariant(Family.TWO_SIDED, ctx), QuaternionField2D(data))
         # the helper was joined
         assert threading.active_count() == alive
