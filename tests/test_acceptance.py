@@ -7,24 +7,26 @@ Each prints its PASS/FAIL lines (REPORT for the ungated residual) and
 asserts the gated outcome, so `pytest -v` shows one verdict per suite
 and `-s` (or a failure) shows the measured residuals.  Each suite runs
 once per session; the round-trip suite's 30 s budget is asserted on
-that same run.  Beside them: three mutations that every
-row they name must notice, the one REPORT row, one check that
-``run_all`` is seeded, and the CLI end-to-end pipeline.  The printing
-and exit codes of ``opsqft verify`` are tested on stub suites in
-test_cli.py.
+that same run.  Beside them: the fold of a NaN residual to inf, the one
+REPORT row, ``run_all``'s seeding, the names in the defect table of
+mutants.py, and the CLI pipeline.  test_cli.py tests the printing and
+exit codes of ``opsqft verify`` on stub suites.
 """
 
 import functools
 import inspect
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opsqft import transform, verify
+from opsqft import verify
 from opsqft.cli import main
 from opsqft.formats import read_field
-from opsqft.transform import Family, Kernel
+
+from mutants import ROWS
 
 SEED = 42
 
@@ -67,55 +69,11 @@ def test_every_check_is_a_suite():
     assert set(verify.SUITES) == checks
 
 
-def test_split_forms_fail_on_swapped_plane_rule(monkeypatch):
-    # plane + given cr + cl and plane - given cr - cl: every row must notice
-    rule = Kernel.planes.fget
-    monkeypatch.setattr(Kernel, "planes", property(lambda k: rule(k)[::-1]))
-    results = verify.check_split_forms(np.random.default_rng(SEED), verify.FULL)
-    assert [r.name for r in results] == [
-        f"split-forms/{family.value}-{direction}"
-        for family in Family for direction in ("forward", "inverse")
-    ] + ["phase-angle/axis-constancy"]
-    assert not any(r.passed for r in results), [r.line() for r in results]
-    # and the phase-angle round trip no longer returns its closed form
-    lines = [r for r in verify.check_roundtrips(np.random.default_rng(SEED), verify.QUICK)
-             if r.name == "roundtrip/phased-lines"]
-    assert len(lines) == 1 and not lines[0].passed, lines
-
-
-def test_commutation_fails_on_swapped_part_spectra(monkeypatch):
-    # the part spectra handed back in the wrong order: every row must notice
-    split_spectra = verify.split_spectra
-    monkeypatch.setattr(verify, "split_spectra",
-                        lambda variant, field: split_spectra(variant, field)[::-1])
-    results = verify.check_commutation(np.random.default_rng(SEED), verify.FULL)
-    assert [r.name for r in results] == [f"commutation/{f.value}" for f in Family]
-    assert not any(r.passed for r in results), [r.line() for r in results]
-
-
-def test_nan_in_every_forward_spectrum_fails_its_rows(monkeypatch):
-    # a NaN, then an inf, in sample (0, 0) of each forward spectrum, the
-    # part spectra of split_spectra too: every residual that reads it, a
-    # NaN from inf - inf or inf / inf as well, folds to inf and fails its row
-    forward_fast = verify.forward_fast
-    suites = (verify.check_oracle_equivalence, verify.check_roundtrips, verify.check_energy,
-              verify.check_commutation)
-    names = ([f"oracle/{f.value}-forward" for f in Family] + ["roundtrip/twosided"]
-             + [f"energy/{f.value}" for f in (Family.TWO_SIDED, Family.CONJUGATE)]
-             + [f"commutation/{f.value}" for f in Family])
-    for bad in (np.nan, np.inf):
-        def bad_forward(variant, field):
-            spectrum = forward_fast(variant, field)
-            spectrum.data[0, 0, 0] = bad
-            return spectrum
-
-        monkeypatch.setattr(verify, "forward_fast", bad_forward)
-        monkeypatch.setattr(transform, "forward_fast", bad_forward)
-        with np.errstate(invalid="ignore", over="ignore"):
-            rows = {r.name: r for suite in suites
-                    for r in suite(np.random.default_rng(SEED), verify.QUICK)}
-        for name in names:
-            assert rows[name].residual == np.inf and not rows[name].passed, rows[name].line()
+def test_worst_reads_a_nan_as_inf():
+    # max() would keep the residual before a NaN, and the row would pass
+    worst = verify._Worst.fromkeys(["row"], 0.5)
+    worst.add("row", np.nan)
+    assert worst["row"] == np.inf and not worst.rows(1.0)[0].passed
 
 
 def test_collapsed_family_structure():
@@ -148,13 +106,32 @@ def test_relative_residual_against_a_zero_reference():
     assert verify._relative_residual(tiny, zero) == np.inf
 
 
-def test_run_all_is_seeded(monkeypatch):
-    # every suite at its smallest draws, twice at one seed: the same rows
-    monkeypatch.setitem(verify.PROFILES, "quick", verify.Profile(
-        sizes=((1, 1),), n_contexts=1, n_fields=1, pointwise=1, frames=1))
-    first = verify.run_all(7)
-    assert first
-    assert verify.run_all(7) == first
+@functools.cache
+def smallest_run_all(seed):
+    """``run_all(seed)`` with every suite at its smallest draws, once per
+    session; ``smallest_run_all.__wrapped__`` runs it again."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(verify.PROFILES, "quick", verify.Profile(
+            sizes=((1, 1),), n_contexts=1, n_fields=1, pointwise=1, frames=1))
+        return verify.run_all(seed)
+
+
+def test_run_all_is_seeded():
+    # twice at one seed: the same rows
+    assert smallest_run_all(7) and smallest_run_all.__wrapped__(7) == smallest_run_all(7)
+
+
+def test_defect_table_names_what_exists():
+    # a refactor that moves a line, or renames a test or a row, fails here,
+    # and its change mends the table
+    root, rows = Path(__file__).parent.parent, {r.name for r in smallest_run_all(7)}
+    for row in ROWS:
+        assert (root / row.file).read_text().count(row.old) == 1, row.name
+        assert set(row.verify_rows) <= rows, row.name
+        for test in row.tests:
+            path, name = test.split("::")
+            name = name.split("[")[0].split(".")[-1]
+            assert re.search(rf"^ *def {name}\(", (root / path).read_text(), re.M), test
 
 
 def test_cli_end_to_end(tmp_path):

@@ -20,31 +20,12 @@ def rand_c(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def test_fft1_matches_numpy_both_signs():
-    rng = np.random.default_rng(SEED)
-    for n in (1, 2, 3, 4, 5, 7, 8, 12, 16, 27, 64):
-        x = rand_c(rng, n)
-        assert np.max(np.abs(fft1(x, -1) - np.fft.fft(x))) < 1e-11 * max(n, 1)
-        assert np.max(np.abs(fft1(x, +1) - n * np.fft.ifft(x))) < 1e-11 * max(n, 1)
-
-
 def test_fft1_axis_argument():
     rng = np.random.default_rng(SEED + 1)
     x = rand_c(rng, (4, 6, 5))
     for axis in range(3):
         want = np.fft.fft(x, axis=axis)
         assert np.max(np.abs(fft1(x, -1, axis=axis) - want)) < 1e-12
-
-
-def test_fft2_matches_numpy():
-    rng = np.random.default_rng(SEED + 2)
-    for shape in ((1, 1), (2, 3), (4, 4), (3, 5), (8, 8), (16, 12)):
-        x = rand_c(rng, shape)
-        n1, n2 = shape
-        got = fft2(x, -1, -1)
-        assert np.max(np.abs(got - np.fft.fft2(x))) < 1e-11
-        got = fft2(x, 1, 1)
-        assert np.max(np.abs(got - n1 * n2 * np.fft.ifft2(x))) < 1e-11
 
 
 def signed_numpy(x, sign, axis):
@@ -54,24 +35,14 @@ def signed_numpy(x, sign, axis):
     return x.shape[axis] * np.fft.ifft(x, axis=axis)
 
 
-def test_fft2_mixed_signs():
-    rng = np.random.default_rng(SEED + 3)
-    cases = [(rand_c(rng, (8, 6)), ((-1, 1), (1, -1)))]
-    cases += [(rand_c(rng, shape), ((-1, -1), (1, 1), (-1, 1)))
-              for shape in ((2, 3), (4, 4), (5, 8))]
-    for x, sign_pairs in cases:
-        for s1, s2 in sign_pairs:
+def test_fft2_matches_numpy():
+    # every sign pair; 16 x 12 takes a power-of-two and a dense axis in one call
+    rng = np.random.default_rng(SEED + 2)
+    for shape in ((1, 1), (2, 3), (4, 4), (3, 5), (5, 8), (8, 6), (8, 8), (16, 12)):
+        x = rand_c(rng, shape)
+        for s1, s2 in ((-1, -1), (1, 1), (-1, 1), (1, -1)):
             want = signed_numpy(signed_numpy(x, s2, axis=1), s1, axis=0)
             assert np.max(np.abs(fft2(x, s1, s2) - want)) < 1e-11
-
-
-def test_power_of_two_and_dense_paths_agree():
-    # 16 and 12 are both single DFT matrices of the one kernel; a 16x12
-    # grid transforms a power-of-two and a non-power-of-two axis in one call
-    rng = np.random.default_rng(SEED + 4)
-    x = rand_c(rng, (16, 12))
-    got = fft2(x, -1, -1)
-    assert np.max(np.abs(got - np.fft.fft2(x))) < 1e-10
 
 
 def test_round_trip():
