@@ -35,14 +35,22 @@ def signed_numpy(x, sign, axis):
     return x.shape[axis] * np.fft.ifft(x, axis=axis)
 
 
-def test_fft2_matches_numpy():
-    # every sign pair; 16 x 12 takes a power-of-two and a dense axis in one call
-    rng = np.random.default_rng(SEED + 2)
+def check_fft2_sign_pairs(seed, sign_pairs):
+    # 16 x 12 takes a power-of-two and a dense axis in one call
+    rng = np.random.default_rng(seed)
     for shape in ((1, 1), (2, 3), (4, 4), (3, 5), (5, 8), (8, 6), (8, 8), (16, 12)):
         x = rand_c(rng, shape)
-        for s1, s2 in ((-1, -1), (1, 1), (-1, 1), (1, -1)):
+        for s1, s2 in sign_pairs:
             want = signed_numpy(signed_numpy(x, s2, axis=1), s1, axis=0)
             assert np.max(np.abs(fft2(x, s1, s2) - want)) < 1e-11
+
+
+def test_fft2_matches_numpy():
+    check_fft2_sign_pairs(SEED + 2, ((-1, -1), (1, 1)))
+
+
+def test_fft2_mixed_signs():
+    check_fft2_sign_pairs(SEED + 3, ((-1, 1), (1, -1)))
 
 
 def test_round_trip():
