@@ -11,15 +11,18 @@ The script times the package's own functions, never copies of them:
   phase-angle family's two line sums;
 - ``fftcore.fft1`` along one axis for each kind of route (dense, grouped on
   either axis, four-step, chirp), interleaved round by round with
-  ``numpy.fft.fft`` on the same array;
+  ``numpy.fft.fft`` on the same array, with the true error of each: its
+  RMS error, relative to the RMS, against ``numpy.fft`` in ``clongdouble``
+  (80-bit on x86-64, where numpy has it);
 - ``formats.write_field`` and ``read_field`` at 1024 x 1024, and
   ``read_image_ppm`` on a 512 x 512 P6 and a 256 x 256 P3.
 
 Each row holds the median and quartiles of its rounds, the ratio of the
-medians to numpy's where there is one, the tracemalloc peak of one more
-call above the memory held before it, and the route that ``_stages`` or
-``fftcore._plan`` gives it.  A row whose route is not the one listed here
-stops the script with exit status 1, before anything is written.
+medians to numpy's and both true errors where there is one, the
+tracemalloc peak of one more call above the memory held before it, and
+the route that ``_stages`` or ``fftcore._plan`` gives it.  A row whose
+route is not the one listed here stops the script with exit status 1,
+before anything is written.
 ``--quick`` keeps every route and shrinks the other dimension, the images
 and the number of rounds.
 
@@ -157,6 +160,10 @@ def kernel_rows(samples, rounds, rng):
             theirs.append(timed(lambda: np.fft.fft(x, axis=axis)))
         rows.append(row(f"fft1 {kind} {n} axis {axis}", [kind, n, axis], ours,
                         lambda: fftcore.fft1(x, -1, axis=axis, out=y), theirs))
+        truth = np.fft.fft(x.astype(np.clongdouble), axis=axis)
+        for key, got in (("true_err", y), ("numpy_true_err", np.fft.fft(x, axis=axis))):
+            rows[-1][key] = float(np.sqrt(np.mean(np.abs(got - truth) ** 2)
+                                          / np.mean(np.abs(truth) ** 2)))
     return rows
 
 
@@ -224,7 +231,8 @@ def main(argv=None):
     records = json.loads(path.read_text()) if path.exists() else []
     path.write_text(json.dumps(records + [record], indent=1) + "\n")
     for r in rows:
-        ratio = f"  numpy x{r['numpy_ratio']:.2f}" if "numpy_ratio" in r else ""
+        ratio = (f"  numpy x{r['numpy_ratio']:.2f}  true err {r['true_err']:.1e}"
+                 f" (numpy {r['numpy_true_err']:.1e})" if "numpy_ratio" in r else "")
         print(f"{r['name']:36s} {r['median_s'] * 1e3:9.3f} ms "
               f"[{r['q1_s'] * 1e3:.3f}-{r['q3_s'] * 1e3:.3f}]  peak {r['peak_mb']:7.2f} MB{ratio}")
     print(f"appended to {path}")

@@ -20,10 +20,15 @@ import time
 from collections import namedtuple
 from pathlib import Path
 
+from oracle import TRUTH_ID
+
 FFTCORE, PLANES, TRANSFORM = (f"src/opsqft/{m}.py" for m in ("fftcore", "planes", "transform"))
 FFT1 = "tests/test_fftcore.py::test_fft1_every_length_both_signs"
 SUITE = "tests/test_acceptance.py::test_suite_at_full_profile"
 FAST, GROUPED = "tests/test_transform.py::", "test_fast_path_on_grouped_and_blocked_axis_0"
+# the true-error tests, whose ids name the precision of their reference
+TRUE = f"{FAST}test_true_error_of_every_route[{{}}-{TRUTH_ID}]"
+FFT1_TRUE = f"tests/test_fftcore.py::test_fft1_true_error_within_8x_numpys[{{}}-{TRUTH_ID}]"
 # verify's row names; ORACLE takes each family forward, then inverse
 FAMILIES = ("twosided", "phased", "conjc")
 ORACLE = tuple(f"oracle/{f}-{d}" for f in FAMILIES for d in ("forward", "inverse"))
@@ -37,21 +42,23 @@ ROWS = (
     Row("every _factors twiddle off by 1e-6 rad", FFTCORE,
         "return a, twiddles, _plan(a, sign)[1], _plan(n // a, sign)[1]",
         "return a, twiddles * np.exp(1e-6j), _plan(a, sign)[1], _plan(n // a, sign)[1]",
-        (f"{FFT1}[1000]", f"{FAST}{GROUPED}[1024-16]"), gap="item 21"),
+        (f"{FFT1}[1000]", f"{FAST}{GROUPED}[1024-16]", TRUE.format("70x67"), FFT1_TRUE.format(1000)),
+        gap="item 21"),
     Row("row-route twiddles off by 1e-6 rad", FFTCORE,
         "block = np.repeat(twiddles[:, None, :], rows, axis=1)",
         "block = np.repeat(twiddles[:, None, :] * np.exp(1e-6j), rows, axis=1)",
-        (f"{FFT1}[1000]",), gap="item 21"),
+        (f"{FFT1}[1000]", TRUE.format("70x67"), FFT1_TRUE.format(1000)), gap="item 21"),
     Row("chirp kernel scaled by 1/(1 + 1e-6)", FFTCORE, "kernel = _pass0(h, -1) / size",
-        "kernel = _pass0(h, -1) / (size * (1 + 1e-6))", (f"{FFT1}[67]", f"{FFT1}[1021]"),
-        gap="item 21"),
+        "kernel = _pass0(h, -1) / (size * (1 + 1e-6))",
+        (f"{FFT1}[67]", f"{FFT1}[1021]", TRUE.format("70x67"), FFT1_TRUE.format(67)), gap="item 21"),
     Row("four-step twiddles off by 1e-6 rad", FFTCORE,
         "y *= q[:, :, None]  # in place: a multiply into the transpose would be buffered",
-        "y *= q[:, :, None] * np.exp(1e-6j)", (f"{FFT1}[2042]",), gap="item 21"),
+        "y *= q[:, :, None] * np.exp(1e-6j)",
+        (f"{FFT1}[2042]", TRUE.format("70x67"), FFT1_TRUE.format(8192)), gap="item 21"),
     Row("32-point dense matrix scaled by 1 + 1e-6", FFTCORE,
         'return "dense", _roots(np.outer(m, m) % n, n, sign), None',
         'return "dense", _roots(np.outer(m, m) % n, n, sign) * (1 + 1e-6 * (n == 32)), None',
-        (f"{FFT1}[32]", f"{FAST}{GROUPED}[1024-16]"), gap="item 21"),
+        (f"{FFT1}[32]", f"{FAST}{GROUPED}[1024-16]", FFT1_TRUE.format(1024)), gap="item 21"),
     Row("helper thread skips its last @ B block", TRANSFORM,
         "_halves(lambda starts: _back(planes, B, out, starts, step), range(0, n1, step), n1 * n2)",
         "_halves(lambda starts: _back(planes, B, out, starts[:-1] if starts.start else starts,"
@@ -60,7 +67,7 @@ ROWS = (
     Row("grouped planes written in natural row order", TRANSFORM,
         'routes.append(Route((), a, (("_pass0_grouped", signs[0]), ("fft1", signs[1], 1))))',
         'routes.append(Route((), 0, (("_pass0_grouped", signs[0]), ("fft1", signs[1], 1))))',
-        (f"{FAST}{GROUPED}[1000-24]",), gap="item 21"),
+        (f"{FAST}{GROUPED}[1000-24]", TRUE.format("130x65")), gap="item 21"),
     # Transform defects that verify catches too.
     Row("inverse weight 1/(N1 N2 + 1)", TRANSFORM, "B = W.T / (n1 * n2) if inverse else W.T",
         "B = W.T / (n1 * n2 + 1) if inverse else W.T",
@@ -79,9 +86,9 @@ ROWS = (
         (f"{FAST}test_fast_path_in_ragged_blocks[67-515]",), ("roundtrip/phased-lines", *ORACLE)),
     Row("Kernel.planes gives each plane the other's coefficients", TRANSFORM,
         "for s in (-1, 1))", "for s in (1, -1))",
-        (f"{SUITE}[check_split_forms]", "src/opsqft/transform.py::opsqft.transform.Kernel.planes"),
-        ("roundtrip/phased-lines", *ORACLE, *SPLIT_FORMS, "phase-angle/axis-constancy"),
-        gap="item 23"),
+        (f"{SUITE}[check_split_forms]", "src/opsqft/transform.py::opsqft.transform.Kernel.planes",
+         f"{FAST}test_plan_names_each_plane_route[64-7]", TRUE.format("70x67")),
+        ("roundtrip/phased-lines", *ORACLE, *SPLIT_FORMS, "phase-angle/axis-constancy")),
     Row("split_spectra returns the part spectra swapped", TRANSFORM,
         "return spectrum_plus, spectrum_minus", "return spectrum_minus, spectrum_plus",
         (f"{FAST}test_transform_commutes_with_split",), COMMUTATION),

@@ -13,6 +13,8 @@ from opsqft import fftcore
 from opsqft.fftcore import _BLOCK, _plan, fft1, fft2
 from opsqft.transform import _SPLIT_MIN
 
+from oracle import EXTENDED, TRUTH, TRUTH_ID, signed_dft
+
 SEED = 77103
 
 
@@ -28,20 +30,13 @@ def test_fft1_axis_argument():
         assert np.max(np.abs(fft1(x, -1, axis=axis) - want)) < 1e-12
 
 
-def signed_numpy(x, sign, axis):
-    """numpy's transform along ``axis`` with exponent sign ``sign``."""
-    if sign < 0:
-        return np.fft.fft(x, axis=axis)
-    return x.shape[axis] * np.fft.ifft(x, axis=axis)
-
-
 def check_fft2_sign_pairs(seed, sign_pairs):
     # 16 x 12 takes a power-of-two and a dense axis in one call
     rng = np.random.default_rng(seed)
     for shape in ((1, 1), (2, 3), (4, 4), (3, 5), (5, 8), (8, 6), (8, 8), (16, 12)):
         x = rand_c(rng, shape)
         for s1, s2 in sign_pairs:
-            want = signed_numpy(signed_numpy(x, s2, axis=1), s1, axis=0)
+            want = signed_dft(signed_dft(x, 1, s2), 0, s1)
             assert np.max(np.abs(fft2(x, s1, s2) - want)) < 1e-11
 
 
@@ -140,7 +135,7 @@ def test_fft1_every_length_in_blocks_on_both_axes(n):
         for sign in (-1, 1):
             got = fft1(source, sign, axis=axis)
             assert got.flags.c_contiguous
-            assert rel_err(got, signed_numpy(source, sign, axis)) < 1e-14
+            assert rel_err(got, signed_dft(source, axis, sign)) < 1e-14
 
 
 def test_fft2_prime_by_composite_mixed_signs():
@@ -183,6 +178,20 @@ def test_plan_names_each_kind_of_route():
                 assert _plan(n, sign)[0] == kind, (n, sign)
 
 
+@pytest.mark.parametrize("n", [pytest.param(n, id=f"{n}-{TRUTH_ID}")
+                               for lengths in ROUTE_KINDS.values() for n in lengths if n])
+def test_fft1_true_error_within_8x_numpys(n):
+    # RMS errors against numpy.fft in 80-bit precision (worst measured 4.5x,
+    # at 67); without an 80-bit long double, against numpy's float64 result
+    x = rand_c(np.random.default_rng(SEED + 21 + n), (n, 5))
+    for source, axis in ((x, 0), (x.T.copy(), 1)):
+        for sign in (-1, 1):
+            truth = signed_dft(source.astype(np.result_type(TRUTH, 1j)), axis, sign)
+            ours, numpys = (np.sqrt(np.mean(np.abs(y - truth) ** 2) / np.mean(np.abs(truth) ** 2))
+                            for y in (fft1(source, sign, axis=axis), signed_dft(source, axis, sign)))
+            assert ours <= 8 * numpys if EXTENDED else ours < 1e-14
+
+
 @pytest.mark.parametrize("n", KERNEL_LENGTHS)
 def test_plans_are_linear_in_length(n):
     # a four-step twiddle table holds n numbers, a chirp and its padded
@@ -212,7 +221,7 @@ def test_fft2_in_place_on_interleaved_planes(n1, n2):
     for p, (s1, s2) in enumerate(((-1, 1), (1, -1))):
         plane = stack[..., p]
         assert fft2(plane, s1, s2, out=plane) is plane
-        want = signed_numpy(signed_numpy(before[..., p], s1, axis=0), s2, axis=1)
+        want = signed_dft(signed_dft(before[..., p], 0, s1), 1, s2)
         assert rel_err(plane, want) < 1e-14
     # the result is the same as into new arrays, bit for bit
     for p, (s1, s2) in enumerate(((-1, 1), (1, -1))):
@@ -321,7 +330,7 @@ def test_row_route_takes_two_dense_factors_only(n, monkeypatch):
     x = rand_c(rng, (rows, n))
     for source, axis in ((x, 1), (x.T.copy().T, 1), (x[:1].T, 0)):
         for sign in (-1, 1):
-            assert rms_err(fft1(source, sign, axis=axis), signed_numpy(source, sign, axis)) < 1e-14
+            assert rms_err(fft1(source, sign, axis=axis), signed_dft(source, axis, sign)) < 1e-14
     assert lengths == [n] * 6 * (n in ROW_ROUTE_LENGTHS)
 
 
@@ -359,4 +368,4 @@ def test_row_route_with_a_short_last_block_matches_numpy(rows, n):
     x = rand_c(np.random.default_rng(SEED + 20 + rows), (rows, n))
     assert rows % fftcore._block_columns(n)
     for sign in (-1, 1):
-        assert rms_err(fft1(x, sign, axis=1), signed_numpy(x, sign, 1)) < 1e-14
+        assert rms_err(fft1(x, sign, axis=1), signed_dft(x, 1, sign)) < 1e-14

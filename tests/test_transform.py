@@ -28,13 +28,8 @@ from opsqft.transform import (
     split_spectra,
 )
 
-from oracle import (
-    as_samples,
-    inverse_reference,
-    max_component_diff,
-    transform_reference,
-    transform_sample,
-)
+from oracle import (EXTENDED, TRUTH, TRUTH_ID, as_samples, expansion, inverse_reference,
+                    max_component_diff, transform_reference)
 
 SEED = 551
 
@@ -358,57 +353,43 @@ RAGGED_GRIDS = ((67, 515), (515, 67), (1031, 131))
 SPLIT_GRIDS = ((1031, 131), (1200, 131), (1200, 130))
 
 
-def signed_dft(z, axis, c):
-    """sum_m z[m] exp(i c 2 pi m k / n) along ``axis``, for c in (-1, 0, 1)."""
-    if c == 0:
-        return np.broadcast_to(z.sum(axis=axis, keepdims=True), z.shape)
-    return np.fft.fft(z, axis=axis) if c < 0 else z.shape[axis] * np.fft.ifft(z, axis=axis)
+def expected(variant, data, inverse, dtype=np.float64):
+    return expansion(data, axis_triple(variant.ctx.f), axis_triple(variant.ctx.g),
+                     variant.family.value, inverse, dtype)
 
 
-def numpy_composition(variant, data, inverse):
-    """The split transform with numpy.fft: each plane of the (f, g) frame as
-    a complex grid, its 2D DFT with the plane's coefficients, and back; a
-    conjugated spectrum is the input of an inverse, the output of a forward."""
-    k = KERNELS[variant.family, inverse]
-    conj = [1.0, -1, -1, -1] if k.conjugate else 1.0
-    h = data * conj if inverse else data
-    out = np.zeros(data.shape)
-    for p, (c1, c2) in enumerate(k.planes):
-        plane = variant.ctx.frame[:, 2 * p:2 * p + 2]
-        z = (h @ plane) @ [1.0, 1j]
-        z = signed_dft(signed_dft(z, 0, c1), 1, c2)
-        out += np.stack([z.real, z.imag], axis=-1) @ plane.T
-    return out / data[..., 0].size if inverse else out * conj
+def fast(variant, data, inverse):
+    return (inverse_fast(variant, Spectrum(data, variant)) if inverse
+            else forward_fast(variant, QuaternionField2D(data))).data
 
 
-def assert_fast_path_matches_numpy(n1, n2, rng):
+@pytest.mark.parametrize("n1, n2", [(1, 1), (2, 3), (5, 4), (8, 6)])
+def test_expansion_matches_the_loops(n1, n2):
+    rng = np.random.default_rng(SEED + 43)
+    data = rng.standard_normal((n1, n2, 4))
+    for ctx in context_zoo(rng)[:3]:
+        for family in Family:
+            for inverse in (False, True):
+                want = np.array(transform_reference(as_samples(data), axis_triple(ctx.f),
+                                                    axis_triple(ctx.g), family.value, inverse))
+                got = expected(TransformVariant(family, ctx), data, inverse)
+                assert np.max(np.abs(got - want)) <= 1e-14 * rms(want)
+
+
+def assert_fast_path_matches_expansion(n1, n2, rng):
     """forward_fast and inverse_fast of every family on a random n1 x n2
-    field, at generic, g = f and g = -f pairs, against
-    ``numpy_composition``, and a few samples against the scalar oracle."""
+    field, at generic, g = f and g = -f pairs, against the oracle's expansion."""
     data = rng.standard_normal((n1, n2, 4))
     before = data.copy()
-    checked = []
     for ctx in context_zoo(rng)[:3]:
         for family in Family:
             variant = TransformVariant(family, ctx)
             for inverse in (False, True):
-                if inverse:
-                    got = inverse_fast(variant, Spectrum(data, variant)).data
-                else:
-                    got = forward_fast(variant, QuaternionField2D(data)).data
+                got = fast(variant, data, inverse)
                 assert not np.shares_memory(got, data)
                 assert np.array_equal(data, before)
-                want = numpy_composition(variant, data, inverse)
+                want = expected(variant, data, inverse)
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-                checked.append((ctx, family, inverse, got))
-    # a few samples against the literal double sum of the scalar oracle
-    samples = as_samples(data)
-    for i in rng.choice(len(checked), 3, replace=False):
-        ctx, family, inverse, got = checked[i]
-        k1, k2 = rng.integers(n1), rng.integers(n2)
-        want = transform_sample(samples, axis_triple(ctx.f), axis_triple(ctx.g),
-                                family.value, k1, k2, inverse)
-        assert np.max(np.abs(got[k1, k2] - want)) <= 1e-12 * rms(got)
 
 
 @pytest.mark.parametrize("n1, n2", [(1031, 1), (1, 1031)])
@@ -422,7 +403,7 @@ def test_direct_path_keeps_its_digits_along_a_long_axis(n1, n2):
     for family in Family:
         variant = TransformVariant(family, ctx)
         got = forward_direct(variant, QuaternionField2D(data)).data
-        want = numpy_composition(variant, data, False)
+        want = expected(variant, data, False, TRUTH)
         assert np.max(np.abs(got - want)) <= 2e-14 * rms(want), family
 
 
@@ -444,7 +425,7 @@ def test_fast_path_in_ragged_blocks(n1, n2):
     # row blocks; both end ragged
     cols, rows = _block_columns(n1), _block_columns(n2)
     assert n2 > cols and n2 % cols and n1 > rows and n1 % rows
-    assert_fast_path_matches_numpy(n1, n2, np.random.default_rng(SEED + 16))
+    assert_fast_path_matches_expansion(n1, n2, np.random.default_rng(SEED + 16))
 
 
 # Axis-0 lengths n = a b of a four-step plan whose factors are both dense
@@ -470,7 +451,7 @@ def test_grouped_route_takes_two_dense_factors_only():
 
 @pytest.mark.parametrize("n1, n2", GROUPED_GRIDS + tuple((n, 30) for n in BLOCKED_AXIS_0_LENGTHS))
 def test_fast_path_on_grouped_and_blocked_axis_0(n1, n2):
-    assert_fast_path_matches_numpy(n1, n2, np.random.default_rng(SEED + 18))
+    assert_fast_path_matches_expansion(n1, n2, np.random.default_rng(SEED + 18))
 
 
 @pytest.mark.parametrize("n1, n2", [(65, 64), (1000, 64), (1024, 64), (122, 576)])
@@ -522,12 +503,29 @@ def test_plan_names_each_plane_route(n1, n2):
             else:
                 assert route == ((), 0, (("fft2", c1, c2),))
         variant = TransformVariant(family, ctx)
-        if inverse:
-            got = inverse_fast(variant, Spectrum(data, variant)).data
-        else:
-            got = forward_fast(variant, QuaternionField2D(data)).data
-        want = numpy_composition(variant, data, inverse)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        want = expected(variant, data, inverse)
+        assert np.max(np.abs(fast(variant, data, inverse) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# A grid per route: grouped axis 0 by a chirp, fft2, a four-step on a chirp
+# factor (515 = 5 103), grouped on both axes, and phased's lines on each.
+# The RMS error against the 80-bit expansion is the true one (worst measured
+# 1.5e-15, 515 x 67); without 80 bits, the float64 expansion at a float64 bound.
+@pytest.mark.parametrize("n1, n2", [pytest.param(*grid, id=f"{grid[0]}x{grid[1]}-{TRUTH_ID}")
+                                    for grid in ((70, 67), (67, 70), (515, 67), (130, 65))])
+def test_true_error_of_every_route(n1, n2):
+    rng = np.random.default_rng(SEED + 44)
+    data = rng.standard_normal((n1, n2, 4))
+    for ctx in context_zoo(rng)[:3]:
+        for family in Family:
+            variant = TransformVariant(family, ctx)
+            for inverse in (False, True):
+                truth = expected(variant, data, inverse, TRUTH)
+                # a power of two scales exactly: one truth serves 1 and 2^+-500
+                for e in (0, 500, -500):
+                    got = np.ldexp(fast(variant, np.ldexp(data, e), inverse), -e)
+                    err = np.sqrt(np.mean((got - truth) ** 2)) / rms(truth)
+                    assert err <= (4e-15 if EXTENDED else 1e-14), (family, inverse, e)
 
 
 @pytest.mark.parametrize("n1, n2, family, first", [(1024, 16, Family.TWO_SIDED, "_pass0_grouped"),
@@ -537,8 +535,7 @@ def test_stages_called_one_by_one_give_the_fast_bits(n1, n2, family, first):
     # the four stages, each called on its own as a layer timing calls them
     rng = np.random.default_rng(SEED + 22)
     data, variant = rng.standard_normal((n1, n2, 4)), TransformVariant(family, context_zoo(rng)[0])
-    for inverse, fast in ((False, forward_fast(variant, QuaternionField2D(data))),
-                          (True, inverse_fast(variant, Spectrum(data, variant)))):
+    for inverse in (False, True):
         A, B = transform._frame(variant, inverse, n1, n2)
         routes, step = transform._stages(KERNELS[family, inverse].planes, n1, n2)
         assert {route.passes[0][0] for route in routes} == {first}
@@ -548,7 +545,7 @@ def test_stages_called_one_by_one_give_the_fast_bits(n1, n2, family, first):
         for plane, route in zip(planes, routes):
             transform._run(plane, route)
         transform._back(planes, B, out, range(0, n1, step), step)
-        assert np.array_equal(out, fast.data)
+        assert np.array_equal(out, fast(variant, data, inverse))
 
 
 def split_inputs(grid):
@@ -561,12 +558,8 @@ def split_inputs(grid):
 
 def fast_results(data, ctx):
     """forward_fast and inverse_fast of every family on ``data``."""
-    out = []
-    for family in Family:
-        variant = TransformVariant(family, ctx)
-        out.append(forward_fast(variant, QuaternionField2D(data)).data)
-        out.append(inverse_fast(variant, Spectrum(data, variant)).data)
-    return out
+    return [fast(TransformVariant(family, ctx), data, inverse)
+            for family in Family for inverse in (False, True)]
 
 
 def on_one_thread(fn):
